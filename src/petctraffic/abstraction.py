@@ -34,9 +34,6 @@ TRIVIAL = "trivial"
 MPETC_BISIM = "mpetc_bisim"
 PETC_SIM = "petc_sim"
 
-PRUNE_PREFIX = "prefix"
-PRUNE_FULL = "full"
-
 DEFAULT_STATE_CAP = 2_000_000
 
 
@@ -143,69 +140,44 @@ def _settle_unknowns(words, results, assume_sat, assumed: set):
 def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
                       budget: float = satcheck.DEFAULT_BUDGET_S,
                       solver_cmd=None, workers: int = 1,
-                      prune: str = PRUNE_PREFIX,
                       assume_sat: bool = False) -> TrafficModel:
     """The words realized before entering the periodic set.
 
-    ``prune=prefix`` extends words to the right and discards any whose
-    terminal-free query is already infeasible; ``prune=full`` extends
-    kept words to the left, relying on suffix closure, and issues full
-    queries only.  Both return the same model.
+    Words are extended to the right, level by level; a word whose
+    terminal-free query is already infeasible is discarded with all its
+    extensions.
     """
-    if prune not in (PRUNE_PREFIX, PRUNE_FULL):
-        raise ValueError(f"bad prune mode {prune!r}")
     states: set[Word] = {EPSILON}
     witnesses: dict[Word, RatVector] = {
         EPSILON: tuple(Fraction(0) for _ in range(disc.n_x))}
     assumed: set[Word] = set()
     ks = list(disc.K_range)
-
-    if prune == PRUNE_PREFIX:
-        frontier: list[Word] = [EPSILON]
-        for _ in range(N):
-            candidates = sorted((w + (k,) for w in frontier for k in ks),
-                                key=word_key)
-            if not candidates:
-                break
-            # the terminal-free query first: if it is unsat, the full
-            # query is unsat too and no extension can ever be feasible
-            pref = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
-                                            terminal=False)
-                    for w in candidates]
-            pref_res = _run_queries(pref, budget, solver_cmd, workers)
-            live = [w for w, pr in zip(candidates, pref_res)
-                    if pr.status != "unsat"]
-            full = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
-                                            terminal=True)
-                    for w in live]
-            full_res = _run_queries(full, budget, solver_cmd, workers)
-            _settle_unknowns(live, full_res, assume_sat, assumed)
-            frontier = live
-            for w, fr in zip(live, full_res):
-                if fr.status == "sat":
-                    states.add(w)
-                    witnesses[w] = fr.witness
-                elif w in assumed:
-                    states.add(w)
-    else:
-        level: list[Word] = [EPSILON]
-        for _ in range(N):
-            candidates = sorted(((k,) + w for w in level for k in ks),
-                                key=word_key)
-            if not candidates:
-                break
-            queries = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
-                                               terminal=True)
-                       for w in candidates]
-            results = _run_queries(queries, budget, solver_cmd, workers)
-            _settle_unknowns(candidates, results, assume_sat, assumed)
-            level = []
-            for w, res in zip(candidates, results):
-                if res.status == "sat" or w in assumed:
-                    states.add(w)
-                    if res.status == "sat":
-                        witnesses[w] = res.witness
-                    level.append(w)
+    frontier: list[Word] = [EPSILON]
+    for _ in range(N):
+        candidates = sorted((w + (k,) for w in frontier for k in ks),
+                            key=word_key)
+        if not candidates:
+            break
+        # the terminal-free query first: if it is unsat, the full query
+        # is unsat too and no extension can ever be feasible
+        pref = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
+                                        terminal=False)
+                for w in candidates]
+        pref_res = _run_queries(pref, budget, solver_cmd, workers)
+        live = [w for w, res in zip(candidates, pref_res)
+                if res.status != "unsat"]
+        full = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
+                                        terminal=True)
+                for w in live]
+        full_res = _run_queries(full, budget, solver_cmd, workers)
+        _settle_unknowns(live, full_res, assume_sat, assumed)
+        frontier = live
+        for w, fr in zip(live, full_res):
+            if fr.status == "sat":
+                states.add(w)
+                witnesses[w] = fr.witness
+            elif w in assumed:
+                states.add(w)
 
     return TrafficModel(kind=MPETC_BISIM, states=frozenset(states),
                         edges=frozenset(_tree_edges(states)),

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands cover the pipeline stage by stage — discretize, contraction,
-abstract, analyze, verify — plus ``casestudy``, which runs everything
-from the bundled two-dimensional example configuration.
+``run_pipeline`` is the one pipeline: discretize, certify a and N, build
+both models, read off the bounds.  ``abstract``, ``analyze``, ``verify``
+and ``casestudy`` (which also validates the models) run it; ``discretize``
+and ``contraction`` stop after their stage.
 
 Exit codes: 0 success; 2 configuration error; 3 solver transport error;
-4 solver undecided/abort; 5 verification mismatch.
+4 solver undecided/abort; 5 verification mismatch; 6 not contractive (no
+periodic period or no decrease ratio below one exists).
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import importlib.resources
 import json
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import abstraction, analysis, contraction, satcheck, semantics, verify
+from . import abstraction, analysis, contraction, semantics, verify
+from .contraction import NotContractiveError
 from .satcheck import SolverTransportError, SolverUnknownError
 from .sysmodel import (DiscretizedPetc, PetcSystem, PredictiveTriggerSpec,
                        build_predictive_Q, rationalize)
@@ -30,6 +34,7 @@ EXIT_CONFIG = 2
 EXIT_TRANSPORT = 3
 EXIT_UNDECIDED = 4
 EXIT_MISMATCH = 5
+EXIT_NOT_CONTRACTIVE = 6
 
 
 class ConfigError(Exception):
@@ -38,10 +43,6 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _parse_number(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def load_config(path: str | Path | None) -> dict:
@@ -55,8 +56,7 @@ def load_config(path: str | Path | None) -> dict:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_float=_parse_number,
-                         parse_int=_parse_number)
+        cfg = json.loads(text, parse_float=Fraction, parse_int=Fraction)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad JSON in config: {exc}") from exc
     _validate_config(cfg)
@@ -95,12 +95,11 @@ def solver_command(cfg: dict) -> list[str] | None:
     return None  # satcheck's default (bundled or PETCTRAFFIC_SOLVER)
 
 
-def solver_budget(cfg: dict) -> float:
-    return float(cfg.get("solver", {}).get("per_query_budget_s", 30))
-
-
-def solver_workers(cfg: dict) -> int:
-    return int(cfg.get("solver", {}).get("workers", 1))
+def _solver_kwargs(cfg: dict) -> dict:
+    solver = cfg.get("solver", {})
+    return dict(budget=float(solver.get("per_query_budget_s", 30)),
+                solver_cmd=solver_command(cfg),
+                workers=int(solver.get("workers", 1)))
 
 
 def build_system(cfg: dict) -> PetcSystem:
@@ -139,45 +138,89 @@ def make_disc(cfg: dict) -> DiscretizedPetc:
 
 
 # ---------------------------------------------------------------------------
-# pipeline pieces
+# the pipeline
 
 
 def run_contraction(cfg: dict, disc: DiscretizedPetc):
     cert = contraction.compute_a(
         disc, tol=Fraction(cfg.get("a_tol", Fraction(1, 1000))),
-        budget=solver_budget(cfg), solver_cmd=solver_command(cfg),
-        workers=solver_workers(cfg))
+        **_solver_kwargs(cfg))
     n = contraction.compute_N(cert.a, disc.r)
     k_size = disc.k_bar - disc.k_lo + 1
     bounds = contraction.trace_count_bounds(max(k_size, 2), n)
     return cert, n, bounds
 
 
-def build_models(cfg: dict, disc: DiscretizedPetc, n: int, prune: str,
-                 assume_sat: bool):
-    kwargs = dict(budget=solver_budget(cfg), solver_cmd=solver_command(cfg),
-                  workers=solver_workers(cfg), assume_sat=assume_sat)
-    bisim = abstraction.build_mpetc_bisim(disc, n, prune=prune, **kwargs)
+@dataclass(frozen=True)
+class PipelineResult:
+    disc: DiscretizedPetc
+    cert: contraction.ContractionCert
+    N: int
+    bounds: tuple[int, int]
+    bisim: abstraction.TrafficModel
+    sim: abstraction.TrafficModel
+    report: analysis.AnalysisReport
+
+    @property
+    def timings(self) -> dict[str, float]:
+        """The report's timings; stages run later add to them."""
+        return self.report.timings
+
+
+def run_pipeline(cfg: dict, assume_sat: bool = False) -> PipelineResult:
+    """Discretize, certify a and N, build both models and read off the
+    bounds.  ``contraction_s`` leaves out the h_P scan of make_disc."""
+    disc = make_disc(cfg)
+    timings: dict[str, float] = {}
+    t0 = time.perf_counter()
+    cert, n, bounds = run_contraction(cfg, disc)
+    timings["contraction_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    kwargs = dict(_solver_kwargs(cfg), assume_sat=assume_sat)
+    bisim = abstraction.build_mpetc_bisim(disc, n, **kwargs)
     sim = abstraction.build_petc_sim(disc, bisim, **kwargs)
-    return bisim, sim
+    timings["abstraction_s"] = time.perf_counter() - t0
+    rep = analysis.report(bisim, sim, cert.a, n, disc.k_lo, disc.r, disc.h,
+                          bounds, timings)
+    return PipelineResult(disc, cert, n, bounds, bisim, sim, rep)
 
 
-def _write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-
-
-def export_models(out: Path, bisim, sim) -> None:
-    _write(out / "mpetc_bisim.json", abstraction.export_model(bisim, "json"))
-    _write(out / "mpetc_bisim.dot", abstraction.export_model(bisim, "dot"))
-    _write(out / "petc_sim.json", abstraction.export_model(sim, "json"))
-    _write(out / "petc_sim.dot", abstraction.export_model(sim, "dot"))
+def export(out: Path, models, rep=None) -> None:
+    """Each model as <kind>.json and <kind>.dot, the report as
+    report.json and report.txt."""
+    out.mkdir(parents=True, exist_ok=True)
+    for model in models:
+        for fmt in ("json", "dot"):
+            (out / f"{model.kind}.{fmt}").write_bytes(
+                abstraction.export_model(model, fmt))
+    if rep is not None:
+        (out / "report.json").write_bytes(rep.to_json().encode())
+        (out / "report.txt").write_bytes(rep.render().encode())
 
 
 def load_models(out: Path):
-    bisim = abstraction.import_model((out / "mpetc_bisim.json").read_bytes())
-    sim = abstraction.import_model((out / "petc_sim.json").read_bytes())
-    return bisim, sim
+    models = []
+    for kind in (abstraction.MPETC_BISIM, abstraction.PETC_SIM):
+        path = out / f"{kind}.json"
+        try:
+            model = abstraction.import_model(path.read_bytes())
+        except (OSError, ValueError, KeyError, TypeError, IndexError,
+                ZeroDivisionError) as exc:
+            raise ConfigError(f"bad model file {path}: "
+                              f"{type(exc).__name__}: {exc}") from exc
+        if model.kind != kind:
+            raise ConfigError(f"{path} holds a {model.kind} model")
+        models.append(model)
+    return models
+
+
+def _validate(disc: DiscretizedPetc, bisim, sim, samples: int, steps: int,
+              seed: int) -> bool:
+    rep1 = verify.check_bisim_sample(disc, bisim, samples, seed=seed)
+    rep2 = verify.check_sim_petc(disc, sim, samples, steps, seed=seed + 1)
+    print(rep1.render())
+    print(rep2.render())
+    return rep1.passed and rep2.passed
 
 
 # ---------------------------------------------------------------------------
@@ -214,63 +257,43 @@ def cmd_contraction(args) -> int:
 
 def cmd_abstract(args) -> int:
     cfg = load_config(args.config)
-    disc = make_disc(cfg)
     out = Path(args.out)
-    if args.kind == "trivial":
+    if args.trivial:
+        disc = make_disc(cfg)
         _, n, _ = run_contraction(cfg, disc)
-        model = abstraction.build_trivial(
-            list(disc.K_range), n, h=disc.h, h_P=disc.h_P)
-        _write(out / "trivial.json", abstraction.export_model(model, "json"))
-        _write(out / "trivial.dot", abstraction.export_model(model, "dot"))
+        try:
+            model = abstraction.build_trivial(
+                list(disc.K_range), n, h=disc.h, h_P=disc.h_P)
+        except ValueError as exc:
+            raise ConfigError(f"trivial model at N = {n}: {exc}") from exc
+        export(out, [model])
         print(f"trivial model: {len(model.states)} states -> {out}")
         return EXIT_OK
-    cert, n, _ = run_contraction(cfg, disc)
-    bisim, sim = build_models(cfg, disc, n, args.prune, args.assume_sat)
-    export_models(out, bisim, sim)
-    print(f"bisimilar model: {bisim.n_states(False)} states (+ eps); "
-          f"simulating model: {sim.n_states(False)} states -> {out}")
-    if args.kind == "bisim":
-        return EXIT_OK
+    res = run_pipeline(cfg, args.assume_sat)
+    export(out, [res.bisim, res.sim])
+    print(f"bisimilar model: {res.bisim.n_states(False)} states (+ eps); "
+          f"simulating model: {res.sim.n_states(False)} states -> {out}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    cfg = load_config(args.config)
-    disc = make_disc(cfg)
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    cert, n, bounds = run_contraction(cfg, disc)
-    timings["contraction_s"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bisim, sim = build_models(cfg, disc, n, args.prune, args.assume_sat)
-    timings["abstraction_s"] = time.perf_counter() - t0
-    rep = analysis.report(bisim, sim, cert.a, n, disc.k_lo, disc.r, disc.h,
-                          bounds, timings)
-    print(rep.render(), end="")
+    res = run_pipeline(load_config(args.config), args.assume_sat)
+    print(res.report.render(), end="")
     if args.out:
-        out = Path(args.out)
-        export_models(out, bisim, sim)
-        _write(out / "report.json", rep.to_json().encode())
-        _write(out / "report.txt", rep.render().encode())
+        export(Path(args.out), [res.bisim, res.sim], res.report)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    disc = make_disc(cfg)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     if args.models:
         bisim, sim = load_models(Path(args.models))
+        disc = make_disc(cfg)
     else:
-        _, n, _ = run_contraction(cfg, disc)
-        bisim, sim = build_models(cfg, disc, n, abstraction.PRUNE_PREFIX,
-                                  False)
-    rep1 = verify.check_bisim_sample(disc, bisim, args.samples, seed=seed)
-    rep2 = verify.check_sim_petc(disc, sim, args.samples, args.steps,
-                                 seed=seed + 1)
-    print(rep1.render())
-    print(rep2.render())
-    if not (rep1.passed and rep2.passed):
+        res = run_pipeline(cfg)
+        disc, bisim, sim = res.disc, res.bisim, res.sim
+    if not _validate(disc, bisim, sim, args.samples, args.steps, seed):
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -278,46 +301,30 @@ def cmd_verify(args) -> int:
 def cmd_casestudy(args) -> int:
     cfg = load_config(args.config)
     out = Path(args.out)
-    timings: dict[str, float] = {}
     t_all = time.perf_counter()
-
-    disc = make_disc(cfg)
-    t0 = time.perf_counter()
-    cert, n, bounds = run_contraction(cfg, disc)
-    timings["contraction_s"] = time.perf_counter() - t0
-    print(f"a = {float(cert.a):.6g}, h_P = {float(disc.h_P):.6g}, "
-          f"k_lo = {disc.k_lo}, N = {n}")
-
-    t0 = time.perf_counter()
-    bisim, sim = build_models(cfg, disc, n, abstraction.PRUNE_PREFIX, False)
-    timings["abstraction_s"] = time.perf_counter() - t0
-    print(f"bisimilar words: {bisim.n_states(False)} (+ eps), "
-          f"simulating words: {sim.n_states(False)}")
-
-    rep = analysis.report(bisim, sim, cert.a, n, disc.k_lo, disc.r, disc.h,
-                          bounds, timings)
-    export_models(out, bisim, sim)
-    _write(out / "report.json", rep.to_json().encode())
-    _write(out / "report.txt", rep.render().encode())
+    res = run_pipeline(cfg)
+    disc, rep = res.disc, res.report
+    export(out, [res.bisim, res.sim])
+    print(f"a = {float(res.cert.a):.6g}, h_P = {float(disc.h_P):.6g}, "
+          f"k_lo = {disc.k_lo}, N = {res.N}")
+    print(f"bisimilar words: {res.bisim.n_states(False)} (+ eps), "
+          f"simulating words: {res.sim.n_states(False)}")
+    print(rep.render(), end="")
 
     # sample trajectory from the arg-max word's witness, for plotting
-    x0 = sim.witnesses.get(rep.f_star_word)
+    x0 = res.sim.witnesses.get(rep.f_star_word)
     if x0 is not None:
         trace = semantics.simulate_trace(disc, x0, horizon=3 * rep.T_star_sim)
-        _write(out / "trace.csv", trace.to_csv(disc).encode())
+        (out / "trace.csv").write_bytes(trace.to_csv(disc).encode())
 
-    seed = int(cfg.get("seed", 0))
-    rep1 = verify.check_bisim_sample(disc, bisim, args.samples, seed=seed)
-    rep2 = verify.check_sim_petc(disc, sim, args.samples, args.steps,
-                                 seed=seed + 1)
-    timings["total_s"] = time.perf_counter() - t_all
-    print(rep.render(), end="")
-    print(rep1.render())
-    print(rep2.render())
-    print(f"total wall time: {timings['total_s']:.1f} s")
-    if not (rep1.passed and rep2.passed):
-        return EXIT_MISMATCH
-    return EXIT_OK
+    t0 = time.perf_counter()
+    passed = _validate(disc, res.bisim, res.sim, args.samples, args.steps,
+                       int(cfg.get("seed", 0)))
+    res.timings["validation_s"] = time.perf_counter() - t0
+    res.timings["total_s"] = time.perf_counter() - t_all
+    export(out, [], rep)
+    print(f"total wall time: {res.timings['total_s']:.1f} s")
+    return EXIT_OK if passed else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     add("contraction", cmd_contraction,
         help="certify the decrease ratio, periodic period and horizon")
 
-    p = add("abstract", cmd_abstract, help="build and export traffic models")
-    p.add_argument("--kind", choices=["bisim", "petc-sim", "trivial"],
-                   default="petc-sim")
+    p = add("abstract", cmd_abstract,
+            help="build and export the bisimilar and simulating models")
+    p.add_argument("--trivial", action="store_true",
+                   help="export every word up to the horizon instead")
     p.add_argument("--out", default="models")
-    p.add_argument("--prune", choices=[abstraction.PRUNE_PREFIX,
-                                       abstraction.PRUNE_FULL],
-                   default=abstraction.PRUNE_PREFIX)
     p.add_argument("--assume-sat", action="store_true",
                    help="keep undecided words (over-approximating model)")
 
     p = add("analyze", cmd_analyze, help="build models and print the report")
     p.add_argument("--out", default=None)
-    p.add_argument("--prune", choices=[abstraction.PRUNE_PREFIX,
-                                       abstraction.PRUNE_FULL],
-                   default=abstraction.PRUNE_PREFIX)
     p.add_argument("--assume-sat", action="store_true")
 
     p = add("verify", cmd_verify, help="randomized model validation")
@@ -388,6 +390,9 @@ def main(argv=None) -> int:
     except SolverUnknownError as exc:
         print(f"solver could not decide: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    except NotContractiveError as exc:
+        print(f"not contractive: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONTRACTIVE
 
 
 if __name__ == "__main__":

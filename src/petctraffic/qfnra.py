@@ -202,61 +202,7 @@ def parse_atom(expr, var_index):
 
 
 # ---------------------------------------------------------------------------
-# exact arithmetic in Q(sqrt(d))
-
-
-class Surd:
-    """a + b*sqrt(d) with rational a, b and a fixed positive non-square d."""
-
-    __slots__ = ("a", "b", "d")
-
-    def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = d
-
-    def __add__(self, other):
-        if isinstance(other, Surd):
-            return Surd(self.a + other.a, self.b + other.b, self.d)
-        return Surd(self.a + other, self.b, self.d)
-
-    def __sub__(self, other):
-        if isinstance(other, Surd):
-            return Surd(self.a - other.a, self.b - other.b, self.d)
-        return Surd(self.a - other, self.b, self.d)
-
-    def __mul__(self, other):
-        if isinstance(other, Surd):
-            return Surd(self.a * other.a + self.b * other.b * self.d,
-                        self.a * other.b + self.b * other.a, self.d)
-        return Surd(self.a * other, self.b * other, self.d)
-
-    def inverse(self):
-        den = self.a * self.a - self.b * self.b * self.d
-        if den == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt(d))")
-        return Surd(self.a / den, -self.b / den, self.d)
-
-    def sign(self):
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        t = self.a * self.a - self.b * self.b * self.d
-        if t == 0:
-            return 0
-        return sa if t > 0 else sb
-
-    def is_rational(self):
-        return self.b == 0
-
-
-def _lift(x, d):
-    return x if isinstance(x, Surd) else Surd(x, 0, d)
+# exact arithmetic in Q(sqrt(D))
 
 
 def _sgn(v):
@@ -296,11 +242,6 @@ class IntSurd:
     def sign(self):
         return _sign_pair(self.p, self.q, self.D) * _sgn(self.den)
 
-    def to_fraction(self):
-        if self.q:
-            raise ValueError("irrational value")
-        return Fraction(self.p, self.den)
-
 
 def _to_intsurd(x, d):
     if isinstance(x, IntSurd):
@@ -310,22 +251,19 @@ def _to_intsurd(x, d):
 
 
 def val_sign(x):
-    if isinstance(x, (Surd, IntSurd)):
+    if isinstance(x, IntSurd):
         return x.sign()
     return (x > 0) - (x < 0)
 
 
 def val_sub_sign(x, y):
-    """sign(x - y) for Fraction/Surd/IntSurd operands."""
+    """sign(x - y) for Fraction/IntSurd operands."""
     if isinstance(x, IntSurd) or isinstance(y, IntSurd):
         d = x.D if isinstance(x, IntSurd) else y.D
         x, y = _to_intsurd(x, d), _to_intsurd(y, d)
         p = x.p * y.den - y.p * x.den
         q = x.q * y.den - y.q * x.den
         return _sign_pair(p, q, d) * _sgn(x.den * y.den)
-    if isinstance(x, Surd) or isinstance(y, Surd):
-        d = x.d if isinstance(x, Surd) else y.d
-        return (_lift(x, d) - _lift(y, d)).sign()
     return (x > y) - (x < y)
 
 
@@ -335,8 +273,6 @@ def val_div(c, q):
         norm = q.p * q.p - q.q * q.q * q.D
         num = c.numerator * q.den
         return IntSurd(num * q.p, -num * q.q, c.denominator * norm, q.D)
-    if isinstance(q, Surd):
-        return _lift(c, q.d) * q.inverse()
     return Fraction(c) / q
 
 
@@ -364,10 +300,6 @@ class Root:
     @property
     def is_rational(self):
         return self.value is not None
-
-    def surd(self):
-        return Surd(Fraction(-self.b, 2 * self.a),
-                    Fraction(self.eps, 2 * self.a), self.disc)
 
     def enclosure(self, prec):
         if self.is_rational:
@@ -686,11 +618,9 @@ def _conic_witness(eq_atom, atoms, m_target, region):
 
 
 def _value_to_exact_fraction(v):
-    """Fraction value of a Fraction/Surd/IntSurd, or None if irrational."""
+    """Fraction value of a Fraction/IntSurd, or None if irrational."""
     if isinstance(v, IntSurd):
         return Fraction(v.p, v.den) if v.q == 0 else None
-    if isinstance(v, Surd):
-        return v.a if v.is_rational() else None
     return Fraction(v)
 
 

@@ -206,11 +206,24 @@ def to_smtlib(query: SatQuery) -> str:
     return "\n".join(lines) + "\n"
 
 
+_BUNDLED_CMD = [sys.executable, "-m", "petctraffic.qfnra"]
+
+
 def default_solver_cmd() -> list[str]:
     env = os.environ.get("PETCTRAFFIC_SOLVER")
     if env:
         return env.split()
-    return [sys.executable, "-m", "petctraffic.qfnra"]
+    return list(_BUNDLED_CMD)
+
+
+def _bundled_env() -> dict[str, str]:
+    """The environment with the directory this package was imported from
+    first on PYTHONPATH, so that ``-m`` finds the package in the child
+    also when it is importable only through ``sys.path``."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=root + (os.pathsep + path if path else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +308,12 @@ def check(query: SatQuery, budget: float = DEFAULT_BUDGET_S,
     if not budget > 0:
         raise ValueError("budget must be positive")
     cmd = list(solver_cmd) if solver_cmd else default_solver_cmd()
+    env = _bundled_env() if cmd == _BUNDLED_CMD else None
     script = to_smtlib(query)
     t0 = time.perf_counter()
     try:
         proc = subprocess.run(cmd, input=script, capture_output=True,
-                              text=True, timeout=budget)
+                              text=True, timeout=budget, env=env)
     except subprocess.TimeoutExpired:
         return SatResult("unknown", solver_time=time.perf_counter() - t0,
                          reason="solver timeout")

@@ -1,5 +1,6 @@
 """Shared fixtures: the two-dimensional example system at the fast
-setting (r = 0.5) used by most tests, plus small synthetic systems."""
+setting (r = 0.5) used by most tests, plus small synthetic systems and
+float oracles of the exact semantics."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from petctraffic import abstraction, contraction
+from petctraffic import abstraction, contraction, ratlin
 from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
                                   build_predictive_Q, rationalize)
 
@@ -30,6 +31,29 @@ def make_system(r, V0=Fraction(1), P=None) -> PetcSystem:
     q = build_predictive_Q(spec, placeholder)
     return PetcSystem(A=A, B=B, K=K, P=P, Q_trig=q, h=H, k_bar=K_BAR,
                       r=r, V0=V0)
+
+
+def _quad(f, xs) -> np.ndarray:
+    return np.einsum("si,ij,sj->s", xs, f, xs)
+
+
+def float_kappa(disc, xs) -> np.ndarray:
+    """Float semantics.kappa of each row of xs: the first k with
+    x' N(k) x > 0, else k_bar."""
+    out = np.full(len(xs), disc.k_bar)
+    for k in range(disc.k_bar - 1, 0, -1):
+        out[_quad(ratlin.to_float_matrix(disc.N[k]), xs) > 0] = k
+    return out
+
+
+def max_step_ratio(disc, xs) -> float:
+    """Largest V(M(kappa(x)) x) / V(x) over the rows of xs, an empirical
+    lower bound on the certified contraction factor."""
+    p = ratlin.to_float_matrix(disc.P_rat)
+    ks = float_kappa(disc, xs)
+    ratios = [_quad(p, xs[ks == k] @ ratlin.to_float_matrix(disc.M[k]).T)
+              / _quad(p, xs[ks == k]) for k in disc.K_range]
+    return float(np.max(np.concatenate(ratios)))
 
 
 @pytest.fixture(scope="session")

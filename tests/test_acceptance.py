@@ -21,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from petctraffic import (abstraction, analysis, contraction, kernels, ratlin,
+from petctraffic import (abstraction, analysis, contraction, ratlin,
                          semantics, verify)
 from petctraffic.cli import load_config, make_disc, run_contraction
 from petctraffic.sysmodel import expm, rationalize
-from conftest import make_system
+from conftest import float_kappa, make_system
 
 F = Fraction
 
@@ -158,13 +158,11 @@ def test_criterion6_fast_instance(ci_disc, ci_cert, ci_N, ci_bisim, ci_sim):
     for w in ci_bisim.states:
         if w != abstraction.EPSILON:
             assert w[1:] in ci_bisim.states
-    # cone partition on 1e4 points: the batch kernel's inter-event index
+    # cone partition on 1e4 points: the float inter-event index
     # satisfies the exact cone membership atoms
-    n_stack = np.stack([ratlin.to_float_matrix(ci_disc.N[k])
-                        for k in range(1, ci_disc.k_bar)])
     rng = np.random.default_rng(123)
     xs = rng.integers(-10_000, 10_001, size=(10_000, 2)) / 1024.0
-    ks = kernels.batch_kappa(n_stack, xs)
+    ks = float_kappa(ci_disc, xs)
     for x, k in zip(xs, ks):
         assert semantics.kappa(ci_disc, ratlin.vec(x)) == k
     # witness soundness
@@ -204,7 +202,7 @@ def test_criterion7_determinism(ci_disc, ci_N, ci_bisim, ci_sim):
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: numerical kernels
+# criterion 8: numerical oracles
 
 
 def test_criterion8_expm_oracle():

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from petctraffic import cli
-from petctraffic.cli import (ConfigError, EXIT_CONFIG, EXIT_OK,
-                             EXIT_TRANSPORT, EXIT_UNDECIDED, load_config,
-                             main, solver_command)
+from petctraffic import cli, satcheck
+from petctraffic.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONTRACTIVE,
+                             EXIT_OK, EXIT_TRANSPORT, EXIT_UNDECIDED,
+                             load_config, main, solver_command)
 
 F = Fraction
 
@@ -20,6 +20,13 @@ def open_default() -> str:
 
     return (importlib.resources.files("petctraffic.data")
             / "casestudy.json").read_text()
+
+
+def write_config(tmp_path, **changes) -> str:
+    base = dict(json.loads(open_default()), **changes)
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(base))
+    return str(p)
 
 
 def test_default_config_loads_exact():
@@ -108,3 +115,68 @@ def test_exit_code_undecided(tmp_path, capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([])
+
+
+def test_exit_code_not_contractive(tmp_path, capsys):
+    # no feedback: the unstable plant admits no periodic period
+    config = write_config(tmp_path, K=[[0, 0]])
+    assert main(["contraction", "--config", config]) == EXIT_NOT_CONTRACTIVE
+    err = capsys.readouterr().err
+    assert "not contractive" in err and "Traceback" not in err
+
+
+def test_verify_malformed_models(tmp_path, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    (models / "mpetc_bisim.json").write_text('{"kind": "mpetc_bisim"}')
+    assert main(["verify", "--models", str(models)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "mpetc_bisim.json" in err and "'states'" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_abstract_trivial_over_cap(tmp_path, monkeypatch, capsys):
+    # the bundled horizon N = 47 gives 6^47 words; no solver needed
+    monkeypatch.setattr(cli, "run_contraction", lambda cfg, disc:
+                        (None, 47, None))
+    out = tmp_path / "trivial"
+    assert main(["abstract", "--trivial", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "exceed the cap" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_subcommands_export_the_same_models(tmp_path, monkeypatch, capsys):
+    # the bundled loop at r = 4/5 (N = 5).  The first pipeline runs the
+    # solver; the other two replay its verdicts, so that the test checks
+    # the subcommands' wiring in well under 30 s.
+    config = write_config(tmp_path, r=0.8)
+    real_check, verdicts = satcheck.check, {}
+
+    def replaying_check(query, *args, **kwargs):
+        key = satcheck.to_smtlib(query)
+        if key not in verdicts:
+            verdicts[key] = real_check(query, *args, **kwargs)
+        return verdicts[key]
+
+    monkeypatch.setattr(satcheck, "check", replaying_check)
+    runs = {"casestudy": ["--samples", "5", "--steps", "5"],
+            "abstract": [], "analyze": []}
+    for name, extra in runs.items():
+        out = str(tmp_path / name)
+        assert main([name, "--config", config, "--out", out, *extra]) == 0
+    capsys.readouterr()
+    for model in ("mpetc_bisim.json", "petc_sim.json"):
+        blobs = {(tmp_path / name / model).read_bytes() for name in runs}
+        assert len(blobs) == 1, model
+    assert not (tmp_path / "abstract" / "report.json").exists()
+    report = json.loads((tmp_path / "casestudy" / "report.json").read_text())
+    assert report["N"] == 5
+    assert set(report["timings"]) == {"contraction_s", "abstraction_s",
+                                      "validation_s", "total_s"}
+    timings = report["timings"]
+    assert timings["total_s"] >= (timings["contraction_s"]
+                                  + timings["abstraction_s"]
+                                  + timings["validation_s"])
+    analyze = json.loads((tmp_path / "analyze" / "report.json").read_text())
+    assert dict(analyze, timings=None) == dict(report, timings=None)

@@ -13,6 +13,7 @@ from petctraffic.contraction import (NotContractiveError, compute_N,
                                      compute_a, compute_hP, hP_condition,
                                      trace_count_bounds)
 from petctraffic.sysmodel import PetcSystem
+from conftest import max_step_ratio
 
 F = Fraction
 
@@ -114,3 +115,12 @@ def test_ci_instance_certificate(ci_cert, ci_disc, ci_N):
     assert ci_cert.tol == F(1, 1000)
     assert ci_N == compute_N(F(952, 1000), F(1, 2)) == 15
     assert all(r.status == "unsat" for r in ci_cert.per_k_unsat.values())
+
+
+def test_max_step_ratio_bounded_by_certificate(ci_disc, ci_cert):
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(20_000, 2))
+    ratio = max_step_ratio(ci_disc, xs)
+    assert 0 < ratio <= float(ci_cert.a) + 1e-9
+    # the certificate is within its tolerance of the empirical maximum
+    assert ratio > float(ci_cert.a - 2 * ci_cert.tol) - 5e-3

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -152,3 +156,21 @@ def test_prefix_query_monotone(ci_disc):
     for i in range(1, len(w) + 1):
         res = check(sequence_query(ci_disc, w[:i], terminal=False))
         assert res.status == "sat", w[:i]
+
+
+def test_bundled_solver_found_through_sys_path(tmp_path):
+    # the package importable only through sys.path, as when the library
+    # is used from a checkout without an install
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+              "from fractions import Fraction\n"
+              "from petctraffic import ratlin, satcheck\n"
+              "atom = satcheck.QuadAtom(ratlin.identity(2), '=', Fraction(1))\n"
+              "print(satcheck.check(satcheck.SatQuery((atom,), 2)).status)\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONPATH", "PETCTRAFFIC_SOLVER")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "sat"

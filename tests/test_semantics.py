@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from petctraffic import ratlin, satcheck, semantics, verify
 from petctraffic.semantics import (HorizonExceededError, Trace,
                                    concrete_sequence, kappa, mpetc_step,
                                    petc_step, simulate_trace)
+from conftest import float_kappa
 
 F = Fraction
 
@@ -33,6 +35,16 @@ def test_kappa_agrees_with_cone_atoms(ci_disc):
             assert satcheck.QuadAtom(ci_disc.N[j], "<=", F(0)).holds(x)
         if k < ci_disc.k_bar:
             assert satcheck.QuadAtom(ci_disc.N[k], ">", F(0)).holds(x)
+
+
+def test_float_kappa_matches_exact(ci_disc):
+    rng = np.random.default_rng(2)
+    # dyadic floats convert to the very same rationals the exact path sees
+    xs = rng.integers(-1000, 1001, size=(300, 2)) / 256.0
+    ks = float_kappa(ci_disc, xs)
+    assert ks.min() >= 1 and ks.max() <= ci_disc.k_bar
+    for x, k in zip(xs, ks):
+        assert kappa(ci_disc, ratlin.vec(x)) == k, x
 
 
 def test_mpetc_step_branches(ci_disc):
