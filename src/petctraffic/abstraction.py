@@ -11,14 +11,13 @@ Three model kinds over words of discrete inter-event times:
   state extending sigma.
 
 State sets are pure functions of the discretization and the horizon:
-enumeration is lexicographic, and concurrent solver dispatch merges
-results in submission order, so repeated builds are bit-identical.
+enumeration is lexicographic and every query is decided exactly, so
+repeated builds are bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -117,14 +116,10 @@ def build_trivial(K, N: int, h=Fraction(1), h_P=Fraction(1),
                         h=Fraction(h), h_P=Fraction(h_P))
 
 
-def _run_queries(queries, budget, solver_cmd, workers):
-    """Dispatch satcheck queries, results in submission order."""
-    if workers > 1 and len(queries) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(satcheck.check, q, budget, solver_cmd)
-                       for q in queries]
-            return [f.result() for f in futures]
-    return [satcheck.check(q, budget, solver_cmd) for q in queries]
+def _check_word(disc: DiscretizedPetc, w: Word, shell: str,
+                terminal: bool) -> satcheck.SatResult:
+    return satcheck.check(satcheck.sequence_query(disc, w, shell,
+                                                  terminal=terminal))
 
 
 def _settle_unknowns(words, results, assume_sat, assumed: set):
@@ -138,8 +133,6 @@ def _settle_unknowns(words, results, assume_sat, assumed: set):
 
 
 def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
-                      budget: float = satcheck.DEFAULT_BUDGET_S,
-                      solver_cmd=None, workers: int = 1,
                       assume_sat: bool = False) -> TrafficModel:
     """The words realized before entering the periodic set.
 
@@ -160,16 +153,11 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
             break
         # the terminal-free query first: if it is unsat, the full query
         # is unsat too and no extension can ever be feasible
-        pref = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
-                                        terminal=False)
-                for w in candidates]
-        pref_res = _run_queries(pref, budget, solver_cmd, workers)
-        live = [w for w, res in zip(candidates, pref_res)
-                if res.status != "unsat"]
-        full = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
-                                        terminal=True)
-                for w in live]
-        full_res = _run_queries(full, budget, solver_cmd, workers)
+        live = [w for w in candidates
+                if _check_word(disc, w, satcheck.SUBLEVEL, False).status
+                != "unsat"]
+        full_res = [_check_word(disc, w, satcheck.SUBLEVEL, True)
+                    for w in live]
         _settle_unknowns(live, full_res, assume_sat, assumed)
         frontier = live
         for w, fr in zip(live, full_res):
@@ -198,8 +186,6 @@ def domino_edges(states) -> set[tuple[Word, Word]]:
 
 
 def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
-                   budget: float = satcheck.DEFAULT_BUDGET_S,
-                   solver_cmd=None, workers: int = 1,
                    assume_sat: bool = False) -> TrafficModel:
     """Unit-shell re-check of the bisimilar model's words, domino edges.
 
@@ -210,10 +196,8 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
     if mpetc_model.kind != MPETC_BISIM:
         raise ValueError("candidate model must be of kind mpetc_bisim")
     candidates = [w for w in mpetc_model.sorted_states() if w != EPSILON]
-    queries = [satcheck.sequence_query(disc, w, satcheck.UNIT_LEVEL,
-                                       terminal=True)
+    results = [_check_word(disc, w, satcheck.UNIT_LEVEL, True)
                for w in candidates]
-    results = _run_queries(queries, budget, solver_cmd, workers)
     assumed: set[Word] = set()
     _settle_unknowns(candidates, results, assume_sat, assumed)
     states: set[Word] = set()

@@ -5,9 +5,9 @@ both models, read off the bounds.  ``abstract``, ``analyze``, ``verify``
 and ``casestudy`` (which also validates the models) run it; ``discretize``
 and ``contraction`` stop after their stage.
 
-Exit codes: 0 success; 2 configuration error; 3 solver transport error;
-4 solver undecided/abort; 5 verification mismatch; 6 not contractive (no
-periodic period or no decrease ratio below one exists).
+Exit codes: 0 success; 2 configuration error; 4 solver undecided/abort;
+5 verification mismatch; 6 not contractive (no periodic period or no
+decrease ratio below one exists).
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ import numpy as np
 
 from . import abstraction, analysis, contraction, semantics, verify
 from .contraction import NotContractiveError
-from .satcheck import SolverTransportError, SolverUnknownError
+from .satcheck import SolverUnknownError
 from .sysmodel import (DiscretizedPetc, PetcSystem, PredictiveTriggerSpec,
                        build_predictive_Q, rationalize)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_TRANSPORT = 3
 EXIT_UNDECIDED = 4
 EXIT_MISMATCH = 5
 EXIT_NOT_CONTRACTIVE = 6
@@ -82,24 +81,6 @@ def _validate_config(cfg: dict) -> None:
         for key in ("Q_lyap", "rho"):
             if key not in cfg:
                 raise ConfigError(f"predictive trigger needs {key!r}")
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise ConfigError("solver section must be an object")
-
-
-def solver_command(cfg: dict) -> list[str] | None:
-    solver = cfg.get("solver", {})
-    path = solver.get("path")
-    if path:
-        return [str(path)] + [str(a) for a in solver.get("args", [])]
-    return None  # satcheck's default (bundled or PETCTRAFFIC_SOLVER)
-
-
-def _solver_kwargs(cfg: dict) -> dict:
-    solver = cfg.get("solver", {})
-    return dict(budget=float(solver.get("per_query_budget_s", 30)),
-                solver_cmd=solver_command(cfg),
-                workers=int(solver.get("workers", 1)))
 
 
 def build_system(cfg: dict) -> PetcSystem:
@@ -143,8 +124,7 @@ def make_disc(cfg: dict) -> DiscretizedPetc:
 
 def run_contraction(cfg: dict, disc: DiscretizedPetc):
     cert = contraction.compute_a(
-        disc, tol=Fraction(cfg.get("a_tol", Fraction(1, 1000))),
-        **_solver_kwargs(cfg))
+        disc, tol=Fraction(cfg.get("a_tol", Fraction(1, 1000))))
     n = contraction.compute_N(cert.a, disc.r)
     k_size = disc.k_bar - disc.k_lo + 1
     bounds = contraction.trace_count_bounds(max(k_size, 2), n)
@@ -176,9 +156,8 @@ def run_pipeline(cfg: dict, assume_sat: bool = False) -> PipelineResult:
     cert, n, bounds = run_contraction(cfg, disc)
     timings["contraction_s"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    kwargs = dict(_solver_kwargs(cfg), assume_sat=assume_sat)
-    bisim = abstraction.build_mpetc_bisim(disc, n, **kwargs)
-    sim = abstraction.build_petc_sim(disc, bisim, **kwargs)
+    bisim = abstraction.build_mpetc_bisim(disc, n, assume_sat=assume_sat)
+    sim = abstraction.build_petc_sim(disc, bisim, assume_sat=assume_sat)
     timings["abstraction_s"] = time.perf_counter() - t0
     rep = analysis.report(bisim, sim, cert.a, n, disc.k_lo, disc.r, disc.h,
                           bounds, timings)
@@ -384,9 +363,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SolverTransportError as exc:
-        print(f"solver transport error: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
     except SolverUnknownError as exc:
         print(f"solver could not decide: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -9,7 +9,6 @@ under-count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,20 +44,11 @@ class ContractionCert:
     tol: Fraction
 
 
-def _validate_candidate(disc: DiscretizedPetc, a: Fraction, budget: float,
-                        solver_cmd, workers: int) -> tuple[bool, dict[int, SatResult]]:
+def _validate_candidate(disc: DiscretizedPetc,
+                        a: Fraction) -> tuple[bool, dict[int, SatResult]]:
     """a holds iff every cone's counterexample query is unsat."""
     ks = list(disc.K_range)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(satcheck.contraction_counterexample,
-                                   disc, k, a, budget, solver_cmd)
-                       for k in ks]
-            results = {k: f.result() for k, f in zip(ks, futures)}
-    else:
-        results = {k: satcheck.contraction_counterexample(disc, k, a, budget,
-                                                          solver_cmd)
-                   for k in ks}
+    results = {k: satcheck.contraction_counterexample(disc, k, a) for k in ks}
     for k in ks:
         if results[k].status == "unknown":
             raise SolverUnknownError(
@@ -67,9 +57,7 @@ def _validate_candidate(disc: DiscretizedPetc, a: Fraction, budget: float,
     return all(results[k].status == "unsat" for k in ks), results
 
 
-def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL,
-              budget: float = satcheck.DEFAULT_BUDGET_S,
-              solver_cmd=None, workers: int = 1) -> ContractionCert:
+def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL) -> ContractionCert:
     """Smallest certified decrease ratio within tol, rounded up to the
     tol grid.  Bisection keeps a violated lower end and a certified
     upper end; the returned grid point is re-validated explicitly."""
@@ -78,7 +66,7 @@ def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL,
         raise ValueError("tol must be in (0, 1)")
     trace: list[tuple[Fraction, str]] = []
     hi = 1 - tol
-    ok, evidence = _validate_candidate(disc, hi, budget, solver_cmd, workers)
+    ok, evidence = _validate_candidate(disc, hi)
     trace.append((hi, "unsat" if ok else "sat"))
     if not ok:
         raise NotContractiveError(
@@ -89,7 +77,7 @@ def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL,
     lo = Fraction(0)
     while hi - lo > tol / 16:
         mid = (lo + hi) / 2
-        ok, res = _validate_candidate(disc, mid, budget, solver_cmd, workers)
+        ok, res = _validate_candidate(disc, mid)
         trace.append((mid, "unsat" if ok else "sat"))
         if ok:
             hi, evidence = mid, res
@@ -101,7 +89,7 @@ def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL,
     if a >= 1:
         a = 1 - tol
     if a != hi:
-        ok, evidence = _validate_candidate(disc, a, budget, solver_cmd, workers)
+        ok, evidence = _validate_candidate(disc, a)
         trace.append((a, "unsat" if ok else "sat"))
         if not ok:
             raise NotContractiveError(
@@ -111,7 +99,7 @@ def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL,
         down = a - tol
         if down <= 0:
             break
-        ok, res = _validate_candidate(disc, down, budget, solver_cmd, workers)
+        ok, res = _validate_candidate(disc, down)
         trace.append((down, "unsat" if ok else "sat"))
         if not ok:
             break

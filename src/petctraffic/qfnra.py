@@ -1,14 +1,14 @@
 """Exact satisfiability of conjunctions of quadratic-form constraints.
 
-A self-contained SMT-LIB2 command interpreter for the fragment this
-package emits: `(set-logic QF_NRA)`, Real constants declared with
-`declare-const`, and asserted atoms of the form  p(x) rel q(x)  where
-p - q is a quadratic form plus a rational constant.  Run it as
-
-    python -m petctraffic.qfnra [script.smt2]
-
-It reads the script (stdin by default), answers `sat`/`unsat`/`unknown`
-to `(check-sat)` and prints a rational model on `(get-model)`.
+``decide(n, atoms)`` takes atoms (F, rel, c) meaning  x'Fx rel c  over n
+real variables and answers `sat` with a rational witness, `unsat`, or
+`unknown`; ``satcheck.check`` calls it for every query of the pipeline.
+``run_script`` is an SMT-LIB2 command interpreter around it for the
+fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
+constants declared with `declare-const`, and asserted atoms of the form
+p(x) rel q(x)  where p - q is a quadratic form plus a rational constant.
+It answers `sat`/`unsat`/`unknown` to `(check-sat)` and prints a
+rational model on `(get-model)`.
 
 For one and two variables the procedure is complete: writing a candidate
 as x = s*(1, m), every atom becomes  t*q_j(m) rel c_j  with t = s^2 and
@@ -22,14 +22,12 @@ quadratic-surd arithmetic.  `sat` is only reported together with a
 rational witness re-verified against every atom; a feasible set that is
 not shown to contain a rational point yields `unknown`.
 
-The module depends on nothing outside the standard library so that
-spawning it as a subprocess stays cheap.
+The module depends on nothing outside the standard library.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -933,18 +931,3 @@ def run_script(text, out):
                 out.write(f"(:reason-unknown \"{reason}\")\n")
     return 0
 
-
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    if argv:
-        with open(argv[0], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    code = run_script(text, sys.stdout)
-    sys.stdout.flush()
-    return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

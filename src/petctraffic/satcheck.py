@@ -1,40 +1,30 @@
 """Non-emptiness queries for conjunctions of quadratic-form constraints.
 
-Encodes the semi-algebraic sets behind the traffic abstraction — shell
+Builds the semi-algebraic sets behind the traffic abstraction — shell
 membership, inter-sample-time cones, sublevel-set exclusions — as
-SMT-LIB2 (QF_NRA) scripts, ships them to a solver subprocess, and
-certifies every sat answer with an exact rational witness re-verified
-against all atoms.  unsat and unknown are passed through as reported.
+conjunctions of quadratic-form atoms, decides each with the exact
+procedure of ``qfnra`` in process, and certifies every sat answer with
+an exact rational witness re-verified against all atoms.  unsat and
+unknown are passed through as decided.
 
-The default solver is the bundled exact decision procedure
-(``python -m petctraffic.qfnra``); any SMT-LIB2-speaking executable can
-be substituted via configuration or the PETCTRAFFIC_SOLVER environment
-variable (whitespace-split into argv).
+``to_smtlib`` and ``parse_model`` write a query as an SMT-LIB2
+(QF_NRA) script and read a model back; the pipeline does not call them,
+but they let ``qfnra.run_script`` decide the same query from its text.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ratlin
+from . import qfnra, ratlin
 from .ratlin import RatMatrix, RatVector
 from .sysmodel import DiscretizedPetc
-
-DEFAULT_BUDGET_S = 30.0
 
 SUBLEVEL = "sublevel"
 UNIT_LEVEL = "unit_level"
 
 _RELS = (">", ">=", "<=", "<", "=")
-
-
-class SolverTransportError(RuntimeError):
-    """The solver process crashed, vanished, or replied with garbage."""
 
 
 class SolverUnknownError(RuntimeError):
@@ -93,7 +83,6 @@ class SatQuery:
 class SatResult:
     status: str  # sat | unsat | unknown
     witness: RatVector | None = None
-    solver_time: float = 0.0
     reason: str = ""
 
     def __post_init__(self):
@@ -166,24 +155,16 @@ def contraction_query(disc: DiscretizedPetc, k: int, a: Fraction) -> SatQuery:
 # SMT-LIB2 encoding
 
 
-def _smt_rational(v: Fraction) -> str:
-    num, den = v.numerator, v.denominator
-    if num < 0:
-        body = str(-num) if den == 1 else f"(/ {-num} {den})"
-        return f"(- {body})"
-    return str(num) if den == 1 else f"(/ {num} {den})"
-
-
 def _smt_form(f: RatMatrix) -> str:
     n = len(f)
     terms = []
     for i in range(n):
         if f[i][i]:
-            terms.append(f"(* {_smt_rational(f[i][i])} x{i} x{i})")
+            terms.append(f"(* {qfnra.format_rational(f[i][i])} x{i} x{i})")
         for j in range(i + 1, n):
             c = f[i][j] + f[j][i]
             if c:
-                terms.append(f"(* {_smt_rational(c)} x{i} x{j})")
+                terms.append(f"(* {qfnra.format_rational(c)} x{i} x{j})")
     if not terms:
         return "0"
     if len(terms) == 1:
@@ -197,33 +178,12 @@ def to_smtlib(query: SatQuery) -> str:
     for i in range(query.n_x):
         lines.append(f"(declare-const x{i} Real)")
     for atom in query.atoms:
-        rel = atom.rel.replace("≥", ">=").replace("≤", "<=")
-        lines.append(f"(assert ({rel} {_smt_form(atom.F)} "
-                     f"{_smt_rational(atom.rhs)}))")
+        lines.append(f"(assert ({atom.rel} {_smt_form(atom.F)} "
+                     f"{qfnra.format_rational(atom.rhs)}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     lines.append("(exit)")
     return "\n".join(lines) + "\n"
-
-
-_BUNDLED_CMD = [sys.executable, "-m", "petctraffic.qfnra"]
-
-
-def default_solver_cmd() -> list[str]:
-    env = os.environ.get("PETCTRAFFIC_SOLVER")
-    if env:
-        return env.split()
-    return list(_BUNDLED_CMD)
-
-
-def _bundled_env() -> dict[str, str]:
-    """The environment with the directory this package was imported from
-    first on PYTHONPATH, so that ``-m`` finds the package in the child
-    also when it is importable only through ``sys.path``."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ,
-                PYTHONPATH=root + (os.pathsep + path if path else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -287,69 +247,24 @@ def parse_model(text: str, n_x: int) -> RatVector | None:
         return None
 
 
-def _refine_witness(query: SatQuery, x: RatVector) -> RatVector | None:
-    """Dyadic rounding of an inexact model at increasing precision."""
-    floats = [float(v) for v in x]
-    for prec in (16, 24, 32, 40, 48, 53, 64, 80, 96, 128):
-        cand = tuple(Fraction(round(v * (1 << prec)), 1 << prec)
-                     for v in floats)
-        if query.holds(cand):
-            return cand
-    return None
-
-
 # ---------------------------------------------------------------------------
-# solver driver
+# the decision
 
 
-def check(query: SatQuery, budget: float = DEFAULT_BUDGET_S,
-          solver_cmd: list[str] | None = None) -> SatResult:
-    """Run the query through the solver; certify sat with an exact witness."""
-    if not budget > 0:
-        raise ValueError("budget must be positive")
-    cmd = list(solver_cmd) if solver_cmd else default_solver_cmd()
-    env = _bundled_env() if cmd == _BUNDLED_CMD else None
-    script = to_smtlib(query)
-    t0 = time.perf_counter()
+def check(query: SatQuery) -> SatResult:
+    """Decide the query in process; certify sat with an exact witness."""
+    atoms = [(a.F, a.rel, a.rhs) for a in query.atoms]
     try:
-        proc = subprocess.run(cmd, input=script, capture_output=True,
-                              text=True, timeout=budget, env=env)
-    except subprocess.TimeoutExpired:
-        return SatResult("unknown", solver_time=time.perf_counter() - t0,
-                         reason="solver timeout")
-    except OSError as exc:
-        raise SolverTransportError(f"cannot run solver {cmd[0]!r}: {exc}") from exc
-    elapsed = time.perf_counter() - t0
-    out = proc.stdout
-    lines = [ln.strip() for ln in out.splitlines() if ln.strip()]
-    verdict = next((ln for ln in lines if ln in ("sat", "unsat", "unknown")),
-                   None)
-    if verdict is None:
-        raise SolverTransportError(
-            f"solver gave no sat/unsat/unknown (exit {proc.returncode}): "
-            f"{out[:500]!r} {proc.stderr[:500]!r}")
-    if verdict == "unsat":
-        return SatResult("unsat", solver_time=elapsed)
-    if verdict == "unknown":
-        reason = ""
-        for ln in lines:
-            if ":reason-unknown" in ln:
-                reason = ln
-        return SatResult("unknown", solver_time=elapsed, reason=reason)
-    x = parse_model(out, query.n_x)
-    if x is None:
-        raise SolverTransportError(f"sat without a parseable model: {out[:500]!r}")
-    if query.holds(x):
-        return SatResult("sat", witness=x, solver_time=elapsed)
-    refined = _refine_witness(query, x)
-    if refined is not None:
-        return SatResult("sat", witness=refined, solver_time=elapsed)
-    return SatResult("unknown", solver_time=elapsed,
-                     reason="model failed exact re-verification")
+        decided = qfnra.decide(query.n_x, atoms)
+    except qfnra.Unsupported as exc:
+        return SatResult("unknown", reason=str(exc))
+    if decided.status != "sat":
+        return SatResult(decided.status, reason=decided.reason)
+    if query.holds(decided.witness):
+        return SatResult("sat", witness=decided.witness)
+    return SatResult("unknown", reason="model failed exact re-verification")
 
 
-def contraction_counterexample(disc: DiscretizedPetc, k: int, a,
-                               budget: float = DEFAULT_BUDGET_S,
-                               solver_cmd: list[str] | None = None) -> SatResult:
+def contraction_counterexample(disc: DiscretizedPetc, k: int, a) -> SatResult:
     """sat iff the decrease ratio `a` is violated somewhere in cone k."""
-    return check(contraction_query(disc, k, Fraction(a)), budget, solver_cmd)
+    return check(contraction_query(disc, k, Fraction(a)))

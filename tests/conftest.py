@@ -69,7 +69,7 @@ def ci_disc(ci_sys):
 
 @pytest.fixture(scope="session")
 def ci_cert(ci_disc):
-    return contraction.compute_a(ci_disc, workers=4)
+    return contraction.compute_a(ci_disc)
 
 
 @pytest.fixture(scope="session")
@@ -79,12 +79,12 @@ def ci_N(ci_cert, ci_disc) -> int:
 
 @pytest.fixture(scope="session")
 def ci_bisim(ci_disc, ci_N):
-    return abstraction.build_mpetc_bisim(ci_disc, ci_N, workers=4)
+    return abstraction.build_mpetc_bisim(ci_disc, ci_N)
 
 
 @pytest.fixture(scope="session")
 def ci_sim(ci_disc, ci_bisim):
-    return abstraction.build_petc_sim(ci_disc, ci_bisim, workers=4)
+    return abstraction.build_petc_sim(ci_disc, ci_bisim)
 
 
 @pytest.fixture(scope="session")

@@ -110,11 +110,9 @@ def full_query_words(disc, N):
     for _ in range(N):
         candidates = sorted(((k,) + w for w in level for k in disc.K_range),
                             key=abstraction.word_key)
-        queries = [satcheck.sequence_query(disc, w, satcheck.SUBLEVEL,
-                                           terminal=True)
+        results = [satcheck.check(satcheck.sequence_query(
+                       disc, w, satcheck.SUBLEVEL, terminal=True))
                    for w in candidates]
-        results = abstraction._run_queries(queries, satcheck.DEFAULT_BUDGET_S,
-                                           None, 4)
         assert all(res.status != "unknown" for res in results)
         level = [w for w, res in zip(candidates, results)
                  if res.status == "sat"]
@@ -125,7 +123,7 @@ def full_query_words(disc, N):
 def test_prune_modes_agree(ci_disc):
     # shortened horizon keeps the cross-check cheap: the prefix-pruned
     # build keeps exactly the words the full-query reference finds
-    m = build_mpetc_bisim(ci_disc, 4, workers=4)
+    m = build_mpetc_bisim(ci_disc, 4)
     assert m.states == full_query_words(ci_disc, 4)
 
 
@@ -133,8 +131,8 @@ def test_homogeneity_of_state_sets(ci_disc):
     # scaling the initial sublevel set must not change the words
     sys9 = make_system(F(1, 2), V0=F(9))
     disc9 = rationalize(sys9, ci_disc.h_P)
-    m1 = build_mpetc_bisim(ci_disc, 4, workers=4)
-    m9 = build_mpetc_bisim(disc9, 4, workers=4)
+    m1 = build_mpetc_bisim(ci_disc, 4)
+    m9 = build_mpetc_bisim(disc9, 4)
     assert m1.states == m9.states
 
 
@@ -171,8 +169,8 @@ def test_assume_sat_marks_model_inexact(ci_disc, monkeypatch):
     from petctraffic import satcheck as sc
     real_check = sc.check
 
-    def flaky(query, budget=sc.DEFAULT_BUDGET_S, solver_cmd=None):
-        res = real_check(query, budget, solver_cmd)
+    def flaky(query):
+        res = real_check(query)
         if res.status == "sat" and len(query.atoms) > 3:
             return sc.SatResult("unknown", reason="forced")
         return res

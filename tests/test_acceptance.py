@@ -55,8 +55,8 @@ def cs_contraction(cs_cfg, cs_disc):
 def cs_models(cs_cfg, cs_disc, cs_contraction):
     _, n, _, _ = cs_contraction
     t0 = time.perf_counter()
-    bisim = abstraction.build_mpetc_bisim(cs_disc, n, workers=4)
-    sim = abstraction.build_petc_sim(cs_disc, bisim, workers=4)
+    bisim = abstraction.build_mpetc_bisim(cs_disc, n)
+    sim = abstraction.build_petc_sim(cs_disc, bisim)
     return bisim, sim, time.perf_counter() - t0
 
 
@@ -174,7 +174,7 @@ def test_criterion6_fast_instance(ci_disc, ci_cert, ci_N, ci_bisim, ci_sim):
 def test_criterion6_homogeneity(ci_disc, ci_N, ci_bisim):
     sys9 = make_system(F(1, 2), V0=F(9))
     disc9 = rationalize(sys9, ci_disc.h_P)
-    m9 = abstraction.build_mpetc_bisim(disc9, ci_N, workers=4)
+    m9 = abstraction.build_mpetc_bisim(disc9, ci_N)
     assert m9.states == ci_bisim.states
 
 
@@ -194,11 +194,10 @@ def test_criterion6_runtime(ci_disc, ci_cert, ci_N, ci_bisim, ci_sim):
 def test_criterion7_determinism(ci_disc, ci_N, ci_bisim, ci_sim):
     blob_b = abstraction.export_model(ci_bisim, "json")
     blob_s = abstraction.export_model(ci_sim, "json")
-    for workers in (1, 4):
-        b2 = abstraction.build_mpetc_bisim(ci_disc, ci_N, workers=workers)
-        s2 = abstraction.build_petc_sim(ci_disc, b2, workers=workers)
-        assert abstraction.export_model(b2, "json") == blob_b
-        assert abstraction.export_model(s2, "json") == blob_s
+    b2 = abstraction.build_mpetc_bisim(ci_disc, ci_N)
+    s2 = abstraction.build_petc_sim(ci_disc, b2)
+    assert abstraction.export_model(b2, "json") == blob_b
+    assert abstraction.export_model(s2, "json") == blob_s
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from petctraffic import cli, satcheck
+from petctraffic import cli, qfnra, satcheck
 from petctraffic.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONTRACTIVE,
-                             EXIT_OK, EXIT_TRANSPORT, EXIT_UNDECIDED,
-                             load_config, main, solver_command)
+                             EXIT_OK, EXIT_UNDECIDED, load_config, main)
 
 F = Fraction
 
@@ -71,13 +70,6 @@ def test_config_field_validation(tmp_path):
         load_config(p)
 
 
-def test_solver_command_resolution():
-    assert solver_command({"solver": {}}) is None
-    assert solver_command({}) is None
-    cmd = solver_command({"solver": {"path": "/opt/z3", "args": ["-smt2"]}})
-    assert cmd == ["/opt/z3", "-smt2"]
-
-
 def test_exit_code_config(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{}")
@@ -93,23 +85,14 @@ def test_discretize_default_config(capsys):
     assert "M(6)" in out and "N(1)" in out
 
 
-def test_exit_code_transport(tmp_path, capsys):
-    base = json.loads(open_default())
-    base["solver"] = {"path": "/nonexistent/solver-binary"}
-    p = tmp_path / "t.json"
-    p.write_text(json.dumps(base))
-    assert main(["contraction", "--config", str(p)]) == EXIT_TRANSPORT
-    assert "solver transport error" in capsys.readouterr().err
-
-
-def test_exit_code_undecided(tmp_path, capsys):
-    # a "solver" that always answers unknown forces the undecided path
-    base = json.loads(open_default())
-    base["solver"] = {"path": "echo", "args": ["unknown"]}
-    p = tmp_path / "u.json"
-    p.write_text(json.dumps(base))
-    assert main(["contraction", "--config", str(p)]) == EXIT_UNDECIDED
-    assert "could not decide" in capsys.readouterr().err
+def test_exit_code_undecided(monkeypatch, capsys):
+    # a decision procedure that always answers unknown forces the
+    # undecided path
+    monkeypatch.setattr(qfnra, "decide", lambda n, atoms:
+                        qfnra.Decided("unknown", reason="forced"))
+    assert main(["contraction"]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert "could not decide" in err and "Traceback" not in err
 
 
 def test_parser_requires_subcommand():

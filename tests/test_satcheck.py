@@ -1,7 +1,8 @@
-"""Query construction, SMT-LIB encoding, and solver-driver behavior."""
+"""Query construction, SMT-LIB encoding, and the in-process decision."""
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from petctraffic import ratlin, satcheck, semantics, verify
-from petctraffic.satcheck import (QuadAtom, SatQuery, SolverTransportError,
+from petctraffic import cli, qfnra, ratlin, satcheck, semantics, verify
+from petctraffic.satcheck import (QuadAtom, SatQuery,
                                   check, contraction_counterexample,
                                   parse_model, sequence_query, to_smtlib)
 
@@ -110,28 +111,12 @@ def test_contraction_query_validation(tiny_disc):
         satcheck.contraction_query(tiny_disc, 5, F(1, 2))
 
 
-def test_solver_transport_error(tiny_disc):
-    q = satcheck.contraction_query(tiny_disc, 1, F(1, 2))
-    with pytest.raises(SolverTransportError):
-        check(q, solver_cmd=["/nonexistent/solver-binary"])
-
-
-def test_solver_garbage_output(tiny_disc):
-    q = satcheck.contraction_query(tiny_disc, 1, F(1, 2))
-    with pytest.raises(SolverTransportError):
-        check(q, solver_cmd=["true"])  # exits silently, no verdict
-
-
-def test_solver_unknown_passthrough(tiny_disc):
-    q = satcheck.contraction_query(tiny_disc, 1, F(1, 2))
-    res = check(q, solver_cmd=["echo", "unknown"])
-    assert res.status == "unknown"
-
-
-def test_budget_validation(tiny_disc):
-    q = satcheck.contraction_query(tiny_disc, 1, F(1, 2))
-    with pytest.raises(ValueError):
-        check(q, budget=0)
+def test_solver_unknown_passthrough():
+    # x0^2 + x1^2 = 3 is a real circle without a rational point
+    q = SatQuery((QuadAtom(ratlin.identity(2), "=", F(3)),), 2)
+    res = check(q)
+    assert res.status == "unknown" and res.witness is None
+    assert res.reason
 
 
 def test_replay_completeness(ci_disc):
@@ -174,3 +159,28 @@ def test_bundled_solver_found_through_sys_path(tmp_path):
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "sat"
+
+
+def test_direct_decision_matches_smtlib_path(monkeypatch):
+    # every query of the bundled loop at r = 4/5, decided in process and
+    # again from its SMT-LIB text by the command interpreter
+    real_check, decided = satcheck.check, []
+
+    def recording_check(query):
+        res = real_check(query)
+        decided.append((query, res))
+        return res
+
+    monkeypatch.setattr(satcheck, "check", recording_check)
+    cfg = cli.load_config(None)
+    cfg["r"] = F(4, 5)
+    cli.run_pipeline(cfg)
+    assert {res.status for _, res in decided} == {"sat", "unsat"}
+    for query, res in decided:
+        out = io.StringIO()
+        qfnra.run_script(to_smtlib(query), out)
+        text = out.getvalue()
+        assert text.split("\n", 1)[0] == res.status
+        if res.status == "sat":
+            assert query.holds(res.witness)
+            assert query.holds(parse_model(text, query.n_x))
