@@ -36,6 +36,10 @@ PETC_SIM = "petc_sim"
 DEFAULT_STATE_CAP = 2_000_000
 
 
+class BlockingStateError(RuntimeError):
+    """A word of the simulating model has no successor."""
+
+
 def word_key(w: Word) -> tuple[int, Word]:
     return (len(w), w)
 
@@ -214,8 +218,8 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
         out_deg[s] += 1
     blocked = sorted((w for w, d in out_deg.items() if d == 0), key=word_key)
     if blocked:
-        raise RuntimeError(f"blocking states in the simulating model: "
-                           f"{blocked[:5]}")
+        raise BlockingStateError(
+            f"blocking states in the simulating model: {blocked[:5]}")
     return TrafficModel(kind=PETC_SIM, states=frozenset(states),
                         edges=frozenset(edges),
                         output=_outputs(states, disc.h, disc.h_P),

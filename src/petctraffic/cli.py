@@ -7,7 +7,8 @@ and ``contraction`` stop after their stage.
 
 Exit codes: 0 success; 2 configuration error; 4 solver undecided/abort;
 5 verification mismatch; 6 not contractive (no periodic period or no
-decrease ratio below one exists).
+decrease ratio below one exists); 7 a concrete run outgrew the word
+horizon; 8 the simulating model has a blocking state.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ EXIT_CONFIG = 2
 EXIT_UNDECIDED = 4
 EXIT_MISMATCH = 5
 EXIT_NOT_CONTRACTIVE = 6
+EXIT_HORIZON = 7
+EXIT_BLOCKING = 8
 
 
 class ConfigError(Exception):
@@ -369,6 +372,13 @@ def main(argv=None) -> int:
     except NotContractiveError as exc:
         print(f"not contractive: {exc}", file=sys.stderr)
         return EXIT_NOT_CONTRACTIVE
+    except semantics.HorizonExceededError as exc:
+        print(f"horizon exceeded: no periodic-set entry within "
+              f"{len(exc.word)} steps of a sampled run", file=sys.stderr)
+        return EXIT_HORIZON
+    except abstraction.BlockingStateError as exc:
+        print(f"blocking state: {exc}", file=sys.stderr)
+        return EXIT_BLOCKING
 
 
 if __name__ == "__main__":

@@ -3,15 +3,19 @@
 The inter-event map kappa, the mixed sampling step, word extraction, and
 trace simulation — all evaluated in exact rational arithmetic over the
 frozen discretization, so these routines double as the brute-force
-oracle for the abstract models.
+oracle for the abstract models.  ``IntegerStepper`` runs the pure
+event-triggered law on integer vectors kept up to a positive scale,
+which is exact too and is what long replays use.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 from . import ratlin
 from .ratlin import RatVector
@@ -83,6 +87,79 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
         x, k = petc_step(disc, x)
         word.append(k)
     return tuple(word)
+
+
+def _integer_matrix(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d m, d) for the common denominator d of the entries of m."""
+    d = math.lcm(*(e.denominator for row in m for e in row))
+    return tuple(tuple(e.numerator * (d // e.denominator) for e in row)
+                 for row in m), d
+
+
+def _integer_form(f) -> tuple[int, ...]:
+    """A positive integer multiple of the form x'Fx, as coefficients of
+    the monomials x_i x_j with i <= j (see ``_monomials``)."""
+    g, _ = _integer_matrix(f)
+    n = len(g)
+    return tuple(g[i][j] + g[j][i] if i < j else g[i][i]
+                 for i in range(n) for j in range(i, n))
+
+
+def _monomials(y: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(a * y[j] for i, a in enumerate(y) for j in range(i, len(y)))
+
+
+def _dot(coeffs: tuple[int, ...], mono: tuple[int, ...]) -> int:
+    return sum(c * m for c, m in zip(coeffs, mono))
+
+
+class OrbitPoint(NamedTuple):
+    """Step j of an integer orbit: the state x_j = y / c, its inter-event
+    index k = kappa(x_j), the common denominator d of M(k), so that the
+    next scale is c d, and v = y'P_int y, which is V(x_j) times c^2 and a
+    positive factor fixed by the discretization."""
+
+    k: int
+    d: int
+    v: int
+    y: tuple[int, ...]
+    c: int
+
+    def state(self) -> ConcreteState:
+        """The exact rational state x_j."""
+        return tuple(Fraction(e, self.c) for e in self.y)
+
+
+class IntegerStepper:
+    """The pure event-triggered law on integer vectors.
+
+    A state x is kept as y = c x with y integer and c > 0.  Each M(k) is
+    split as M_int(k) / d_k over the common denominator of its entries,
+    so y' = M_int(k) y and c' = c d_k.  N(k) and P are scaled to integer
+    forms: the sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no
+    scale at all.  No gcd is taken, and comparisons of V across steps
+    carry the product of the d_k explicitly.
+    """
+
+    def __init__(self, disc: DiscretizedPetc):
+        self._k_bar = disc.k_bar
+        self._trigger = [_integer_form(disc.N[k])
+                         for k in range(1, disc.k_bar)]
+        self._lyapunov = _integer_form(disc.P_rat)
+        self._maps = {k: _integer_matrix(m) for k, m in disc.M.items()}
+
+    def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
+        """The points x_0, x_1, ... of the run from x0, without end."""
+        c = math.lcm(*(Fraction(e).denominator for e in x0))
+        y = tuple(int(Fraction(e) * c) for e in x0)
+        while True:
+            mono = _monomials(y)
+            k = next((i for i, f in enumerate(self._trigger, 1)
+                      if _dot(f, mono) > 0), self._k_bar)
+            m, d = self._maps[k]
+            yield OrbitPoint(k, d, _dot(self._lyapunov, mono), y, c)
+            y = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
+            c *= d
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -151,52 +154,72 @@ def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
     return rep
 
 
+def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
+             r: Fraction, max_len: int
+             ) -> Iterator[tuple[tuple[int, ...], semantics.OrbitPoint]]:
+    """The word of each point x_s of the run from x0, s = 0, 1, ..., with
+    the point, all read off one integer orbit.
+
+    The word of x_s is k_s ... k_{e-1}, where e is the first index > s
+    with V(x_e) <= r V(x_s).  Since c_e = c_s d_s ... d_{e-1}, that is
+    q v_e <= p v_s (d_s ... d_{e-1})^2 for r = p/q, in integers.  Only
+    the points from s to e are kept.
+    """
+    p, q = r.numerator, r.denominator
+    orbit = stepper.orbit(x0)
+    window = deque([next(orbit)])
+    while True:
+        start = window[0]
+        if start.v <= 0:
+            raise ValueError("needs a state with positive Lyapunov value")
+        bound, growth, e = p * start.v, 1, 0
+        while e == 0 or q * window[e].v > bound * growth:
+            if e >= max_len:
+                raise semantics.HorizonExceededError(
+                    window[e].state(), tuple(pt.k for pt in islice(window, e)))
+            growth *= window[e].d ** 2
+            e += 1
+            if e == len(window):
+                window.append(next(orbit))
+        yield tuple(pt.k for pt in islice(window, e)), start
+        window.popleft()
+
+
 def normalized_word(disc: DiscretizedPetc, x: RatVector,
                     max_len: int) -> tuple[int, ...]:
     """Word of x under the event-triggered law until the (unnormalized)
     Lyapunov value first drops to r V(x) — the word of x/sqrt(V(x)) by
-    homogeneity, without ever forming the square root."""
-    v0 = disc.V(x)
-    if v0 <= 0:
-        raise ValueError("needs a state with positive Lyapunov value")
-    target = disc.r * v0
-    word: list[int] = []
-    while disc.V(x) > target:
-        if len(word) >= max_len:
-            raise semantics.HorizonExceededError(x, tuple(word))
-        x, k = semantics.petc_step(disc, x)
-        word.append(k)
-    return tuple(word)
+    homogeneity, without ever forming the square root.  It is the first
+    window of the orbit of x."""
+    word, _ = next(_windows(semantics.IntegerStepper(disc), x, disc.r,
+                            max_len))
+    return word
 
 
 def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
                    n_samples: int, steps: int, seed: int = 0,
                    max_word_len: int | None = None) -> CheckReport:
     """Thm.-2-style spot check: sampled pure event-triggered runs are
-    reproducible by edge-following through the simulating model."""
+    reproducible by edge-following through the simulating model.  Each
+    run is one integer orbit, and the word at every step is a window of
+    it; a failure records the exact rational state."""
     if model.kind != PETC_SIM:
         raise ValueError("expected the simulating model")
     rep = CheckReport(name="simulation sample check")
     cap = max_word_len if max_word_len is not None else 10 * len(model.states)
+    stepper = semantics.IntegerStepper(disc)
     for i, x0 in enumerate(sample_shell_states(disc, n_samples, seed)):
-        x = x0
         prev = None
-        for step in range(steps):
-            word = normalized_word(disc, x, cap)
+        windows = _windows(stepper, x0, disc.r, cap)
+        for step, (word, point) in zip(range(steps), windows):
             rep.n_checked += 1
             if word not in model.states:
-                rep.add_failure(sample=i, step=step, x=x, word=word,
-                                kind="missing state")
-                break
-            k = semantics.kappa(disc, x)
-            if word and word[0] != k:
-                rep.add_failure(sample=i, step=step, x=x, word=word,
-                                kind="output mismatch", kappa=k)
+                rep.add_failure(sample=i, step=step, x=point.state(),
+                                word=word, kind="missing state")
                 break
             if prev is not None and (prev, word) not in model.edges:
-                rep.add_failure(sample=i, step=step, x=x, word=word,
-                                prev=prev, kind="missing edge")
+                rep.add_failure(sample=i, step=step, x=point.state(),
+                                word=word, prev=prev, kind="missing edge")
                 break
             prev = word
-            x, _ = semantics.petc_step(disc, x)
     return rep

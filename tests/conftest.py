@@ -1,6 +1,7 @@
 """Shared fixtures: the two-dimensional example system at the fast
-setting (r = 0.5) used by most tests, plus small synthetic systems and
-float oracles of the exact semantics."""
+setting (r = 0.5) used by most tests, plus small synthetic systems, float
+oracles of the exact semantics and the from-scratch Fraction replay that
+the integer orbit of verify replaced."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from petctraffic import abstraction, contraction, ratlin
+from petctraffic import abstraction, contraction, ratlin, semantics, verify
 from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
                                   build_predictive_Q, rationalize)
 
@@ -54,6 +55,44 @@ def max_step_ratio(disc, xs) -> float:
     ratios = [_quad(p, xs[ks == k] @ ratlin.to_float_matrix(disc.M[k]).T)
               / _quad(p, xs[ks == k]) for k in disc.K_range]
     return float(np.max(np.concatenate(ratios)))
+
+
+def fraction_normalized_word(disc, x, max_len) -> tuple[int, ...]:
+    """Word of x until V first drops to r V(x), stepped from scratch in
+    Fraction with semantics.petc_step."""
+    target = disc.r * disc.V(x)
+    word: list[int] = []
+    while disc.V(x) > target:
+        if len(word) >= max_len:
+            raise semantics.HorizonExceededError(x, tuple(word))
+        x, k = semantics.petc_step(disc, x)
+        word.append(k)
+    return tuple(word)
+
+
+def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
+    """verify.check_sim_petc on Fraction states, with the word of every
+    step extracted from scratch: (n_checked, failures).  The Fraction
+    check also compared each word's first letter with kappa(x), which
+    holds by construction, since the word's first step is petc_step."""
+    n_checked, failures = 0, []
+    for i, x0 in enumerate(verify.sample_shell_states(disc, n_samples,
+                                                      seed)):
+        x, prev = x0, None
+        for step in range(steps):
+            word = fraction_normalized_word(disc, x, max_len)
+            n_checked += 1
+            if word not in model.states:
+                failures.append(dict(sample=i, step=step, x=x, word=word,
+                                     kind="missing state"))
+                break
+            if prev is not None and (prev, word) not in model.edges:
+                failures.append(dict(sample=i, step=step, x=x, word=word,
+                                     prev=prev, kind="missing edge"))
+                break
+            prev = word
+            x, _ = semantics.petc_step(disc, x)
+    return n_checked, failures
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from petctraffic import cli, qfnra, satcheck
-from petctraffic.cli import (ConfigError, EXIT_CONFIG, EXIT_NOT_CONTRACTIVE,
-                             EXIT_OK, EXIT_UNDECIDED, load_config, main)
+from petctraffic import abstraction, cli, qfnra, satcheck
+from petctraffic.cli import (ConfigError, EXIT_BLOCKING, EXIT_CONFIG,
+                             EXIT_HORIZON, EXIT_NOT_CONTRACTIVE, EXIT_OK,
+                             EXIT_UNDECIDED, load_config, main)
 
 F = Fraction
 
@@ -116,6 +117,40 @@ def test_verify_malformed_models(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mpetc_bisim.json" in err and "'states'" in err
     assert len(err.splitlines()) == 1
+
+
+def test_exit_code_horizon(tmp_path, capsys):
+    # a simulating model with one state caps its words at 10 letters,
+    # and at r = 10^-6 every sampled run needs more to contract; the
+    # bisimilar chain of 1s is long enough that its own check only fails
+    config = write_config(tmp_path, r=0.000001)
+    h = F(1, 10)
+    chain = [(1,) * i for i in range(40)]
+    bisim = abstraction.TrafficModel(
+        kind=abstraction.MPETC_BISIM, states=frozenset(chain),
+        edges=frozenset((w, w[1:]) for w in chain if w),
+        output={w: h for w in chain})
+    sim = abstraction.TrafficModel(
+        kind=abstraction.PETC_SIM, states=frozenset({(1,)}),
+        edges=frozenset(), output={(1,): h})
+    models = tmp_path / "models"
+    cli.export(models, [bisim, sim])
+    assert main(["verify", "--config", config, "--models", str(models),
+                 "--samples", "3", "--steps", "2"]) == EXIT_HORIZON
+    err = capsys.readouterr().err
+    assert "within 10 steps" in err and "Traceback" not in err
+
+
+def test_exit_code_blocking(tmp_path, monkeypatch, capsys):
+    # the bundled loop at r = 4/5 with the domino edges taken away
+    config = write_config(tmp_path, r=0.8)
+    monkeypatch.setattr(abstraction, "domino_edges", lambda states: set())
+    out = tmp_path / "models"
+    assert main(["abstract", "--config", config, "--out", str(out)]) \
+        == EXIT_BLOCKING
+    err = capsys.readouterr().err
+    assert "blocking state" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_abstract_trivial_over_cap(tmp_path, monkeypatch, capsys):

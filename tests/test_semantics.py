@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from petctraffic import ratlin, satcheck, semantics, verify
-from petctraffic.semantics import (HorizonExceededError, Trace,
-                                   concrete_sequence, kappa, mpetc_step,
-                                   petc_step, simulate_trace)
+from petctraffic.semantics import (HorizonExceededError, IntegerStepper,
+                                   Trace, concrete_sequence, kappa,
+                                   mpetc_step, petc_step, simulate_trace)
 from conftest import float_kappa
 
 F = Fraction
@@ -103,6 +104,22 @@ def test_word_suffix_property(ci_disc):
         x_next, k = petc_step(ci_disc, x)
         assert k == w[0]
         assert concrete_sequence(ci_disc, x_next, max_len=100) == w[1:]
+
+
+def test_integer_orbit_matches_petc_step(ci_disc):
+    # 300 steps of the integer orbit against repeated Fraction petc_step:
+    # the same inter-event index at every step, and at every 25th the
+    # same state, with v the same multiple of c^2 V(x)
+    stepper = IntegerStepper(ci_disc)
+    for x in verify.sample_shell_states(ci_disc, 3, seed=41):
+        factors = set()
+        for j, pt in enumerate(islice(stepper.orbit(x), 300)):
+            if j % 25 == 0:
+                assert pt.state() == x
+                factors.add(F(pt.v, pt.c ** 2) / ci_disc.V(x))
+            x, k = petc_step(ci_disc, x)
+            assert pt.k == k
+        assert len(factors) == 1
 
 
 def test_trace_validation():

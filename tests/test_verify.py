@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from petctraffic import semantics, verify
-from petctraffic.abstraction import EPSILON
+from petctraffic import cli, semantics, verify
+from petctraffic.abstraction import EPSILON, PETC_SIM
+from conftest import fraction_normalized_word, fraction_sim_check
 
 F = Fraction
 
@@ -40,6 +42,61 @@ def test_normalized_word_homogeneous(ci_disc):
             assert verify.normalized_word(ci_disc, scaled, max_len=100) == w
     with pytest.raises(ValueError):
         verify.normalized_word(ci_disc, (F(0), F(0)), max_len=10)
+
+
+def test_normalized_word_horizon_matches_fraction_replay(ci_disc):
+    # past the cap, the orbit reports the state and prefix that the
+    # from-scratch Fraction replay reports
+    x = verify.sample_shell_states(ci_disc, 1, seed=17)[0]
+    word = fraction_normalized_word(ci_disc, x, max_len=100)
+    assert len(word) > 2
+    with pytest.raises(semantics.HorizonExceededError) as new:
+        verify.normalized_word(ci_disc, x, max_len=2)
+    with pytest.raises(semantics.HorizonExceededError) as old:
+        fraction_normalized_word(ci_disc, x, max_len=2)
+    assert (new.value.x0, new.value.word) == (old.value.x0, old.value.word)
+    assert new.value.word == word[:2]
+    assert all(isinstance(c, F) for c in new.value.x0)
+
+
+class _EveryWord:
+    """A state or edge set that holds everything and records each word
+    looked up in it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def __contains__(self, item):
+        self.seen.append(item)
+        return True
+
+    def __len__(self):
+        return 100
+
+
+@pytest.mark.parametrize("r", [F(1, 2), F(4, 5), F(1, 10)],
+                         ids=["ci", "r4_5", "cs"])
+def test_sim_check_windows_match_fraction_replay(r, ci_disc):
+    # every word the check reads off the integer orbit is the word the
+    # from-scratch Fraction replay extracts at that step: the r = 1/2
+    # fixture, the benchmark's r = 4/5 and the bundled r = 1/10
+    if r == ci_disc.r:
+        disc = ci_disc
+    else:
+        cfg = cli.load_config(None)
+        cfg["r"] = r
+        disc = cli.make_disc(cfg)
+    model = SimpleNamespace(kind=PETC_SIM, states=_EveryWord(),
+                            edges=_EveryWord())
+    n_samples, steps = 20, 30
+    rep = verify.check_sim_petc(disc, model, n_samples, steps, seed=5)
+    assert rep.passed and rep.n_checked == n_samples * steps
+    expected = []
+    for x in verify.sample_shell_states(disc, n_samples, seed=5):
+        for _ in range(steps):
+            expected.append(fraction_normalized_word(disc, x, max_len=1000))
+            x = semantics.petc_step(disc, x)[0]
+    assert model.states.seen == expected
 
 
 def test_bisim_check_passes(ci_disc, ci_bisim):
@@ -102,6 +159,10 @@ def test_sim_check_detects_missing_edges(ci_disc, ci_sim):
     rep = verify.check_sim_petc(ci_disc, cut, 30, steps=12, seed=2)
     assert not rep.passed
     assert any(f["kind"] == "missing edge" for f in rep.failures)
+    # the same checks and failures as the Fraction replay, exact states
+    assert (rep.n_checked, rep.failures) == fraction_sim_check(
+        ci_disc, cut, 30, 12, seed=2, max_len=10 * len(cut.states))
+    assert all(isinstance(c, F) for f in rep.failures for c in f["x"])
 
 
 def test_sim_check_detects_missing_state(ci_disc, ci_sim):
@@ -118,6 +179,9 @@ def test_sim_check_detects_missing_state(ci_disc, ci_sim):
     rep = verify.check_sim_petc(ci_disc, pruned, 30, steps=12, seed=2)
     assert not rep.passed
     assert any(f["kind"] == "missing state" for f in rep.failures)
+    assert (rep.n_checked, rep.failures) == fraction_sim_check(
+        ci_disc, pruned, 30, 12, seed=2, max_len=10 * len(pruned.states))
+    assert all(isinstance(c, F) for f in rep.failures for c in f["x"])
 
 
 def test_sim_check_wants_sim_kind(ci_disc, ci_bisim):
