@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import satcheck
+from . import satcheck, wordtree
 from .ratlin import RatVector
 from .satcheck import SolverUnknownError
 from .sysmodel import DiscretizedPetc
@@ -54,6 +54,8 @@ class TrafficModel:
     h: Fraction = Fraction(1)
     h_P: Fraction = Fraction(1)
     assumed: frozenset[Word] = frozenset()
+    # how the build reached the state set: counts only, no timings
+    stats: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.kind not in (TRIVIAL, MPETC_BISIM, PETC_SIM):
@@ -120,12 +122,6 @@ def build_trivial(K, N: int, h=Fraction(1), h_P=Fraction(1),
                         h=Fraction(h), h_P=Fraction(h_P))
 
 
-def _check_word(disc: DiscretizedPetc, w: Word, shell: str,
-                terminal: bool) -> satcheck.SatResult:
-    return satcheck.check(satcheck.sequence_query(disc, w, shell,
-                                                  terminal=terminal))
-
-
 def _settle_unknowns(words, results, assume_sat, assumed: set):
     for w, res in zip(words, results):
         if res.status == "unknown":
@@ -136,46 +132,63 @@ def _settle_unknowns(words, results, assume_sat, assumed: set):
             assumed.add(w)
 
 
+def _counts(results, assumed_here: int) -> dict[str, int]:
+    statuses = [res.status for res in results]
+    counts = {s: statuses.count(s) for s in ("sat", "unsat", "unknown")}
+    counts["assumed"] = assumed_here
+    counts["kept"] = counts["sat"] + assumed_here
+    return counts
+
+
 def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
                       assume_sat: bool = False) -> TrafficModel:
     """The words realized before entering the periodic set.
 
-    Words are extended to the right, level by level; a word whose
-    terminal-free query is already infeasible is discarded with all its
-    extensions.
+    Words are extended to the right, level by level, on one
+    ``wordtree.WordEngine``; a word whose terminal-free query is already
+    infeasible is discarded with all its extensions.  ``stats["levels"]``
+    counts, per level, the candidates, those pruned by that unsat prefix
+    query, the full-query verdicts of the live ones and the words kept.
     """
+    engine = wordtree.WordEngine(disc)
     states: set[Word] = {EPSILON}
     witnesses: dict[Word, RatVector] = {
         EPSILON: tuple(Fraction(0) for _ in range(disc.n_x))}
     assumed: set[Word] = set()
-    ks = list(disc.K_range)
-    frontier: list[Word] = [EPSILON]
+    levels = []
+    frontier = [engine.root]
     for _ in range(N):
-        candidates = sorted((w + (k,) for w in frontier for k in ks),
-                            key=word_key)
+        candidates = sorted((engine.child(node, k) for node in frontier
+                             for k in disc.K_range),
+                            key=lambda node: word_key(node.word))
         if not candidates:
             break
         # the terminal-free query first: if it is unsat, the full query
         # is unsat too and no extension can ever be feasible
-        live = [w for w in candidates
-                if _check_word(disc, w, satcheck.SUBLEVEL, False).status
-                != "unsat"]
-        full_res = [_check_word(disc, w, satcheck.SUBLEVEL, True)
-                    for w in live]
-        _settle_unknowns(live, full_res, assume_sat, assumed)
+        live = [node for node in candidates
+                if engine.prefix_status(node) != "unsat"]
+        words = [node.word for node in live]
+        full_res = [engine.decide(node, satcheck.SUBLEVEL) for node in live]
+        n_assumed = len(assumed)
+        _settle_unknowns(words, full_res, assume_sat, assumed)
         frontier = live
-        for w, fr in zip(live, full_res):
+        for w, fr in zip(words, full_res):
             if fr.status == "sat":
                 states.add(w)
                 witnesses[w] = fr.witness
             elif w in assumed:
                 states.add(w)
+        levels.append(dict(level=len(levels) + 1,
+                           candidates=len(candidates),
+                           prefix_unsat=len(candidates) - len(live),
+                           live=len(live),
+                           **_counts(full_res, len(assumed) - n_assumed)))
 
     return TrafficModel(kind=MPETC_BISIM, states=frozenset(states),
                         edges=frozenset(_tree_edges(states)),
                         output=_outputs(states, disc.h, disc.h_P),
                         witnesses=witnesses, h=disc.h, h_P=disc.h_P,
-                        assumed=frozenset(assumed))
+                        assumed=frozenset(assumed), stats={"levels": levels})
 
 
 def domino_edges(states) -> set[tuple[Word, Word]]:
@@ -195,12 +208,14 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
 
     By homogeneity, any word realized on the unit shell is realized in
     the initial sublevel set, so the candidate set is exactly the
-    non-empty words of the mixed-strategy model.
+    non-empty words of the mixed-strategy model.  ``stats`` counts the
+    candidates, their verdicts and the words kept.
     """
     if mpetc_model.kind != MPETC_BISIM:
         raise ValueError("candidate model must be of kind mpetc_bisim")
+    engine = wordtree.WordEngine(disc)
     candidates = [w for w in mpetc_model.sorted_states() if w != EPSILON]
-    results = [_check_word(disc, w, satcheck.UNIT_LEVEL, True)
+    results = [engine.decide(engine.node(w), satcheck.UNIT_LEVEL)
                for w in candidates]
     assumed: set[Word] = set()
     _settle_unknowns(candidates, results, assume_sat, assumed)
@@ -224,7 +239,9 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
                         edges=frozenset(edges),
                         output=_outputs(states, disc.h, disc.h_P),
                         witnesses=witnesses, h=disc.h, h_P=disc.h_P,
-                        assumed=frozenset(assumed) | mpetc_model.assumed)
+                        assumed=frozenset(assumed) | mpetc_model.assumed,
+                        stats=dict(candidates=len(candidates),
+                                   **_counts(results, len(assumed))))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .abstraction import EPSILON, PETC_SIM, TrafficModel, Word, word_key
@@ -73,6 +73,7 @@ class AnalysisReport:
     h: Fraction
     r: Fraction
     timings: dict[str, float]
+    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         doc = {
@@ -91,6 +92,7 @@ class AnalysisReport:
             "f_star_word": list(self.f_star_word),
             "h": str(self.h),
             "r": str(self.r),
+            "stats": self.stats,
             "timings": self.timings,
         }
         return json.dumps(doc, indent=1, sort_keys=True) + "\n"
@@ -121,7 +123,13 @@ class AnalysisReport:
 
 def report(bisim: TrafficModel, sim: TrafficModel, a: Fraction, N: int,
            k_lo: int, r, h, lemma_bounds: tuple[int, int],
-           timings: dict[str, float] | None = None) -> AnalysisReport:
+           timings: dict[str, float] | None = None,
+           bisection_trace=()) -> AnalysisReport:
+    """The bounds read off both models.  ``stats`` holds the builds'
+    counts (per word-tree level of the bisimilar build, and of the
+    unit-shell re-check) and the contraction bisection's probes as
+    [a, status] pairs; it has no timings, so it is the same on every
+    run."""
     r, h = Fraction(r), Fraction(h)
     f_star, f_word = avg_freq_bound(sim, h)
     t_sim, b_star = ges_decay_bound(sim, r, h)
@@ -134,4 +142,8 @@ def report(bisim: TrafficModel, sim: TrafficModel, a: Fraction, N: int,
         T_star_bisim=t_bisim, T_star_sim=t_sim, b_star=b_star,
         f_star=f_star, f_star_word=f_word, h=h, r=r,
         timings=dict(timings or {}),
+        stats={"bisim_levels": bisim.stats.get("levels", []),
+               "unit_shell": sim.stats,
+               "bisection_trace": [[str(a), status]
+                                   for a, status in bisection_trace]},
     )

@@ -163,7 +163,7 @@ def run_pipeline(cfg: dict, assume_sat: bool = False) -> PipelineResult:
     sim = abstraction.build_petc_sim(disc, bisim, assume_sat=assume_sat)
     timings["abstraction_s"] = time.perf_counter() - t0
     rep = analysis.report(bisim, sim, cert.a, n, disc.k_lo, disc.r, disc.h,
-                          bounds, timings)
+                          bounds, timings, cert.bisection_trace)
     return PipelineResult(disc, cert, n, bounds, bisim, sim, rep)
 
 

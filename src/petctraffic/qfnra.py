@@ -2,7 +2,9 @@
 
 ``decide(n, atoms)`` takes atoms (F, rel, c) meaning  x'Fx rel c  over n
 real variables and answers `sat` with a rational witness, `unsat`, or
-`unknown`; ``satcheck.check`` calls it for every query of the pipeline.
+`unknown`; ``satcheck.check`` calls it for the contraction queries.  The
+word queries are homogeneous and go to ``wordtree``, which shares the
+root isolation (``critical_samples``) and the witness helpers here.
 ``run_script`` is an SMT-LIB2 command interpreter around it for the
 fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
 constants declared with `declare-const`, and asserted atoms of the form
@@ -525,7 +527,7 @@ def _conic_base_point(f, c):
     return None
 
 
-def _conic_witness(eq_atom, atoms, m_target, region):
+def _conic_witness(eq_atom, atoms, m_target, region, base=None):
     """Rational point on the conic x'Fx = c whose direction lies in region.
 
     Directions are x1/x0; region is a pair of rational bounds (either may
@@ -533,10 +535,12 @@ def _conic_witness(eq_atom, atoms, m_target, region):
     rational slope u meets the conic in a second rational point, and u is
     tuned in floating point so that the direction lands near m_target
     (which is known to lie strictly inside the region); the result is
-    then verified exactly.
+    then verified exactly.  ``base`` is a rational point of the conic
+    found earlier, if any.
     """
     f, _, c = eq_atom
-    base = _conic_base_point(f, c)
+    if base is None:
+        base = _conic_base_point(f, c)
     if base is None:
         return None
     lo, hi = region
@@ -713,6 +717,68 @@ def decide(n, atoms, max_prec=1 << 16):
     return _decide_2d(atoms, max_prec)
 
 
+def critical_samples(polys, max_prec=1 << 16):
+    """Sample directions m (for the ray s*(1, m)) cutting the line at the
+    real roots of the integer quadratics polys = (a2, a1, a0).
+
+    Returns (direction, region) pairs in increasing order: one simplest
+    rational inside every open region between consecutive roots, with the
+    rational bounds of that region (None for unbounded), every rational
+    root as a Fraction with region (root, root), and every irrational
+    root as a Root with region None.  The vertical direction (0, 1) is
+    not included.  None when two roots could not be separated within
+    max_prec bits.
+    """
+    roots = []
+    for a, b, c in polys:
+        roots.extend(roots_of_quadratic(a, b, c))
+
+    # deduplicate equal roots (only float-close pairs can be equal)
+    roots.sort(key=lambda r: r.approx())
+    unique = []
+    for r in roots:
+        dup = False
+        for u in reversed(unique):
+            if r.approx() - u.approx() > 1e-6:
+                break
+            if roots_equal(u, r):
+                dup = True
+                break
+        if not dup:
+            unique.append(r)
+
+    # refine enclosures until consecutive roots are strictly separated
+    prec = 64
+    encl = [r.enclosure(prec) for r in unique]
+    while True:
+        bad = [i for i in range(len(unique) - 1)
+               if not encl[i][1] < encl[i + 1][0]]
+        if not bad:
+            break
+        prec *= 2
+        if prec > max_prec:
+            return None
+        for i in set(bad) | {i + 1 for i in bad}:
+            encl[i] = unique[i].enclosure(prec)
+
+    if not unique:
+        return [(Fraction(0), (None, None))]
+    first_lo, last_hi = encl[0][0], encl[-1][1]
+    floor_first = first_lo.numerator // first_lo.denominator
+    samples = [(Fraction(floor_first - 1), (None, first_lo))]
+    for i, r in enumerate(unique):
+        if r.is_rational:
+            samples.append((r.value, (r.value, r.value)))
+        else:
+            samples.append((r, None))
+        if i + 1 < len(unique):
+            gap = (encl[i][1], encl[i + 1][0])
+            samples.append((simplest_between(*gap), gap))
+    floor_last = last_hi.numerator // last_hi.denominator
+    samples.append((Fraction(floor_last + 2), (last_hi, None)))
+    return samples
+
+
 def _decide_2d(atoms, max_prec):
     eq_atoms = [a for a in atoms if a[1] == "="]
 
@@ -765,59 +831,10 @@ def _decide_2d(atoms, max_prec):
             if any(prim):
                 crit.add(prim)
 
-    roots = []
-    for a, b, c in sorted(crit):
-        roots.extend(roots_of_quadratic(a, b, c))
-
-    # deduplicate equal roots (only float-close pairs can be equal)
-    roots.sort(key=lambda r: r.approx())
-    unique = []
-    for r in roots:
-        dup = False
-        for u in reversed(unique):
-            if r.approx() - u.approx() > 1e-6:
-                break
-            if roots_equal(u, r):
-                dup = True
-                break
-        if not dup:
-            unique.append(r)
-
-    # refine enclosures until consecutive roots are strictly separated
-    prec = 64
-    encl = [r.enclosure(prec) for r in unique]
-    while True:
-        bad = [i for i in range(len(unique) - 1)
-               if not encl[i][1] < encl[i + 1][0]]
-        if not bad:
-            break
-        prec *= 2
-        if prec > max_prec:
-            return Decided("unknown",
-                           reason="root separation exceeded precision cap")
-        for i in set(bad) | {i + 1 for i in bad}:
-            encl[i] = unique[i].enclosure(prec)
-
-    # samples: one simplest rational inside every open region between
-    # consecutive critical directions, every rational critical direction
-    # exactly, every irrational one in quadratic-surd arithmetic
-    samples = []
-    if unique:
-        first_lo, last_hi = encl[0][0], encl[-1][1]
-        floor_first = first_lo.numerator // first_lo.denominator
-        samples.append((Fraction(floor_first - 1), (None, first_lo)))
-        for i, r in enumerate(unique):
-            if r.is_rational:
-                samples.append((r.value, (r.value, r.value)))
-            else:
-                samples.append((r, None))
-            if i + 1 < len(unique):
-                gap = (encl[i][1], encl[i + 1][0])
-                samples.append((simplest_between(*gap), gap))
-        floor_last = last_hi.numerator // last_hi.denominator
-        samples.append((Fraction(floor_last + 2), (last_hi, None)))
-    else:
-        samples.append((Fraction(0), (None, None)))
+    samples = critical_samples(sorted(crit), max_prec)
+    if samples is None:
+        return Decided("unknown",
+                       reason="root separation exceeded precision cap")
 
     real_feasible = False
     for direction, region in samples:

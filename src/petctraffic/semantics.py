@@ -27,10 +27,10 @@ ConcreteState = RatVector
 class HorizonExceededError(RuntimeError):
     """The word grew past the certified horizon; the contraction factor is bad."""
 
-    def __init__(self, x0: ConcreteState, word: tuple[int, ...]):
+    def __init__(self, state: ConcreteState, word: tuple[int, ...]):
         super().__init__(
-            f"no periodic-set entry within {len(word)} steps from {x0}")
-        self.x0 = x0
+            f"no periodic-set entry within {len(word)} steps, at {state}")
+        self.state = state  # the state reached at the cap, after `word`
         self.word = word
 
 
@@ -73,7 +73,8 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
     periodic set; the empty word if x0 already lies inside.
 
     ``max_len`` (default: a loose cap) guards against a miscertified
-    contraction factor; exceeding it raises with the offending prefix.
+    contraction factor; exceeding it raises with the offending prefix and
+    the state reached after it.
     """
     if disc.V(x0) > disc.V0:
         raise ValueError("initial state outside the initial sublevel set")
@@ -83,7 +84,7 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
     x = x0
     while disc.V(x) > rv0:
         if len(word) >= cap:
-            raise HorizonExceededError(x0, tuple(word))
+            raise HorizonExceededError(x, tuple(word))
         x, k = petc_step(disc, x)
         word.append(k)
     return tuple(word)

@@ -1,7 +1,8 @@
 """Shared fixtures: the two-dimensional example system at the fast
 setting (r = 0.5) used by most tests, plus small synthetic systems, float
-oracles of the exact semantics and the from-scratch Fraction replay that
-the integer orbit of verify replaced."""
+oracles of the exact semantics, the from-scratch Fraction replay that
+the integer orbit of verify replaced, and the per-word solver queries
+that the word-tree engine of abstraction replaced."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from petctraffic import abstraction, contraction, ratlin, semantics, verify
+from petctraffic import (abstraction, contraction, ratlin, satcheck,
+                         semantics, verify)
 from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
                                   build_predictive_Q, rationalize)
 
@@ -93,6 +95,52 @@ def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
             prev = word
             x, _ = semantics.petc_step(disc, x)
     return n_checked, failures
+
+
+def oracle_check(disc, word, shell, terminal) -> satcheck.SatResult:
+    """One word query decided on its own: satcheck.check, through
+    qfnra.decide, on the query satcheck.sequence_query writes."""
+    return satcheck.check(satcheck.sequence_query(disc, word, shell,
+                                                  terminal))
+
+
+def oracle_models(disc, N, check=oracle_check):
+    """build_mpetc_bisim and build_petc_sim with every word decided by
+    `check` (default oracle_check), with the same prune rule; every
+    verdict must be sat or unsat."""
+    word_key, eps = abstraction.word_key, abstraction.EPSILON
+    states, witnesses, frontier = {eps}, {}, [eps]
+    for _ in range(N):
+        candidates = sorted((w + (k,) for w in frontier
+                             for k in disc.K_range), key=word_key)
+        frontier = [w for w in candidates if check(
+            disc, w, satcheck.SUBLEVEL, False).status != "unsat"]
+        for w in frontier:
+            res = check(disc, w, satcheck.SUBLEVEL, True)
+            assert res.status != "unknown", w
+            if res.status == "sat":
+                states.add(w)
+                witnesses[w] = res.witness
+    bisim = abstraction.TrafficModel(
+        kind=abstraction.MPETC_BISIM, states=frozenset(states),
+        edges=frozenset(abstraction._tree_edges(states)),
+        output=abstraction._outputs(states, disc.h, disc.h_P),
+        witnesses=witnesses, h=disc.h, h_P=disc.h_P)
+    sim_states, sim_witnesses = set(), {}
+    for w in bisim.sorted_states():
+        if w == eps:
+            continue
+        res = check(disc, w, satcheck.UNIT_LEVEL, True)
+        assert res.status != "unknown", w
+        if res.status == "sat":
+            sim_states.add(w)
+            sim_witnesses[w] = res.witness
+    sim = abstraction.TrafficModel(
+        kind=abstraction.PETC_SIM, states=frozenset(sim_states),
+        edges=frozenset(abstraction.domino_edges(sim_states)),
+        output=abstraction._outputs(sim_states, disc.h, disc.h_P),
+        witnesses=sim_witnesses, h=disc.h, h_P=disc.h_P)
+    return bisim, sim
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from petctraffic import abstraction, satcheck, semantics
+from petctraffic import abstraction, satcheck, semantics, wordtree
 from petctraffic.abstraction import (EPSILON, TrafficModel, build_mpetc_bisim,
                                      build_petc_sim, build_trivial,
                                      domino_edges, export_model, import_model)
@@ -165,17 +165,17 @@ def test_export_dot_epsilon(ci_bisim):
 
 
 def test_assume_sat_marks_model_inexact(ci_disc, monkeypatch):
-    # force one undecided query and keep it: the model must say so
+    # force undecided full queries and keep them: the model must say so
     from petctraffic import satcheck as sc
-    real_check = sc.check
+    real_decide = wordtree.WordEngine.decide
 
-    def flaky(query):
-        res = real_check(query)
-        if res.status == "sat" and len(query.atoms) > 3:
+    def flaky(self, node, shell):
+        res = real_decide(self, node, shell)
+        if res.status == "sat":
             return sc.SatResult("unknown", reason="forced")
         return res
 
-    monkeypatch.setattr(abstraction.satcheck, "check", flaky)
+    monkeypatch.setattr(wordtree.WordEngine, "decide", flaky)
     with pytest.raises(sc.SolverUnknownError):
         build_mpetc_bisim(ci_disc, 2)
     m = build_mpetc_bisim(ci_disc, 2, assume_sat=True)

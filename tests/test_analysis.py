@@ -96,3 +96,34 @@ def test_ci_models_consistency(ci_bisim, ci_sim, ci_disc):
     t_b = analysis.time_to_contract(ci_bisim, ci_disc.h)
     t_s = analysis.time_to_contract(ci_sim, ci_disc.h)
     assert t_s <= t_b  # simulating words are a subset
+
+
+def test_build_stats_add_up(ci_disc, ci_cert, ci_N, ci_bisim, ci_sim):
+    levels = ci_bisim.stats["levels"]
+    # the build stops after N levels or at the first level left empty
+    assert [lv["level"] for lv in levels] == list(range(1, len(levels) + 1))
+    assert len(levels) == ci_N or levels[-1]["live"] == 0
+    live = 1
+    for lv in levels:
+        assert lv["candidates"] == live * len(ci_disc.K_range)
+        assert lv["candidates"] == lv["prefix_unsat"] + lv["live"]
+        assert lv["live"] == lv["sat"] + lv["unsat"] + lv["unknown"]
+        assert lv["kept"] == lv["sat"] + lv["assumed"]
+        assert lv["kept"] == sum(len(w) == lv["level"]
+                                 for w in ci_bisim.states)
+        live = lv["live"]
+    assert sum(lv["kept"] for lv in levels) == ci_bisim.n_states(False)
+    unit = ci_sim.stats
+    assert unit["candidates"] == ci_bisim.n_states(False)
+    assert unit["candidates"] == unit["sat"] + unit["unsat"] + unit["unknown"]
+    assert unit["kept"] == unit["sat"] + unit["assumed"] == len(ci_sim.states)
+    rep = analysis.report(ci_bisim, ci_sim, ci_cert.a, ci_N, ci_disc.k_lo,
+                          ci_disc.r, ci_disc.h, (1, 1), {"x_s": 1.0},
+                          ci_cert.bisection_trace)
+    stats = json.loads(rep.to_json())["stats"]
+    assert stats["bisim_levels"] == levels
+    assert stats["unit_shell"] == unit
+    assert stats["bisection_trace"] == [
+        [str(a), status] for a, status in ci_cert.bisection_trace]
+    assert {status for _, status in stats["bisection_trace"]} \
+        == {"sat", "unsat"}

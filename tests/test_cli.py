@@ -166,8 +166,8 @@ def test_abstract_trivial_over_cap(tmp_path, monkeypatch, capsys):
 
 def test_subcommands_export_the_same_models(tmp_path, monkeypatch, capsys):
     # the bundled loop at r = 4/5 (N = 5).  The first pipeline runs the
-    # solver; the other two replay its verdicts, so that the test checks
-    # the subcommands' wiring in well under 30 s.
+    # solver; the other two replay its contraction verdicts, so that the
+    # test checks the subcommands' wiring in well under 30 s.
     config = write_config(tmp_path, r=0.8)
     real_check, verdicts = satcheck.check, {}
 

@@ -162,8 +162,9 @@ def test_bundled_solver_found_through_sys_path(tmp_path):
 
 
 def test_direct_decision_matches_smtlib_path(monkeypatch):
-    # every query of the bundled loop at r = 4/5, decided in process and
-    # again from its SMT-LIB text by the command interpreter
+    # every satcheck query of the bundled loop at r = 4/5 (the
+    # contraction queries; the word queries go to wordtree), decided in
+    # process and again from its SMT-LIB text by the command interpreter
     real_check, decided = satcheck.check, []
 
     def recording_check(query):

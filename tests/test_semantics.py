@@ -95,6 +95,20 @@ def test_concrete_sequence_horizon_guard(tiny_disc):
     assert exc.value.word == ()
 
 
+def test_concrete_sequence_horizon_state(ci_disc):
+    # the error carries the state reached at the cap, after its word
+    x0 = next(x for x in verify.sample_shell_states(ci_disc, 20, seed=11)
+              if len(concrete_sequence(ci_disc, x, max_len=100)) > 2)
+    with pytest.raises(HorizonExceededError) as exc:
+        concrete_sequence(ci_disc, x0, max_len=2)
+    x = x0
+    for _ in exc.value.word:
+        x, _ = petc_step(ci_disc, x)
+    assert len(exc.value.word) == 2
+    assert exc.value.state == x
+    assert str(exc.value).endswith(f"within 2 steps, at {x}")
+
+
 def test_word_suffix_property(ci_disc):
     # the word of the post-sample state is the tail of the current word
     for x in verify.sample_shell_states(ci_disc, 20, seed=21):

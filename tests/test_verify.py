@@ -54,9 +54,9 @@ def test_normalized_word_horizon_matches_fraction_replay(ci_disc):
         verify.normalized_word(ci_disc, x, max_len=2)
     with pytest.raises(semantics.HorizonExceededError) as old:
         fraction_normalized_word(ci_disc, x, max_len=2)
-    assert (new.value.x0, new.value.word) == (old.value.x0, old.value.word)
+    assert (new.value.state, new.value.word) == (old.value.state, old.value.word)
     assert new.value.word == word[:2]
-    assert all(isinstance(c, F) for c in new.value.x0)
+    assert all(isinstance(c, F) for c in new.value.state)
 
 
 class _EveryWord:
