@@ -287,7 +287,7 @@ class Root:
     with a > 0 and non-square disc.
     """
 
-    __slots__ = ("value", "a", "b", "disc", "eps", "_approx")
+    __slots__ = ("value", "a", "b", "disc", "eps")
 
     def __init__(self, value=None, a=None, b=None, disc=None, eps=None):
         self.value = value
@@ -295,34 +295,36 @@ class Root:
         self.b = b
         self.disc = disc
         self.eps = eps
-        self._approx = None
 
     @property
     def is_rational(self):
         return self.value is not None
 
+    def bounds(self, prec):
+        """(lo, hi, den): integers with lo/den <= root <= hi/den, den > 0;
+        for an irrational root den = 2a 2^prec and hi = lo + 1."""
+        if self.is_rational:
+            v = self.value
+            return v.numerator, v.numerator, v.denominator
+        s = math.isqrt(self.disc << (2 * prec))
+        base = -self.b << prec
+        lo = base + s if self.eps > 0 else base - s - 1
+        return lo, lo + 1, (2 * self.a) << prec
+
     def enclosure(self, prec):
         if self.is_rational:
             return self.value, self.value
-        s = math.isqrt(self.disc << (2 * prec))
-        lo_s = Fraction(s, 1 << prec)
-        hi_s = Fraction(s + 1, 1 << prec)
-        if self.eps > 0:
-            return (-self.b + lo_s) / (2 * self.a), (-self.b + hi_s) / (2 * self.a)
-        return (-self.b - hi_s) / (2 * self.a), (-self.b - lo_s) / (2 * self.a)
+        lo, hi, den = self.bounds(prec)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def approx(self):
-        if self._approx is None:
-            lo, _ = self.enclosure(40)
-            self._approx = _to_float(lo)
-        return self._approx
-
-
-def _to_float(fr):
-    try:
-        return float(fr)
-    except OverflowError:
-        return math.inf if fr > 0 else -math.inf
+        """The float nearest to a lower bound within 2^-41 of the root,
+        or an infinity past the float range."""
+        lo, _, den = self.bounds(40)
+        try:
+            return lo / den
+        except OverflowError:
+            return math.inf if lo > 0 else -math.inf
 
 
 def roots_of_quadratic(a, b, c):
@@ -345,21 +347,30 @@ def roots_of_quadratic(a, b, c):
             Root(a=a, b=b, disc=disc, eps=+1)]
 
 
-def roots_equal(r1, r2):
+def root_cmp(r1, r2):
+    """The exact sign of r1 - r2."""
     if r1.is_rational and r2.is_rational:
-        return r1.value == r2.value
-    if r1.is_rational or r2.is_rational:
-        return False  # roots with non-square discriminant are irrational
-    # (-b1 + e1 sqrt(D1)) / (2 a1) == (-b2 + e2 sqrt(D2)) / (2 a2)
-    u = -r1.b * 2 * r2.a + r2.b * 2 * r1.a
-    v = r1.eps * 2 * r2.a
-    w = r2.eps * 2 * r1.a
-    prod = r1.disc * r2.disc
-    g = math.isqrt(prod)
-    if g * g != prod:
-        return False  # surds from different quadratic fields
-    # sqrt(D2) = (g / D1) sqrt(D1); u + v sqrt(D1) == w (g / D1) sqrt(D1)
-    return u == 0 and v * r1.disc == w * g
+        return _sgn(r1.value - r2.value)
+    if r2.is_rational:
+        # (-b q - 2a p + eps q sqrt(D)) / (2a q) with r2 = p/q
+        p, q = r2.value.numerator, r2.value.denominator
+        return _sign_pair(-r1.b * q - 2 * r1.a * p, r1.eps * q, r1.disc)
+    if r1.is_rational:
+        return -root_cmp(r2, r1)
+    # times 4 a1 a2 > 0: c + s1 sqrt(D1) - s2 sqrt(D2)
+    c = 2 * (r1.a * r2.b - r2.a * r1.b)
+    s1, s2 = 2 * r2.a * r1.eps, 2 * r1.a * r2.eps
+    if r1.disc == r2.disc:
+        return _sign_pair(c, s1 - s2, r1.disc)
+    sa, sb = _sign_pair(c, s1, r1.disc), -r2.eps
+    if sa == 0:
+        return sb
+    if sa == sb:
+        return sa
+    # opposite signs: the larger of (c + s1 sqrt(D1))^2 and s2^2 D2 wins
+    t = _sign_pair(c * c + s1 * s1 * r1.disc - s2 * s2 * r2.disc,
+                   2 * c * s1, r1.disc)
+    return sa if t > 0 else sb if t < 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +470,38 @@ def rational_sqrt_in(lo, lo_strict, hi, hi_strict):
     raise ArithmeticError("no rational scale found in interval")
 
 
+def _simplest_between(ln, ld, hn, hd):
+    """(p, q): the smallest-denominator rational p/q strictly inside
+    (ln/ld, hn/hd), with ld, hd > 0 and ln/ld < hn/hd.
+
+    Walks the continued fractions of both ends: while they share the
+    integer part fl, the interval minus fl is inverted, and the walk
+    stops at the first integer part that tells them apart."""
+    terms = []
+    while True:
+        fl = ln // ld
+        if (fl + 1) * hd < hn:  # fl + 1 < hi
+            p = fl + 1
+            break
+        terms.append(fl)
+        ln -= fl * ld  # lo - fl in [0, 1)
+        hn -= fl * hd  # hi - fl in (0, 1]
+        if ln == 0:
+            p = hd // hn + 1
+            break
+        ln, ld, hn, hd = hd, hn, ld, ln  # (1 / (hi - fl), 1 / (lo - fl))
+    q = 1
+    for t in reversed(terms):  # p/q <- t + 1/(p/q)
+        p, q = t * p + q, p
+    return p, q
+
+
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     """The smallest-denominator rational strictly inside (lo, hi)."""
     if not lo < hi:
         raise ValueError("empty interval")
-    fl = lo.numerator // lo.denominator
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    a, b = lo - fl, hi - fl  # a in [0,1), b in (0,1]
-    if a == 0:
-        m = b.denominator // b.numerator + 1
-        return fl + Fraction(1, m)
-    return fl + 1 / simplest_between(1 / b, 1 / a)
+    return Fraction(*_simplest_between(lo.numerator, lo.denominator,
+                                       hi.numerator, hi.denominator))
 
 
 def rational_square_root(t):
@@ -531,12 +562,18 @@ def _conic_witness(eq_atom, atoms, m_target, region, base=None):
     """Rational point on the conic x'Fx = c whose direction lies in region.
 
     Directions are x1/x0; region is a pair of rational bounds (either may
-    be None for unbounded).  The chord through a rational base point with
-    rational slope u meets the conic in a second rational point, and u is
-    tuned in floating point so that the direction lands near m_target
-    (which is known to lie strictly inside the region); the result is
-    then verified exactly.  ``base`` is a rational point of the conic
-    found earlier, if any.
+    be None for unbounded).  The chord through a rational base point b
+    with rational slope u meets the conic in a second rational point.
+    Its direction is m_target (known to lie strictly inside the region)
+    exactly when u is a root of
+
+        (d f11 - 2 g1) u^2 + (d (f01 + f10) - 2 g0 + 2 g1 m) u
+            + (d f00 + 2 g0 m),    g = F b,  d = b1 - m b0,
+
+    so each real root, in increasing order, is rounded to a dyadic
+    rational at 20, 30 and 44 bits and the chord's point is verified
+    exactly.  ``base`` is a rational point of the conic found earlier,
+    if any.
     """
     f, _, c = eq_atom
     if base is None:
@@ -558,65 +595,40 @@ def _conic_witness(eq_atom, atoms, m_target, region, base=None):
             and verify_witness(atoms, base):
         return base
 
+    g0 = f[0][0] * base[0] + f[0][1] * base[1]
+    g1 = f[1][0] * base[0] + f[1][1] * base[1]
+
     def chord(u):
         vfv = _quad_at(f, Fraction(1), u)
         if vfv == 0:
             return None
-        vfb = (f[0][0] * base[0] + f[0][1] * base[1]
-               + u * (f[1][0] * base[0] + f[1][1] * base[1]))
-        lam = -2 * vfb / vfv
+        lam = -2 * (g0 + u * g1) / vfv
         return (base[0] + lam, base[1] + lam * u)
 
-    bf = [[_to_float(e) for e in row] for row in f]
-    b0, b1 = _to_float(base[0]), _to_float(base[1])
-    mt = _to_float(m_target)
-
-    def chord_dir_float(u):
-        vfv = bf[0][0] + (bf[0][1] + bf[1][0]) * u + bf[1][1] * u * u
-        if vfv == 0:
-            return None
-        vfb = (bf[0][0] * b0 + bf[0][1] * b1 + u * (bf[1][0] * b0 + bf[1][1] * b1))
-        lam = -2 * vfb / vfv
-        x0, x1 = b0 + lam, b1 + lam * u
-        if x0 == 0:
-            return None
-        return x1 / x0
-
-    # locate a float slope whose chord direction crosses m_target
-    us = [math.tan(math.pi * (i / 4000.0 - 0.5)) for i in range(1, 4000)]
-    best_u = None
-    prev = None
-    crossings = []
-    for u in us:
-        m = chord_dir_float(u)
-        if m is None or not math.isfinite(m):
-            prev = None
-            continue
-        g = m - mt
-        if prev is not None and g == 0.0:
-            crossings.append((u, u))
-        elif prev is not None and (g > 0) != (prev[1] > 0):
-            crossings.append((prev[0], u))
-        prev = (u, g)
-    for ulo, uhi in crossings:
-        for _ in range(80):
-            um = 0.5 * (ulo + uhi)
-            gm = chord_dir_float(um)
-            if gm is None:
-                break
-            if (gm - mt > 0) == ((chord_dir_float(ulo) or mt) - mt > 0):
-                ulo = um
-            else:
-                uhi = um
-        best_u = 0.5 * (ulo + uhi)
+    m = m_target
+    d = base[1] - m * base[0]
+    slopes = _primitive([d * f[1][1] - 2 * g1,
+                         d * (f[0][1] + f[1][0]) - 2 * g0 + 2 * g1 * m,
+                         d * f[0][0] + 2 * g0 * m])
+    for root in roots_of_quadratic(*slopes):
         for prec in (1 << 20, 1 << 30, 1 << 44):
-            u = Fraction(round(best_u * prec), prec)
-            x = chord(u)
+            x = chord(Fraction(_round_root(root, prec), prec))
             if x is None or x[0] == 0:
                 continue
             if in_region(x[1] / x[0]) and verify_witness(atoms, x):
                 return x
     return None
+
+
+def _round_root(root, prec):
+    """The integer nearest to root * prec, for an integer prec > 0."""
+    if root.is_rational:
+        return round(root.value * prec)
+    # floor((-b prec + a + eps sqrt(D prec^2)) / (2a)): rounding
+    # eps sqrt(D prec^2) down to an integer keeps that floor, and an
+    # irrational root is never a tie
+    s = math.isqrt(root.disc * prec * prec) + (root.eps < 0)
+    return (-root.b * prec + root.a + root.eps * s) // (2 * root.a)
 
 
 def _value_to_exact_fraction(v):
@@ -726,56 +738,59 @@ def critical_samples(polys, max_prec=1 << 16):
     rational bounds of that region (None for unbounded), every rational
     root as a Fraction with region (root, root), and every irrational
     root as a Root with region None.  The vertical direction (0, 1) is
-    not included.  None when two roots could not be separated within
-    max_prec bits.
+    not included.  Roots are compared exactly, so equal roots merge and
+    distinct ones separate; None when that takes more than max_prec bits.
     """
     roots = []
     for a, b, c in polys:
         roots.extend(roots_of_quadratic(a, b, c))
+    if not roots:
+        return [(Fraction(0), (None, None))]
 
-    # deduplicate equal roots (only float-close pairs can be equal)
-    roots.sort(key=lambda r: r.approx())
-    unique = []
+    # exact order without duplicates: insertion into the float order,
+    # comparing exactly only where the enclosures at 64 bits overlap
+    prec = 64
+    roots.sort(key=Root.approx)
+    unique, encl = [], []
     for r in roots:
-        dup = False
-        for u in reversed(unique):
-            if r.approx() - u.approx() > 1e-6:
+        e = r.bounds(prec)
+        i, c = len(unique), -1
+        while i and not encl[i - 1][1] * e[2] < e[0] * encl[i - 1][2]:
+            c = root_cmp(unique[i - 1], r)
+            if c <= 0:
                 break
-            if roots_equal(u, r):
-                dup = True
-                break
-        if not dup:
-            unique.append(r)
+            i -= 1
+        if c:
+            unique.insert(i, r)
+            encl.insert(i, e)
 
     # refine enclosures until consecutive roots are strictly separated
-    prec = 64
-    encl = [r.enclosure(prec) for r in unique]
     while True:
         bad = [i for i in range(len(unique) - 1)
-               if not encl[i][1] < encl[i + 1][0]]
+               if not encl[i][1] * encl[i + 1][2]
+               < encl[i + 1][0] * encl[i][2]]
         if not bad:
             break
         prec *= 2
         if prec > max_prec:
             return None
         for i in set(bad) | {i + 1 for i in bad}:
-            encl[i] = unique[i].enclosure(prec)
+            encl[i] = unique[i].bounds(prec)
 
-    if not unique:
-        return [(Fraction(0), (None, None))]
-    first_lo, last_hi = encl[0][0], encl[-1][1]
-    floor_first = first_lo.numerator // first_lo.denominator
-    samples = [(Fraction(floor_first - 1), (None, first_lo))]
+    lo, _, den = encl[0]
+    samples = [(Fraction(lo // den - 1), (None, Fraction(lo, den)))]
     for i, r in enumerate(unique):
         if r.is_rational:
             samples.append((r.value, (r.value, r.value)))
         else:
             samples.append((r, None))
         if i + 1 < len(unique):
-            gap = (encl[i][1], encl[i + 1][0])
-            samples.append((simplest_between(*gap), gap))
-    floor_last = last_hi.numerator // last_hi.denominator
-    samples.append((Fraction(floor_last + 2), (last_hi, None)))
+            (_, hn, hd), (ln, _, ld) = encl[i], encl[i + 1]
+            gap = (Fraction(hn, hd), Fraction(ln, ld))
+            samples.append((Fraction(*_simplest_between(hn, hd, ln, ld)),
+                            gap))
+    _, hi, den = encl[-1]
+    samples.append((Fraction(hi // den + 2), (Fraction(hi, den), None)))
     return samples
 
 

@@ -136,21 +136,25 @@ def sequence_query(disc: DiscretizedPetc, word, shell: str = SUBLEVEL,
 def contraction_query(disc: DiscretizedPetc, k: int, a: Fraction) -> SatQuery:
     """Counterexample set for the per-sample decrease ratio `a` at step k.
 
-    Nonempty iff some x in the cone of inter-sample time k, normalized
-    to the shell x'Px = 1, has V(M(k)x) > a (homogeneity makes the shell
-    restriction lossless).
+    Nonempty iff some x in the cone of inter-sample time k has
+    V(M(k)x) > a V(x), that is x'(M(k)' P M(k) - a P)x > 0.  Every atom
+    is homogeneous, so no shell fixes the scale of x: any nonzero point
+    of the cone is a counterexample at every scale.
     """
     a = Fraction(a)
     if not 0 < a < 1:
         raise ValueError("a must be in (0, 1)")
     if not disc.k_lo <= k <= disc.k_bar:
         raise ValueError(f"k={k} outside {disc.k_lo}..{disc.k_bar}")
-    atoms = [QuadAtom(disc.P_rat, "=", Fraction(1))]
+    atoms = []
     for j in range(disc.k_lo, k):
         atoms.append(QuadAtom(disc.N[j], "<=", Fraction(0)))
     if k < disc.k_bar:
         atoms.append(QuadAtom(disc.N[k], ">", Fraction(0)))
-    atoms.append(QuadAtom(ratlin.congruence(disc.P_rat, disc.M[k]), ">", a))
+    decrease = ratlin.congruence(disc.P_rat, disc.M[k])
+    atoms.append(QuadAtom(tuple(tuple(m - a * p for m, p in zip(mr, pr))
+                                for mr, pr in zip(decrease, disc.P_rat)),
+                          ">", Fraction(0)))
     return SatQuery(atoms=tuple(atoms), n_x=disc.n_x)
 
 

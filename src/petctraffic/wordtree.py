@@ -73,12 +73,20 @@ def _sign(f, direction) -> int:
                             direction.eps * (2 * a * a1 - 2 * b * a2), d)
 
 
-def _holds(atoms, direction) -> bool:
-    for f, strict in atoms:
-        s = _sign(f, direction)
-        if s < 0 or (s == 0 and strict):
-            return False
-    return True
+def _feasible(atoms, samples):
+    """The samples (direction, region) at which every atom holds, in
+    order.  The atom that rejected the last sample is tested first at
+    the next one, where it most likely rejects again."""
+    atoms = list(atoms)
+    for sample in samples:
+        for i, (f, strict) in enumerate(atoms):
+            s = _sign(f, sample[0])
+            if s < 0 or (s == 0 and strict):
+                if i:
+                    atoms.insert(0, atoms.pop(i))
+                break
+        else:
+            yield sample
 
 
 def _value(f, u) -> Fraction:
@@ -190,11 +198,10 @@ class WordEngine:
         if samples is None:
             return "unknown"
         status = "unsat"
-        for direction, _ in samples:
-            if _holds(node.atoms, direction):
-                if not isinstance(direction, qfnra.Root):
-                    return "sat"
-                status = "unknown"
+        for direction, _ in _feasible(node.atoms, samples):
+            if not isinstance(direction, qfnra.Root):
+                return "sat"
+            status = "unknown"
         return status
 
     def decide(self, node: Node, shell: str) -> SatResult:
@@ -206,9 +213,7 @@ class WordEngine:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
         feasible = False
-        for direction, region in samples:
-            if not _holds(atoms, direction):
-                continue
+        for direction, region in _feasible(atoms, samples):
             feasible = True
             if isinstance(direction, qfnra.Root):
                 continue

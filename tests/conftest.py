@@ -1,17 +1,21 @@
 """Shared fixtures: the two-dimensional example system at the fast
 setting (r = 0.5) used by most tests, plus small synthetic systems, float
 oracles of the exact semantics, the from-scratch Fraction replay that
-the integer orbit of verify replaced, and the per-word solver queries
-that the word-tree engine of abstraction replaced."""
+the integer orbit of verify replaced, the per-word solver queries that
+the word-tree engine of abstraction replaced, and the Fraction root
+isolation and float conic search that the integer kernel of qfnra
+replaced."""
 
 from __future__ import annotations
 
+import contextlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from petctraffic import (abstraction, contraction, ratlin, satcheck,
+from petctraffic import (abstraction, contraction, qfnra, ratlin, satcheck,
                          semantics, verify)
 from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
                                   build_predictive_Q, rationalize)
@@ -97,11 +101,202 @@ def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
     return n_checked, failures
 
 
+def fraction_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """The smallest-denominator rational strictly inside (lo, hi), by
+    recursion on Fractions."""
+    if not lo < hi:
+        raise ValueError("empty interval")
+    fl = lo.numerator // lo.denominator
+    if fl + 1 < hi:
+        return Fraction(fl + 1)
+    a, b = lo - fl, hi - fl  # a in [0,1), b in (0,1]
+    if a == 0:
+        m = b.denominator // b.numerator + 1
+        return fl + Fraction(1, m)
+    return fl + 1 / fraction_simplest_between(1 / b, 1 / a)
+
+
+def _fraction_enclosure(r, prec):
+    if r.is_rational:
+        return r.value, r.value
+    s = math.isqrt(r.disc << (2 * prec))
+    lo_s, hi_s = Fraction(s, 1 << prec), Fraction(s + 1, 1 << prec)
+    if r.eps > 0:
+        return (-r.b + lo_s) / (2 * r.a), (-r.b + hi_s) / (2 * r.a)
+    return (-r.b - hi_s) / (2 * r.a), (-r.b - lo_s) / (2 * r.a)
+
+
+def _to_float(fr):
+    try:
+        return float(fr)
+    except OverflowError:
+        return math.inf if fr > 0 else -math.inf
+
+
+def _float_key(r):
+    return _to_float(_fraction_enclosure(r, 40)[0])
+
+
+def _fraction_roots_equal(r1, r2):
+    if r1.is_rational and r2.is_rational:
+        return r1.value == r2.value
+    if r1.is_rational or r2.is_rational:
+        return False  # roots with non-square discriminant are irrational
+    u = -r1.b * 2 * r2.a + r2.b * 2 * r1.a
+    v = r1.eps * 2 * r2.a
+    w = r2.eps * 2 * r1.a
+    prod = r1.disc * r2.disc
+    g = math.isqrt(prod)
+    if g * g != prod:
+        return False  # surds from different quadratic fields
+    return u == 0 and v * r1.disc == w * g
+
+
+def fraction_critical_samples(polys, max_prec=1 << 16):
+    """qfnra.critical_samples on Fraction enclosures: roots ordered by a
+    40-bit float key, deduplicated among float-close neighbours, and
+    refined by doubling precision until neighbours separate."""
+    roots = []
+    for a, b, c in polys:
+        roots.extend(qfnra.roots_of_quadratic(a, b, c))
+    roots.sort(key=_float_key)
+    unique = []
+    for r in roots:
+        dup = False
+        for u in reversed(unique):
+            if _float_key(r) - _float_key(u) > 1e-6:
+                break
+            if _fraction_roots_equal(u, r):
+                dup = True
+                break
+        if not dup:
+            unique.append(r)
+    prec = 64
+    encl = [_fraction_enclosure(r, prec) for r in unique]
+    while True:
+        bad = [i for i in range(len(unique) - 1)
+               if not encl[i][1] < encl[i + 1][0]]
+        if not bad:
+            break
+        prec *= 2
+        if prec > max_prec:
+            return None
+        for i in set(bad) | {i + 1 for i in bad}:
+            encl[i] = _fraction_enclosure(unique[i], prec)
+    if not unique:
+        return [(Fraction(0), (None, None))]
+    first_lo, last_hi = encl[0][0], encl[-1][1]
+    floor_first = first_lo.numerator // first_lo.denominator
+    samples = [(Fraction(floor_first - 1), (None, first_lo))]
+    for i, r in enumerate(unique):
+        if r.is_rational:
+            samples.append((r.value, (r.value, r.value)))
+        else:
+            samples.append((r, None))
+        if i + 1 < len(unique):
+            gap = (encl[i][1], encl[i + 1][0])
+            samples.append((fraction_simplest_between(*gap), gap))
+    floor_last = last_hi.numerator // last_hi.denominator
+    samples.append((Fraction(floor_last + 2), (last_hi, None)))
+    return samples
+
+
+def float_conic_witness(eq_atom, atoms, m_target, region, base=None):
+    """qfnra._conic_witness with the chord slope found in floating point:
+    a scan of 3,999 slopes for sign changes of the chord direction minus
+    m_target, 80 bisection steps on each, then rounding at 20, 30 and 44
+    bits and exact verification."""
+    f, _, c = eq_atom
+    if base is None:
+        base = qfnra._conic_base_point(f, c)
+    if base is None:
+        return None
+    lo, hi = region
+
+    def in_region(m):
+        return (m is not None and (lo is None or m > lo)
+                and (hi is None or m < hi))
+
+    if in_region(base[1] / base[0] if base[0] != 0 else None) \
+            and qfnra.verify_witness(atoms, base):
+        return base
+
+    def chord(u):
+        vfv = qfnra._quad_at(f, Fraction(1), u)
+        if vfv == 0:
+            return None
+        vfb = (f[0][0] * base[0] + f[0][1] * base[1]
+               + u * (f[1][0] * base[0] + f[1][1] * base[1]))
+        lam = -2 * vfb / vfv
+        return (base[0] + lam, base[1] + lam * u)
+
+    bf = [[_to_float(e) for e in row] for row in f]
+    b0, b1 = _to_float(base[0]), _to_float(base[1])
+    mt = _to_float(m_target)
+
+    def chord_dir_float(u):
+        vfv = bf[0][0] + (bf[0][1] + bf[1][0]) * u + bf[1][1] * u * u
+        if vfv == 0:
+            return None
+        vfb = (bf[0][0] * b0 + bf[0][1] * b1
+               + u * (bf[1][0] * b0 + bf[1][1] * b1))
+        lam = -2 * vfb / vfv
+        x0, x1 = b0 + lam, b1 + lam * u
+        return None if x0 == 0 else x1 / x0
+
+    us = [math.tan(math.pi * (i / 4000.0 - 0.5)) for i in range(1, 4000)]
+    prev, crossings = None, []
+    for u in us:
+        m = chord_dir_float(u)
+        if m is None or not math.isfinite(m):
+            prev = None
+            continue
+        g = m - mt
+        if prev is not None and g == 0.0:
+            crossings.append((u, u))
+        elif prev is not None and (g > 0) != (prev[1] > 0):
+            crossings.append((prev[0], u))
+        prev = (u, g)
+    for ulo, uhi in crossings:
+        for _ in range(80):
+            um = 0.5 * (ulo + uhi)
+            gm = chord_dir_float(um)
+            if gm is None:
+                break
+            if (gm - mt > 0) == ((chord_dir_float(ulo) or mt) - mt > 0):
+                ulo = um
+            else:
+                uhi = um
+        best_u = 0.5 * (ulo + uhi)
+        for prec in (1 << 20, 1 << 30, 1 << 44):
+            x = chord(Fraction(round(best_u * prec), prec))
+            if x is None or x[0] == 0:
+                continue
+            if in_region(x[1] / x[0]) and qfnra.verify_witness(atoms, x):
+                return x
+    return None
+
+
+@contextlib.contextmanager
+def oracle_kernel():
+    """qfnra with fraction_critical_samples and float_conic_witness in
+    place of its integer root isolation and exact conic slopes."""
+    saved = qfnra.critical_samples, qfnra._conic_witness
+    qfnra.critical_samples = fraction_critical_samples
+    qfnra._conic_witness = float_conic_witness
+    try:
+        yield
+    finally:
+        qfnra.critical_samples, qfnra._conic_witness = saved
+
+
 def oracle_check(disc, word, shell, terminal) -> satcheck.SatResult:
     """One word query decided on its own: satcheck.check, through
-    qfnra.decide, on the query satcheck.sequence_query writes."""
-    return satcheck.check(satcheck.sequence_query(disc, word, shell,
-                                                  terminal))
+    qfnra.decide on the oracle kernel, on the query
+    satcheck.sequence_query writes."""
+    with oracle_kernel():
+        return satcheck.check(satcheck.sequence_query(disc, word, shell,
+                                                      terminal))
 
 
 def oracle_models(disc, N, check=oracle_check):

@@ -96,6 +96,27 @@ def test_exit_code_undecided(monkeypatch, capsys):
     assert "could not decide" in err and "Traceback" not in err
 
 
+def test_contraction_is_independent_of_the_lyapunov_scale(tmp_path, capsys):
+    # the bundled loop at r = 4/5 with P_lyap and Q_lyap scaled by 3 and
+    # V0 = 3: the same sublevel sets and the same model sizes as unscaled
+    # (a = 119/125, N = 5, 27 and 23 words).  A contraction query on the
+    # shell V(x) = 1 would be left undecided here: 3 x'P x = 1 has no
+    # rational point.
+    base = json.loads(open_default())
+    config = write_config(
+        tmp_path, r=0.8, V0=3,
+        P_lyap=[[3 * v for v in row] for row in base["P_lyap"]],
+        Q_lyap=[[3 * v for v in row] for row in base["Q_lyap"]])
+    assert main(["contraction", "--config", config]) == EXIT_OK
+    out = tmp_path / "out"
+    assert main(["casestudy", "--config", config, "--out", str(out),
+                 "--samples", "5", "--steps", "5"]) == EXIT_OK
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert (report["a"], report["N"]) == ("119/125", 5)
+    assert (report["n_bisim_states"], report["n_sim_states"]) == (27, 23)
+
+
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args([])

@@ -11,9 +11,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petctraffic.qfnra import (decide, format_rational, roots_equal,
-                               roots_of_quadratic, run_script,
+from petctraffic import cli, contraction, qfnra
+from petctraffic.abstraction import build_mpetc_bisim, build_petc_sim
+from petctraffic.qfnra import (critical_samples, decide, format_rational,
+                               root_cmp, roots_of_quadratic, run_script,
                                simplest_between, t_verdict, verify_witness)
+from conftest import (float_conic_witness, fraction_critical_samples,
+                      fraction_simplest_between)
 
 F = Fraction
 
@@ -51,9 +55,9 @@ def test_roots_equal_across_fields():
     b = roots_of_quadratic(2, 0, -4)[1]     # sqrt(2) again, scaled poly
     c = roots_of_quadratic(1, 0, -8)[1]     # 2 sqrt(2): same field
     d = roots_of_quadratic(1, 0, -3)[1]     # sqrt(3): different field
-    assert roots_equal(a, b)
-    assert not roots_equal(a, c)
-    assert not roots_equal(a, d)
+    assert root_cmp(a, b) == 0
+    assert root_cmp(a, c) == -1
+    assert root_cmp(a, d) == -1
 
 
 @given(st.fractions(min_value=-50, max_value=50),
@@ -67,6 +71,144 @@ def test_simplest_between(a, b):
     assert lo < x < hi
     # the mediant witnesses this denominator bound
     assert x.denominator <= lo.denominator + hi.denominator
+
+
+_SMALL = st.tuples(*[st.integers(-20, 20)] * 3)
+
+
+@given(st.lists(_SMALL, min_size=2, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_root_cmp_matches_enclosures(polys):
+    # exact order against 512-bit enclosures, antisymmetric, and 0 on
+    # equal roots, including those of proportional polynomials
+    roots = [r for p in polys for r in roots_of_quadratic(*p)]
+    for r1 in roots:
+        lo1, hi1 = r1.enclosure(512)
+        for r2 in roots:
+            lo2, hi2 = r2.enclosure(512)
+            c = root_cmp(r1, r2)
+            assert c == -root_cmp(r2, r1)
+            if hi1 < lo2:
+                assert c == -1
+            elif hi2 < lo1:
+                assert c == 1
+            else:  # with coefficients this small: the same root
+                assert c == 0
+
+
+_ENDPOINTS = st.one_of(
+    st.fractions(min_value=-50, max_value=50),
+    st.integers(-50, 50).map(F),
+    # both ends sharing a floor: n + (a fraction of [0, 1))
+    st.tuples(st.integers(-50, 50),
+              st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    .map(lambda t: t[0] + t[1] % 1))
+
+
+@given(_ENDPOINTS, _ENDPOINTS,
+       st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+@settings(max_examples=300, deadline=None)
+def test_simplest_between_matches_fraction_walk(a, b, offset):
+    # the integer walk against the recursive Fraction version, on
+    # arbitrary intervals and on intervals inside one integer step
+    for lo, hi in ((min(a, b), max(a, b)),
+                   (a.numerator // a.denominator + offset % 1, a)):
+        if lo < hi:
+            assert simplest_between(lo, hi) == fraction_simplest_between(lo,
+                                                                         hi)
+
+
+def _normal(samples):
+    """critical_samples output with each Root as its defining integers."""
+    if samples is None:
+        return None
+    return [((d.a, d.b, d.disc, d.eps) if isinstance(d, qfnra.Root) else d,
+             region) for d, region in samples]
+
+
+def _bounds(direction):
+    """Rational bounds of a sample direction."""
+    if isinstance(direction, qfnra.Root):
+        return direction.enclosure(256)
+    return direction, direction
+
+
+_TRIPLES = st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+                    min_size=1, max_size=6)
+
+
+@given(_TRIPLES)
+@settings(max_examples=300, deadline=None)
+def test_critical_samples_ordered(polys):
+    # strictly increasing directions, every open-region sample strictly
+    # inside its region, and the Fraction oracle's list wherever it has
+    # one
+    polys = sorted(polys)
+    samples = critical_samples(polys)
+    assert samples is not None
+    for (d0, _), (d1, _) in zip(samples, samples[1:]):
+        assert _bounds(d0)[1] < _bounds(d1)[0]
+    for d, region in samples:
+        if region is not None and region[0] != region[1]:
+            lo, hi = region
+            assert (lo is None or lo < d) and (hi is None or d < hi)
+    oracle = fraction_critical_samples(polys)
+    if oracle is not None:
+        assert _normal(samples) == _normal(oracle)
+
+
+def test_close_roots_in_swapped_float_order_are_separated():
+    # p/q lies just below sqrt(2) but above its 40-bit lower bound, so
+    # a float key read off that bound sorts sqrt(2) first
+    r = roots_of_quadratic(1, 0, -2)[1]
+    pq = r.enclosure(40)[0] + F(1, 2**44)
+    p, q = pq.numerator, pq.denominator
+    atoms = [(form(-2, 0, 1), ">=", F(0)),
+             (((F(-p), F(q, 2)), (F(q, 2), F(0))), ">", F(0))]
+    assert verify_witness(atoms, (F(1), F(2)))
+    res = decide(2, atoms)
+    assert res.status == "sat"
+    assert verify_witness(atoms, res.witness)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against its Fraction and float oracles
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
+def test_kernel_matches_oracles(case, request, monkeypatch):
+    # every root isolation and every conic witness of the contraction
+    # queries and of both builds, on the r = 1/2 fixture, on the bundled
+    # loop at r = 4/5 and on the bundled example (r = 1/10); the integer
+    # kernel may answer only where its oracle did not
+    calls = {"critical_samples": [], "_conic_witness": []}
+    for name, log in calls.items():
+        def recording(*args, _fn=getattr(qfnra, name), _log=log, **kwargs):
+            out = _fn(*args, **kwargs)
+            # a copy: the word engine appends the vertical direction
+            _log.append((args, kwargs,
+                         list(out) if isinstance(out, list) else out))
+            return out
+        monkeypatch.setattr(qfnra, name, recording)
+    if case == "ci":
+        disc = request.getfixturevalue("ci_disc")
+        n = contraction.compute_N(contraction.compute_a(disc).a, disc.r)
+    else:
+        cfg = cli.load_config(None)
+        if case == "r4_5":
+            cfg = dict(cfg, r=F(4, 5))
+        disc = cli.make_disc(cfg)
+        _, n, _ = cli.run_contraction(cfg, disc)
+    build_petc_sim(disc, build_mpetc_bisim(disc, n))
+    oracles = {"critical_samples": fraction_critical_samples,
+               "_conic_witness": float_conic_witness}
+    for name, log in calls.items():
+        assert log, name
+        for args, kwargs, out in log:
+            ref = oracles[name](*args, **kwargs)
+            if name == "critical_samples":
+                out, ref = _normal(out), _normal(ref)
+            assert ref is None or out == ref, (name, args)
 
 
 # ---------------------------------------------------------------------------
