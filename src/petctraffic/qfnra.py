@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 FLIP = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}
@@ -311,21 +312,6 @@ class Root:
         lo = base + s if self.eps > 0 else base - s - 1
         return lo, lo + 1, (2 * self.a) << prec
 
-    def enclosure(self, prec):
-        if self.is_rational:
-            return self.value, self.value
-        lo, hi, den = self.bounds(prec)
-        return Fraction(lo, den), Fraction(hi, den)
-
-    def approx(self):
-        """The float nearest to a lower bound within 2^-41 of the root,
-        or an infinity past the float range."""
-        lo, _, den = self.bounds(40)
-        try:
-            return lo / den
-        except OverflowError:
-            return math.inf if lo > 0 else -math.inf
-
 
 def roots_of_quadratic(a, b, c):
     if a == 0:
@@ -494,14 +480,6 @@ def _simplest_between(ln, ld, hn, hd):
     for t in reversed(terms):  # p/q <- t + 1/(p/q)
         p, q = t * p + q, p
     return p, q
-
-
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly inside (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("empty interval")
-    return Fraction(*_simplest_between(lo.numerator, lo.denominator,
-                                       hi.numerator, hi.denominator))
 
 
 def rational_square_root(t):
@@ -729,6 +707,17 @@ def decide(n, atoms, max_prec=1 << 16):
     return _decide_2d(atoms, max_prec)
 
 
+def _enclosed_cmp(x, y):
+    """root_cmp of (root, bounds) pairs, read off the bounds when they
+    are disjoint."""
+    (r1, (lo1, hi1, d1)), (r2, (lo2, hi2, d2)) = x, y
+    if hi1 * d2 < lo2 * d1:
+        return -1
+    if hi2 * d1 < lo1 * d2:
+        return 1
+    return root_cmp(r1, r2)
+
+
 def critical_samples(polys, max_prec=1 << 16):
     """Sample directions m (for the ray s*(1, m)) cutting the line at the
     real roots of the integer quadratics polys = (a2, a1, a0).
@@ -747,22 +736,15 @@ def critical_samples(polys, max_prec=1 << 16):
     if not roots:
         return [(Fraction(0), (None, None))]
 
-    # exact order without duplicates: insertion into the float order,
-    # comparing exactly only where the enclosures at 64 bits overlap
+    # exact order: by the enclosures at 64 bits where they are disjoint,
+    # else by root_cmp; equal neighbours merge
     prec = 64
-    roots.sort(key=Root.approx)
-    unique, encl = [], []
-    for r in roots:
-        e = r.bounds(prec)
-        i, c = len(unique), -1
-        while i and not encl[i - 1][1] * e[2] < e[0] * encl[i - 1][2]:
-            c = root_cmp(unique[i - 1], r)
-            if c <= 0:
-                break
-            i -= 1
-        if c:
-            unique.insert(i, r)
-            encl.insert(i, e)
+    pairs = sorted(((r, r.bounds(prec)) for r in roots),
+                   key=cmp_to_key(_enclosed_cmp))
+    pairs = [p for i, p in enumerate(pairs)
+             if i == 0 or _enclosed_cmp(pairs[i - 1], p)]
+    unique = [r for r, _ in pairs]
+    encl = [e for _, e in pairs]
 
     # refine enclosures until consecutive roots are strictly separated
     while True:

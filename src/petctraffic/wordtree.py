@@ -76,7 +76,8 @@ def _sign(f, direction) -> int:
 def _feasible(atoms, samples):
     """The samples (direction, region) at which every atom holds, in
     order.  The atom that rejected the last sample is tested first at
-    the next one, where it most likely rejects again."""
+    the next one: neighbouring samples are mostly rejected by the same
+    atom."""
     atoms = list(atoms)
     for sample in samples:
         for i, (f, strict) in enumerate(atoms):

@@ -116,7 +116,9 @@ def fraction_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return fl + 1 / fraction_simplest_between(1 / b, 1 / a)
 
 
-def _fraction_enclosure(r, prec):
+def fraction_enclosure(r, prec):
+    """Rational bounds lo <= r <= hi of a qfnra.Root, within 2^-prec / a
+    for an irrational root."""
     if r.is_rational:
         return r.value, r.value
     s = math.isqrt(r.disc << (2 * prec))
@@ -134,7 +136,7 @@ def _to_float(fr):
 
 
 def _float_key(r):
-    return _to_float(_fraction_enclosure(r, 40)[0])
+    return _to_float(fraction_enclosure(r, 40)[0])
 
 
 def _fraction_roots_equal(r1, r2):
@@ -172,7 +174,7 @@ def fraction_critical_samples(polys, max_prec=1 << 16):
         if not dup:
             unique.append(r)
     prec = 64
-    encl = [_fraction_enclosure(r, prec) for r in unique]
+    encl = [fraction_enclosure(r, prec) for r in unique]
     while True:
         bad = [i for i in range(len(unique) - 1)
                if not encl[i][1] < encl[i + 1][0]]
@@ -182,7 +184,7 @@ def fraction_critical_samples(polys, max_prec=1 << 16):
         if prec > max_prec:
             return None
         for i in set(bad) | {i + 1 for i in bad}:
-            encl[i] = _fraction_enclosure(unique[i], prec)
+            encl[i] = fraction_enclosure(unique[i], prec)
     if not unique:
         return [(Fraction(0), (None, None))]
     first_lo, last_hi = encl[0][0], encl[-1][1]

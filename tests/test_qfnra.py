@@ -15,9 +15,9 @@ from petctraffic import cli, contraction, qfnra
 from petctraffic.abstraction import build_mpetc_bisim, build_petc_sim
 from petctraffic.qfnra import (critical_samples, decide, format_rational,
                                root_cmp, roots_of_quadratic, run_script,
-                               simplest_between, t_verdict, verify_witness)
+                               t_verdict, verify_witness)
 from conftest import (float_conic_witness, fraction_critical_samples,
-                      fraction_simplest_between)
+                      fraction_enclosure, fraction_simplest_between)
 
 F = Fraction
 
@@ -27,6 +27,12 @@ def form(a, b, c):
 
 
 IDENT = form(1, 0, 1)
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """qfnra's integer continued-fraction walk on Fraction ends."""
+    return F(*qfnra._simplest_between(lo.numerator, lo.denominator,
+                                      hi.numerator, hi.denominator))
 
 
 def run(text: str) -> str:
@@ -44,7 +50,7 @@ def test_roots_rational_and_irrational():
     assert [r.value for r in rs] == [F(1), F(2)]
     rs = roots_of_quadratic(1, 0, -2)  # +-sqrt(2)
     assert all(r.value is None for r in rs)
-    lo, hi = rs[1].enclosure(30)
+    lo, hi = fraction_enclosure(rs[1], 30)
     assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-8
     assert roots_of_quadratic(1, 0, 1) == []
     assert roots_of_quadratic(0, 2, -3)[0].value == F(3, 2)
@@ -83,9 +89,9 @@ def test_root_cmp_matches_enclosures(polys):
     # equal roots, including those of proportional polynomials
     roots = [r for p in polys for r in roots_of_quadratic(*p)]
     for r1 in roots:
-        lo1, hi1 = r1.enclosure(512)
+        lo1, hi1 = fraction_enclosure(r1, 512)
         for r2 in roots:
-            lo2, hi2 = r2.enclosure(512)
+            lo2, hi2 = fraction_enclosure(r2, 512)
             c = root_cmp(r1, r2)
             assert c == -root_cmp(r2, r1)
             if hi1 < lo2:
@@ -129,7 +135,7 @@ def _normal(samples):
 def _bounds(direction):
     """Rational bounds of a sample direction."""
     if isinstance(direction, qfnra.Root):
-        return direction.enclosure(256)
+        return fraction_enclosure(direction, 256)
     return direction, direction
 
 
@@ -161,7 +167,7 @@ def test_close_roots_in_swapped_float_order_are_separated():
     # p/q lies just below sqrt(2) but above its 40-bit lower bound, so
     # a float key read off that bound sorts sqrt(2) first
     r = roots_of_quadratic(1, 0, -2)[1]
-    pq = r.enclosure(40)[0] + F(1, 2**44)
+    pq = fraction_enclosure(r, 40)[0] + F(1, 2**44)
     p, q = pq.numerator, pq.denominator
     atoms = [(form(-2, 0, 1), ">=", F(0)),
              (((F(-p), F(q, 2)), (F(q, 2), F(0))), ">", F(0))]
