@@ -66,6 +66,8 @@ def load_config(path: str | Path | None) -> dict:
 
 
 _REQUIRED = ("A", "B", "K", "P_lyap", "h", "k_bar", "r")
+# optional numeric fields and their open ranges (None: unbounded)
+_RANGES = {"a_tol": (0, 1), "hP_resolution": (0, None), "h_P": (0, None)}
 
 
 def _validate_config(cfg: dict) -> None:
@@ -74,6 +76,12 @@ def _validate_config(cfg: dict) -> None:
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing config field {key!r}")
+    for key, (lo, hi) in _RANGES.items():
+        v = cfg.get(key)
+        if key in cfg and not (isinstance(v, Fraction) and lo < v
+                               and (hi is None or v < hi)):
+            raise ConfigError(f"{key} must be a number in "
+                              f"({lo}, {'inf' if hi is None else hi})")
     direct = "Q_trig" in cfg
     predictive = any(k in cfg for k in ("Q_lyap", "rho"))
     if direct and predictive:

@@ -1,28 +1,25 @@
-"""Exact satisfiability of conjunctions of quadratic-form constraints.
+"""Exact satisfiability of conjunctions of homogeneous quadratic-form
+constraints in one or two variables, by sign tests on integer forms.
 
-``decide(n, atoms)`` takes atoms (F, rel, c) meaning  x'Fx rel c  over n
-real variables and answers `sat` with a rational witness, `unsat`, or
-`unknown`; ``satcheck.check`` calls it for the contraction queries.  The
-word queries are homogeneous and go to ``wordtree``, which shares the
-root isolation (``critical_samples``) and the witness helpers here.
-``run_script`` is an SMT-LIB2 command interpreter around it for the
-fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
+An atom x'Fx rel 0 in two variables is the sign of a binary quadratic
+form, kept as a primitive integer triple (a2, a1, a0) with a strict
+flag.  On the directions u = (1, m) each form is an integer quadratic in
+m, sign-invariant between its real roots.  ``critical_samples`` isolates
+those roots exactly, on integers, and ``feasible`` tests the signs at
+one simplest rational direction per open region, at each rational root
+exactly, at each irrational root in Z[sqrt(D)] and at the vertical
+direction (0, 1).  The atoms are homogeneous, so a feasible rational
+direction is itself a witness, and feasible irrational directions alone
+leave the query `unknown`.  ``decide`` answers the contraction queries
+of ``satcheck.check`` this way, and ``wordtree`` runs the same kernel on
+the word queries, with the witness helpers here.
+
+``run_script`` is an SMT-LIB2 command interpreter around ``decide`` for
+the fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
 constants declared with `declare-const`, and asserted atoms of the form
 p(x) rel q(x)  where p - q is a quadratic form plus a rational constant.
-It answers `sat`/`unsat`/`unknown` to `(check-sat)` and prints a
-rational model on `(get-model)`.
-
-For one and two variables the procedure is complete: writing a candidate
-as x = s*(1, m), every atom becomes  t*q_j(m) rel c_j  with t = s^2 and
-q_j quadratic in the direction coordinate m, so the per-direction verdict
-is a one-dimensional interval intersection whose outcome can only change
-where some q_j or some cross-comparison polynomial changes sign.  All
-real roots of those polynomials are isolated exactly, one rational sample
-is checked inside every sign-invariant region, and the (possibly
-irrational) critical directions themselves are checked in exact
-quadratic-surd arithmetic.  `sat` is only reported together with a
-rational witness re-verified against every atom; a feasible set that is
-not shown to contain a rational point yields `unknown`.
+It answers `sat`/`unsat`/`unknown` to `(check-sat)` (`unknown` for a
+nonzero constant) and prints a rational model on `(get-model)`.
 
 The module depends on nothing outside the standard library.
 """
@@ -225,58 +222,6 @@ def _sign_pair(p, q, d):
     return sp if t > 0 else sq
 
 
-class IntSurd:
-    """(p + q*sqrt(D)) / den with integer entries and den != 0.
-
-    Deliberately unnormalized: no gcd is ever taken, so arithmetic on
-    the big integers produced by deep constraint systems stays cheap.
-    """
-
-    __slots__ = ("p", "q", "den", "D")
-
-    def __init__(self, p, q, den, D):
-        self.p = p
-        self.q = q
-        self.den = den
-        self.D = D
-
-    def sign(self):
-        return _sign_pair(self.p, self.q, self.D) * _sgn(self.den)
-
-
-def _to_intsurd(x, d):
-    if isinstance(x, IntSurd):
-        return x
-    x = Fraction(x)
-    return IntSurd(x.numerator, 0, x.denominator, d)
-
-
-def val_sign(x):
-    if isinstance(x, IntSurd):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
-def val_sub_sign(x, y):
-    """sign(x - y) for Fraction/IntSurd operands."""
-    if isinstance(x, IntSurd) or isinstance(y, IntSurd):
-        d = x.D if isinstance(x, IntSurd) else y.D
-        x, y = _to_intsurd(x, d), _to_intsurd(y, d)
-        p = x.p * y.den - y.p * x.den
-        q = x.q * y.den - y.q * x.den
-        return _sign_pair(p, q, d) * _sgn(x.den * y.den)
-    return (x > y) - (x < y)
-
-
-def val_div(c, q):
-    if isinstance(q, IntSurd):
-        c = Fraction(c)
-        norm = q.p * q.p - q.q * q.q * q.D
-        num = c.numerator * q.den
-        return IntSurd(num * q.p, -num * q.q, c.denominator * norm, q.D)
-    return Fraction(c) / q
-
-
 # ---------------------------------------------------------------------------
 # roots of integer quadratics, with exact isolation
 
@@ -360,77 +305,7 @@ def root_cmp(r1, r2):
 
 
 # ---------------------------------------------------------------------------
-# the scale (t = s^2) interval verdict at a fixed direction
-
-INFEAS = "infeas"
-OPEN = "open"
-POINT = "point"
-
-
-def _const_holds(rel, c):
-    zero = Fraction(0)
-    return {"<=": zero <= c, "<": zero < c, ">=": zero >= c,
-            ">": zero > c, "=": zero == c}[rel]
-
-
-def t_verdict(items):
-    """Feasibility in t > 0 of constraints t*q rel c; q, c exact values.
-
-    Returns (INFEAS, None), (OPEN, (lo, lo_strict, hi, hi_strict)) with
-    hi possibly None for +infinity, or (POINT, t).
-    """
-    lo, lo_strict = Fraction(0), True
-    hi, hi_strict = None, True
-    pin = None
-    for q, rel, c in items:
-        s = val_sign(q)
-        if s == 0:
-            if not _const_holds(rel, c):
-                return INFEAS, None
-            continue
-        bound = val_div(c, q)
-        r = rel if s > 0 else FLIP[rel]
-        if r == "=":
-            if pin is None:
-                pin = bound
-            elif val_sub_sign(pin, bound) != 0:
-                return INFEAS, None
-        elif r in ("<=", "<"):
-            strict = r == "<"
-            if hi is None:
-                hi, hi_strict = bound, strict
-            else:
-                cmp = val_sub_sign(bound, hi)
-                if cmp < 0:
-                    hi, hi_strict = bound, strict
-                elif cmp == 0:
-                    hi_strict = hi_strict or strict
-        else:
-            strict = r == ">"
-            cmp = val_sub_sign(bound, lo)
-            if cmp > 0:
-                lo, lo_strict = bound, strict
-            elif cmp == 0:
-                lo_strict = lo_strict or strict
-    if pin is not None:
-        if val_sign(pin) <= 0:
-            return INFEAS, None
-        c_lo = val_sub_sign(pin, lo)
-        if c_lo < 0 or (c_lo == 0 and lo_strict):
-            return INFEAS, None
-        if hi is not None:
-            c_hi = val_sub_sign(hi, pin)
-            if c_hi < 0 or (c_hi == 0 and hi_strict):
-                return INFEAS, None
-        return POINT, pin
-    if hi is None:
-        return OPEN, (lo, lo_strict, None, True)
-    cmp = val_sub_sign(hi, lo)
-    if cmp > 0:
-        return OPEN, (lo, lo_strict, hi, hi_strict)
-    if cmp == 0 and not lo_strict and not hi_strict and val_sign(lo) > 0:
-        return POINT, lo
-    return INFEAS, None
+# rational points
 
 
 def rational_sqrt_in(lo, lo_strict, hi, hi_strict):
@@ -609,48 +484,6 @@ def _round_root(root, prec):
     return (-root.b * prec + root.a + root.eps * s) // (2 * root.a)
 
 
-def _value_to_exact_fraction(v):
-    """Fraction value of a Fraction/IntSurd, or None if irrational."""
-    if isinstance(v, IntSurd):
-        return Fraction(v.p, v.den) if v.q == 0 else None
-    return Fraction(v)
-
-
-def _witness_at_direction(direction, verdict, data, atoms, region, eq_atoms):
-    """Exact rational witness at a rational direction, or None.
-
-    direction: Fraction m for the ray s*(1, m), or "inf" for s*(0, 1).
-    region: rational bounds of the containing sign-invariant direction
-    region; used by the conic search when the scale is pinned to a
-    rational that is not a perfect square.
-    """
-    def embed(s):
-        if direction == "inf":
-            return (Fraction(0), s)
-        return (s, s * direction)
-
-    if verdict == OPEN:
-        lo, lo_strict, hi, hi_strict = data
-        lo = _value_to_exact_fraction(lo)
-        hi = _value_to_exact_fraction(hi) if hi is not None else None
-        if lo is None or (hi is None and data[2] is not None):
-            return None
-        s = rational_sqrt_in(lo, lo_strict, hi, hi_strict)
-        x = embed(s)
-        return x if verify_witness(atoms, x) else None
-    t = _value_to_exact_fraction(data)
-    if t is None:
-        return None
-    s = rational_square_root(t)
-    if s is not None:
-        x = embed(s)
-        if verify_witness(atoms, x):
-            return x
-    if eq_atoms and direction != "inf":
-        return _conic_witness(eq_atoms[0], atoms, direction, region)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the decision procedure
 
@@ -663,48 +496,11 @@ class Decided:
 
 
 def _primitive(coeffs):
-    """Scale rational coefficients to coprime integers, positive leader."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    """Scale rational coefficients to coprime integers of the same signs."""
+    den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
-
-
-def decide(n, atoms, max_prec=1 << 16):
-    """Decide a conjunction of n-variable quadratic-form atoms."""
-    if n == 0:
-        ok = all(_const_holds(rel, c) for _, rel, c in atoms)
-        return Decided("sat" if ok else "unsat", witness=())
-    zero = tuple(Fraction(0) for _ in range(n))
-    if all(_const_holds(rel, c) for _, rel, c in atoms):
-        return Decided("sat", witness=zero)
-    if n == 1:
-        verdict, data = t_verdict([(f[0][0], rel, c) for f, rel, c in atoms])
-        if verdict == INFEAS:
-            return Decided("unsat")
-        if verdict == OPEN:
-            s = rational_sqrt_in(*data)
-            if verify_witness(atoms, (s,)):
-                return Decided("sat", witness=(s,))
-        else:
-            s = rational_square_root(_value_to_exact_fraction(data))
-            if s is not None and verify_witness(atoms, (s,)):
-                return Decided("sat", witness=(s,))
-        return Decided("unknown", reason="feasible set has no rational point")
-    if n != 2:
-        return Decided("unknown", reason=f"{n} variables not supported")
-    return _decide_2d(atoms, max_prec)
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def _enclosed_cmp(x, y):
@@ -776,95 +572,102 @@ def critical_samples(polys, max_prec=1 << 16):
     return samples
 
 
-def _decide_2d(atoms, max_prec):
-    eq_atoms = [a for a in atoms if a[1] == "="]
+VERTICAL = "vertical"
 
-    # integer coefficient triples for q_j(m) = (A2 m^2 + A1 m + A0) / S
-    evals = []
-    qpolys = []
-    for f, rel, c in atoms:
-        co = (f[1][1], f[0][1] + f[1][0], f[0][0])
-        qpolys.append(co)
-        den = 1
-        for v in co:
-            den = den * v.denominator // gcd(den, v.denominator)
-        evals.append((int(co[0] * den), int(co[1] * den), int(co[2] * den),
-                      den, rel, c))
 
-    def items_at(pnum, pden):
-        out = []
-        p2, pq, q2 = pnum * pnum, pnum * pden, pden * pden
-        for a2, a1, a0, s, rel, c in evals:
-            out.append((IntSurd(a2 * p2 + a1 * pq + a0 * q2, 0, s * q2, 1),
-                        rel, c))
-        return out
+def sign(f, direction) -> int:
+    """The sign of the binary form f = (a2, a1, a0), that is
+    a2 u1^2 + a1 u0 u1 + a0 u0^2, at u = (1, m) for a Fraction or Root m,
+    or at u = (0, 1) for VERTICAL."""
+    a2, a1, a0 = f
+    if direction is VERTICAL:
+        return _sgn(a2)
+    if isinstance(direction, Fraction):
+        p, q = direction.numerator, direction.denominator
+        return _sgn((a2 * p + a1 * q) * p + a0 * q * q)
+    # f at the root (-b + eps sqrt(D)) / (2a), times 4 a^2 > 0
+    a, b, d = direction.a, direction.b, direction.disc
+    return _sign_pair(a2 * (b * b + d) - 2 * a * b * a1 + 4 * a * a * a0,
+                      direction.eps * (2 * a * a1 - 2 * b * a2), d)
 
-    def items_at_root(r):
-        # q(m) at m = (-b + eps*sqrt(D)) / (2a), as elements of Z[sqrt(D)]
-        b, d, a, e = r.b, r.disc, r.a, r.eps
-        bb = b * b + d
-        foura2 = 4 * a * a
-        out = []
-        for a2, a1, a0, s, rel, c in evals:
-            u = a2 * bb - 2 * a * b * a1 + foura2 * a0
-            v = e * (2 * a * a1 - 2 * b * a2)
-            out.append((IntSurd(u, v, foura2 * s, d), rel, c))
-        return out
 
-    # critical polynomials: the q_j and, for atoms with nonzero right-hand
-    # side, the cross-comparison polynomials that reorder the t-bounds
-    crit = set()
-    for co in qpolys:
-        prim = _primitive(list(co))
-        if any(prim):
-            crit.add(prim)
-    nz = [(qpolys[i], atoms[i][2]) for i in range(len(atoms))
-          if atoms[i][2] != 0]
-    for i in range(len(nz)):
-        qi, ci = nz[i]
-        for j in range(i + 1, len(nz)):
-            qj, cj = nz[j]
-            prim = _primitive([cj * qi[k] - ci * qj[k] for k in range(3)])
-            if any(prim):
-                crit.add(prim)
+def sample_directions(atoms, n):
+    """The directions at which the atoms (f, strict), meaning f > 0 or
+    f >= 0, decide a query in n = 1 or 2 variables: those of
+    ``critical_samples`` for the atoms' forms, each with its region, and
+    for n = 2 the vertical one.  None when the roots of the forms cannot
+    be separated."""
+    polys = set()
+    for f, _ in atoms:
+        if any(f):
+            polys.add(f if next(c for c in f if c) > 0
+                      else tuple(-c for c in f))
+    samples = critical_samples(sorted(polys))
+    if samples is not None and n == 2:
+        samples.append((VERTICAL, (None, None)))
+    return samples
 
-    samples = critical_samples(sorted(crit), max_prec)
+
+def feasible(atoms, samples):
+    """The samples (direction, region) at which every atom holds, in
+    order.  The atom that rejected the last sample is tested first at
+    the next one: neighbouring samples are mostly rejected by the same
+    atom."""
+    atoms = list(atoms)
+    for sample in samples:
+        for i, (f, strict) in enumerate(atoms):
+            s = sign(f, sample[0])
+            if s < 0 or (s == 0 and strict):
+                if i:
+                    atoms.insert(0, atoms.pop(i))
+                break
+        else:
+            yield sample
+
+
+def decide(n, atoms):
+    """Decide a conjunction of homogeneous atoms x'Fx rel 0 in one or two
+    variables; Unsupported for a nonzero right-hand side or another n.
+
+    Each atom is one sign condition on the binary form of F (an `=`
+    atom two), a one-variable F padded with zeros.  Without a strict
+    atom x = 0 is a witness.  Otherwise the first feasible rational
+    direction u is one: every atom is homogeneous, so no scale is needed.
+    Feasible irrational directions alone give `unknown`."""
+    if any(c != 0 for _, _, c in atoms):
+        raise Unsupported("nonzero right-hand side")
+    if not any(rel in ("<", ">") for _, rel, _ in atoms):
+        return Decided("sat", witness=(Fraction(0),) * n)
+    if not 1 <= n <= 2:
+        raise Unsupported(f"{n} variables not supported")
+    forms = []
+    for f, rel, _ in atoms:
+        form = _primitive([f[1][1], f[0][1] + f[1][0], f[0][0]] if n == 2
+                          else [0, 0, f[0][0]])
+        if rel in (">", ">=", "="):
+            forms.append((form, rel == ">"))
+        if rel in ("<", "<=", "="):
+            forms.append((tuple(-c for c in form), rel == "<"))
+    return decide_forms(forms, n)
+
+
+def decide_forms(atoms, n):
+    """Decide the sign conditions atoms (f, strict) in n = 1 or 2
+    variables: `sat` with the first feasible rational direction as the
+    witness, `unknown` when only irrational directions are feasible or
+    the roots cannot be separated, else `unsat`."""
+    samples = sample_directions(atoms, n)
     if samples is None:
         return Decided("unknown",
                        reason="root separation exceeded precision cap")
-
-    real_feasible = False
-    for direction, region in samples:
-        if isinstance(direction, Root):
-            verdict, _ = t_verdict(items_at_root(direction))
-            if verdict != INFEAS:
-                # irrational direction: no rational point on this ray
-                real_feasible = True
-            continue
-        verdict, data = t_verdict(items_at(direction.numerator,
-                                           direction.denominator))
-        if verdict == INFEAS:
-            continue
-        x = _witness_at_direction(direction, verdict, data, atoms, region,
-                                  eq_atoms)
-        if x is not None:
-            return Decided("sat", witness=x)
-        real_feasible = True
-
-    # the vertical direction (0, 1)
-    verdict, data = t_verdict([(co[0], rel, c)
-                               for co, (_, rel, c) in zip(qpolys, atoms)])
-    if verdict != INFEAS:
-        x = _witness_at_direction("inf", verdict, data, atoms, (None, None),
-                                  eq_atoms)
-        if x is not None:
-            return Decided("sat", witness=x)
-        real_feasible = True
-
-    if real_feasible:
-        return Decided("unknown",
-                       reason="feasible, but no rational witness was found")
-    return Decided("unsat")
+    status = Decided("unsat")
+    for direction, _ in feasible(atoms, samples):
+        if not isinstance(direction, Root):
+            u = (0, 1) if direction is VERTICAL else (1, direction)
+            return Decided("sat", witness=tuple(Fraction(v) for v in u[:n]))
+        status = Decided("unknown",
+                         reason="feasible, but no rational witness was found")
+    return status
 
 
 # ---------------------------------------------------------------------------

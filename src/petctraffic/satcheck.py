@@ -2,13 +2,14 @@
 
 Builds the semi-algebraic sets behind the traffic abstraction — shell
 membership, inter-sample-time cones, sublevel-set exclusions — as
-conjunctions of quadratic-form atoms.  ``check`` decides a query with
-the exact procedure of ``qfnra`` in process, and certifies every sat
-answer with an exact rational witness re-verified against all atoms;
-unsat and unknown are passed through as decided.  The contraction
-queries go through ``check``; the word queries are decided by
-``wordtree``, which re-verifies each witness against the query
-``sequence_query`` writes.
+conjunctions of quadratic-form atoms.  ``check`` decides a homogeneous
+query (every right-hand side 0) in process with ``qfnra.decide``, and
+certifies every sat answer with an exact rational witness re-verified
+against all atoms; unsat and unknown are passed through as decided.
+The contraction queries are homogeneous and go through ``check``.  A
+word query, as ``sequence_query`` writes it, bounds V(x) by V0 and r V0;
+``wordtree`` decides it on homogeneous forms with the same sign-test
+kernel and re-verifies each witness against the written query.
 
 ``to_smtlib`` and ``parse_model`` write a query as an SMT-LIB2
 (QF_NRA) script and read a model back; the pipeline does not call them,

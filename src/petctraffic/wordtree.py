@@ -10,11 +10,10 @@ Phi_0 = I, eliminating t leaves for a word of length m:
 * the unit-shell query: those and v_m <= r v_0.
 
 Every right-hand side is 0, so a direction is accepted or rejected by
-the signs of binary quadratic forms alone.  On the directions u = (1, m)
-each form is an integer quadratic in m, sign-invariant between its real
-roots: one rational sample per open region, each rational root exactly,
-each irrational root in Z[sqrt(D)], and the vertical direction (0, 1)
-decide the query (``qfnra.critical_samples`` isolates the roots).
+the signs of binary quadratic forms alone, and the sign-test kernel of
+``qfnra`` decides the query: ``decide_forms`` a prefix query, and
+``sample_directions`` and ``feasible`` the directions on which a full
+query's witness is built.
 
 A node of the word tree holds the integer Phi of its word over a common
 denominator and the integer V forms of its prefix, so a child multiplies
@@ -37,9 +36,6 @@ from .satcheck import SUBLEVEL, SatResult
 from .semantics import _integer_form, _integer_matrix
 from .sysmodel import DiscretizedPetc
 
-VERTICAL = "vertical"
-
-
 def _pullback(form, g) -> tuple[int, int, int]:
     """(a2, a1, a0) with s(G (1, m)) = a2 m^2 + a1 m + a0, for the form
     s(y) = s00 y0^2 + s01 y0 y1 + s11 y1^2 given as (s00, s01, s11)."""
@@ -57,37 +53,6 @@ def _atom(coeffs, strict: bool):
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
     return tuple(coeffs), strict
-
-
-def _sign(f, direction) -> int:
-    a2, a1, a0 = f
-    if direction is VERTICAL:
-        return (a2 > 0) - (a2 < 0)
-    if isinstance(direction, Fraction):
-        p, q = direction.numerator, direction.denominator
-        v = (a2 * p + a1 * q) * p + a0 * q * q
-        return (v > 0) - (v < 0)
-    # f at the root (-b + eps sqrt(D)) / (2a), times 4 a^2 > 0
-    a, b, d = direction.a, direction.b, direction.disc
-    return qfnra._sign_pair(a2 * (b * b + d) - 2 * a * b * a1 + 4 * a * a * a0,
-                            direction.eps * (2 * a * a1 - 2 * b * a2), d)
-
-
-def _feasible(atoms, samples):
-    """The samples (direction, region) at which every atom holds, in
-    order.  The atom that rejected the last sample is tested first at
-    the next one: neighbouring samples are mostly rejected by the same
-    atom."""
-    atoms = list(atoms)
-    for sample in samples:
-        for i, (f, strict) in enumerate(atoms):
-            s = _sign(f, sample[0])
-            if s < 0 or (s == 0 and strict):
-                if i:
-                    atoms.insert(0, atoms.pop(i))
-                break
-        else:
-            yield sample
 
 
 def _value(f, u) -> Fraction:
@@ -177,44 +142,21 @@ class WordEngine:
         return [_atom([p * dm * dm * a - q * b
                        for a, b in zip(node.forms[0][0], qm)], False)]
 
-    def _samples(self, atoms):
-        """The directions at which the atoms decide the query, each with
-        the rational bounds of its region, in order (see
-        ``qfnra.critical_samples``) and then the vertical one; None when
-        the roots of the atoms' forms cannot be separated."""
-        polys = set()
-        for f, _ in atoms:
-            if any(f):
-                polys.add(f if next(c for c in f if c) > 0
-                          else tuple(-c for c in f))
-        samples = qfnra.critical_samples(sorted(polys))
-        if samples is not None and self.disc.n_x == 2:
-            samples.append((VERTICAL, (None, None)))
-        return samples
-
     def prefix_status(self, node: Node) -> str:
         """sat, unsat or unknown for the query of node.word without its
         terminal atom; no witness is built."""
-        samples = self._samples(node.atoms)
-        if samples is None:
-            return "unknown"
-        status = "unsat"
-        for direction, _ in _feasible(node.atoms, samples):
-            if not isinstance(direction, qfnra.Root):
-                return "sat"
-            status = "unknown"
-        return status
+        return qfnra.decide_forms(node.atoms, self.disc.n_x).status
 
     def decide(self, node: Node, shell: str) -> SatResult:
         """The full query of node.word from the sublevel set or from the
         unit shell, with an exactly re-verified witness when sat."""
         atoms = node.atoms + tuple(self._terminal(node, shell))
-        samples = self._samples(atoms)
+        samples = qfnra.sample_directions(atoms, self.disc.n_x)
         if samples is None:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
         feasible = False
-        for direction, region in _feasible(atoms, samples):
+        for direction, region in qfnra.feasible(atoms, samples):
             feasible = True
             if isinstance(direction, qfnra.Root):
                 continue
@@ -235,7 +177,7 @@ class WordEngine:
     def _witness(self, node, shell, atoms, direction, region):
         """A rational x = s u on the feasible direction u, or None."""
         disc = self.disc
-        u = ((Fraction(0), Fraction(1)) if direction is VERTICAL
+        u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
              else (Fraction(1), direction))
         v = [_value(f, u) / (self._p_scale * d * d) for f, d in node.forms]
         if shell == SUBLEVEL:
@@ -249,7 +191,8 @@ class WordEngine:
         s = qfnra.rational_square_root(disc.V0 / v[0])
         if s is not None:
             return (s * u[0], s * u[1])[:disc.n_x]
-        if direction is VERTICAL or disc.n_x == 1 or self._conic_base is None:
+        if (direction is qfnra.VERTICAL or disc.n_x == 1
+                or self._conic_base is None):
             return None
         eq = (disc.P_rat, "=", disc.V0)
         matrices = [(((a0, a1), (0, a2)), ">" if strict else ">=", 0)

@@ -2,9 +2,10 @@
 setting (r = 0.5) used by most tests, plus small synthetic systems, float
 oracles of the exact semantics, the from-scratch Fraction replay that
 the integer orbit of verify replaced, the per-word solver queries that
-the word-tree engine of abstraction replaced, and the Fraction root
+the word-tree engine of abstraction replaced, the Fraction root
 isolation and float conic search that the integer kernel of qfnra
-replaced."""
+replaced, and the t-scale decision procedure that the sign-test decide
+of qfnra replaced."""
 
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from petctraffic import (abstraction, contraction, qfnra, ratlin, satcheck,
-                         semantics, verify)
+from petctraffic import (abstraction, cli, contraction, qfnra, ratlin,
+                         satcheck, semantics, verify)
 from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
                                   build_predictive_Q, rationalize)
 
@@ -279,22 +280,290 @@ def float_conic_witness(eq_atom, atoms, m_target, region, base=None):
     return None
 
 
+# ---------------------------------------------------------------------------
+# the t-scale procedure that qfnra.decide replaced: any right-hand sides,
+# decided by an interval in the scale t = s^2 at every sample direction
+
+INFEAS = "infeas"
+OPEN = "open"
+POINT = "point"
+
+
+class IntSurd:
+    """(p + q*sqrt(D)) / den with integer entries and den != 0, unnormalized."""
+
+    __slots__ = ("p", "q", "den", "D")
+
+    def __init__(self, p, q, den, D):
+        self.p, self.q, self.den, self.D = p, q, den, D
+
+    def sign(self):
+        return qfnra._sign_pair(self.p, self.q, self.D) * qfnra._sgn(self.den)
+
+
+def _to_intsurd(x, d):
+    if isinstance(x, IntSurd):
+        return x
+    x = Fraction(x)
+    return IntSurd(x.numerator, 0, x.denominator, d)
+
+
+def val_sign(x):
+    if isinstance(x, IntSurd):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def val_sub_sign(x, y):
+    """sign(x - y) for Fraction/IntSurd operands."""
+    if isinstance(x, IntSurd) or isinstance(y, IntSurd):
+        d = x.D if isinstance(x, IntSurd) else y.D
+        x, y = _to_intsurd(x, d), _to_intsurd(y, d)
+        p = x.p * y.den - y.p * x.den
+        q = x.q * y.den - y.q * x.den
+        return qfnra._sign_pair(p, q, d) * qfnra._sgn(x.den * y.den)
+    return (x > y) - (x < y)
+
+
+def val_div(c, q):
+    if isinstance(q, IntSurd):
+        c = Fraction(c)
+        norm = q.p * q.p - q.q * q.q * q.D
+        num = c.numerator * q.den
+        return IntSurd(num * q.p, -num * q.q, c.denominator * norm, q.D)
+    return Fraction(c) / q
+
+
+def _const_holds(rel, c):
+    zero = Fraction(0)
+    return {"<=": zero <= c, "<": zero < c, ">=": zero >= c,
+            ">": zero > c, "=": zero == c}[rel]
+
+
+def t_verdict(items):
+    """Feasibility in t > 0 of constraints t*q rel c; q, c exact values.
+
+    Returns (INFEAS, None), (OPEN, (lo, lo_strict, hi, hi_strict)) with
+    hi possibly None for +infinity, or (POINT, t).
+    """
+    lo, lo_strict = Fraction(0), True
+    hi, hi_strict = None, True
+    pin = None
+    for q, rel, c in items:
+        s = val_sign(q)
+        if s == 0:
+            if not _const_holds(rel, c):
+                return INFEAS, None
+            continue
+        bound = val_div(c, q)
+        r = rel if s > 0 else qfnra.FLIP[rel]
+        if r == "=":
+            if pin is None:
+                pin = bound
+            elif val_sub_sign(pin, bound) != 0:
+                return INFEAS, None
+        elif r in ("<=", "<"):
+            strict = r == "<"
+            if hi is None:
+                hi, hi_strict = bound, strict
+            else:
+                cmp = val_sub_sign(bound, hi)
+                if cmp < 0:
+                    hi, hi_strict = bound, strict
+                elif cmp == 0:
+                    hi_strict = hi_strict or strict
+        else:
+            strict = r == ">"
+            cmp = val_sub_sign(bound, lo)
+            if cmp > 0:
+                lo, lo_strict = bound, strict
+            elif cmp == 0:
+                lo_strict = lo_strict or strict
+    if pin is not None:
+        if val_sign(pin) <= 0:
+            return INFEAS, None
+        c_lo = val_sub_sign(pin, lo)
+        if c_lo < 0 or (c_lo == 0 and lo_strict):
+            return INFEAS, None
+        if hi is not None:
+            c_hi = val_sub_sign(hi, pin)
+            if c_hi < 0 or (c_hi == 0 and hi_strict):
+                return INFEAS, None
+        return POINT, pin
+    if hi is None:
+        return OPEN, (lo, lo_strict, None, True)
+    cmp = val_sub_sign(hi, lo)
+    if cmp > 0:
+        return OPEN, (lo, lo_strict, hi, hi_strict)
+    if cmp == 0 and not lo_strict and not hi_strict and val_sign(lo) > 0:
+        return POINT, lo
+    return INFEAS, None
+
+
+def _exact_fraction(v):
+    """Fraction value of a Fraction/IntSurd, or None if irrational."""
+    if isinstance(v, IntSurd):
+        return Fraction(v.p, v.den) if v.q == 0 else None
+    return Fraction(v)
+
+
+def _witness_at_direction(direction, verdict, data, atoms, region, eq_atoms):
+    """Exact rational witness on the ray s*(1, direction), or s*(0, 1) for
+    direction "inf", or None; region bounds the conic search."""
+    def embed(s):
+        if direction == "inf":
+            return (Fraction(0), s)
+        return (s, s * direction)
+
+    if verdict == OPEN:
+        lo, lo_strict, hi, hi_strict = data
+        lo = _exact_fraction(lo)
+        hi = _exact_fraction(hi) if hi is not None else None
+        if lo is None or (hi is None and data[2] is not None):
+            return None
+        x = embed(qfnra.rational_sqrt_in(lo, lo_strict, hi, hi_strict))
+        return x if qfnra.verify_witness(atoms, x) else None
+    t = _exact_fraction(data)
+    if t is None:
+        return None
+    s = qfnra.rational_square_root(t)
+    if s is not None:
+        x = embed(s)
+        if qfnra.verify_witness(atoms, x):
+            return x
+    if eq_atoms and direction != "inf":
+        return qfnra._conic_witness(eq_atoms[0], atoms, direction, region)
+    return None
+
+
+def _positive_leader(coeffs):
+    for v in coeffs:
+        if v:
+            return coeffs if v > 0 else tuple(-c for c in coeffs)
+    return coeffs
+
+
+def oracle_decide(n, atoms):
+    """The t-scale decision of n-variable atoms x'Fx rel c for n <= 2."""
+    if n == 0:
+        ok = all(_const_holds(rel, c) for _, rel, c in atoms)
+        return qfnra.Decided("sat" if ok else "unsat", witness=())
+    if all(_const_holds(rel, c) for _, rel, c in atoms):
+        return qfnra.Decided("sat", witness=(Fraction(0),) * n)
+    if n == 1:
+        verdict, data = t_verdict([(f[0][0], rel, c) for f, rel, c in atoms])
+        if verdict == INFEAS:
+            return qfnra.Decided("unsat")
+        if verdict == OPEN:
+            s = qfnra.rational_sqrt_in(*data)
+        else:
+            s = qfnra.rational_square_root(_exact_fraction(data))
+        if s is not None and qfnra.verify_witness(atoms, (s,)):
+            return qfnra.Decided("sat", witness=(s,))
+        return qfnra.Decided("unknown",
+                             reason="feasible set has no rational point")
+    if n != 2:
+        return qfnra.Decided("unknown", reason=f"{n} variables not supported")
+    eq_atoms = [a for a in atoms if a[1] == "="]
+
+    # integer coefficient triples for q_j(m) = (A2 m^2 + A1 m + A0) / S
+    evals, qpolys = [], []
+    for f, rel, c in atoms:
+        co = (f[1][1], f[0][1] + f[1][0], f[0][0])
+        qpolys.append(co)
+        den = 1
+        for v in co:
+            den = den * v.denominator // math.gcd(den, v.denominator)
+        evals.append((int(co[0] * den), int(co[1] * den), int(co[2] * den),
+                      den, rel, c))
+
+    def items_at(pnum, pden):
+        p2, pq, q2 = pnum * pnum, pnum * pden, pden * pden
+        return [(IntSurd(a2 * p2 + a1 * pq + a0 * q2, 0, s * q2, 1), rel, c)
+                for a2, a1, a0, s, rel, c in evals]
+
+    def items_at_root(r):
+        # q(m) at m = (-b + eps*sqrt(D)) / (2a), as elements of Z[sqrt(D)]
+        b, d, a, e = r.b, r.disc, r.a, r.eps
+        bb, foura2 = b * b + d, 4 * a * a
+        return [(IntSurd(a2 * bb - 2 * a * b * a1 + foura2 * a0,
+                         e * (2 * a * a1 - 2 * b * a2), foura2 * s, d), rel, c)
+                for a2, a1, a0, s, rel, c in evals]
+
+    # critical polynomials: the q_j and, for atoms with nonzero right-hand
+    # side, the cross-comparison polynomials that reorder the t-bounds
+    crit = set()
+    for co in qpolys:
+        prim = _positive_leader(qfnra._primitive(list(co)))
+        if any(prim):
+            crit.add(prim)
+    nz = [(qpolys[i], atoms[i][2]) for i in range(len(atoms))
+          if atoms[i][2] != 0]
+    for i in range(len(nz)):
+        qi, ci = nz[i]
+        for j in range(i + 1, len(nz)):
+            qj, cj = nz[j]
+            prim = _positive_leader(qfnra._primitive(
+                [cj * qi[k] - ci * qj[k] for k in range(3)]))
+            if any(prim):
+                crit.add(prim)
+
+    samples = qfnra.critical_samples(sorted(crit))
+    if samples is None:
+        return qfnra.Decided("unknown",
+                             reason="root separation exceeded precision cap")
+    real_feasible = False
+    for direction, region in samples:
+        if isinstance(direction, qfnra.Root):
+            verdict, _ = t_verdict(items_at_root(direction))
+            if verdict != INFEAS:
+                # irrational direction: no rational point on this ray
+                real_feasible = True
+            continue
+        verdict, data = t_verdict(items_at(direction.numerator,
+                                           direction.denominator))
+        if verdict == INFEAS:
+            continue
+        x = _witness_at_direction(direction, verdict, data, atoms, region,
+                                  eq_atoms)
+        if x is not None:
+            return qfnra.Decided("sat", witness=x)
+        real_feasible = True
+
+    # the vertical direction (0, 1)
+    verdict, data = t_verdict([(co[0], rel, c)
+                               for co, (_, rel, c) in zip(qpolys, atoms)])
+    if verdict != INFEAS:
+        x = _witness_at_direction("inf", verdict, data, atoms, (None, None),
+                                  eq_atoms)
+        if x is not None:
+            return qfnra.Decided("sat", witness=x)
+        real_feasible = True
+    if real_feasible:
+        return qfnra.Decided("unknown",
+                             reason="feasible, but no rational witness was "
+                                    "found")
+    return qfnra.Decided("unsat")
+
+
 @contextlib.contextmanager
 def oracle_kernel():
     """qfnra with fraction_critical_samples and float_conic_witness in
-    place of its integer root isolation and exact conic slopes."""
-    saved = qfnra.critical_samples, qfnra._conic_witness
+    place of its integer root isolation and exact conic slopes, and with
+    oracle_decide in place of its sign-test decide."""
+    saved = qfnra.critical_samples, qfnra._conic_witness, qfnra.decide
     qfnra.critical_samples = fraction_critical_samples
     qfnra._conic_witness = float_conic_witness
+    qfnra.decide = oracle_decide
     try:
         yield
     finally:
-        qfnra.critical_samples, qfnra._conic_witness = saved
+        qfnra.critical_samples, qfnra._conic_witness, qfnra.decide = saved
 
 
 def oracle_check(disc, word, shell, terminal) -> satcheck.SatResult:
     """One word query decided on its own: satcheck.check, through
-    qfnra.decide on the oracle kernel, on the query
+    oracle_decide on the oracle kernel, on the query
     satcheck.sequence_query writes."""
     with oracle_kernel():
         return satcheck.check(satcheck.sequence_query(disc, word, shell,
@@ -338,6 +607,29 @@ def oracle_models(disc, N, check=oracle_check):
         output=abstraction._outputs(sim_states, disc.h, disc.h_P),
         witnesses=sim_witnesses, h=disc.h, h_P=disc.h_P)
     return bisim, sim
+
+
+# changes to the bundled loop for the named test cases: r = 4/5; the
+# bundled example (r = 1/10); a scalar plant; r = 4/5 with P_lyap, Q_lyap
+# and V0 scaled by 3
+BUNDLED_CASES = {
+    "r4_5": lambda cfg: dict(r=Fraction(4, 5)),
+    "cs": lambda cfg: {},
+    "one_dim": lambda cfg: dict(
+        A=[[Fraction(1, 2)]], B=[[Fraction(1)]], K=[[Fraction(-1)]],
+        P_lyap=[[Fraction(1)]], Q_lyap=[[Fraction(1)]], r=Fraction(1, 10)),
+    "scaled": lambda cfg: dict(
+        r=Fraction(4, 5), V0=Fraction(3),
+        P_lyap=[[3 * v for v in row] for row in cfg["P_lyap"]],
+        Q_lyap=[[3 * v for v in row] for row in cfg["Q_lyap"]]),
+}
+
+
+def bundled(case):
+    """(cfg, disc) of the bundled loop changed as BUNDLED_CASES[case]."""
+    cfg = cli.load_config(None)
+    cfg = dict(cfg, **BUNDLED_CASES[case](cfg))
+    return cfg, cli.make_disc(cfg)
 
 
 @pytest.fixture(scope="session")

@@ -106,12 +106,12 @@ def test_build_petc_sim_wants_bisim(ci_disc):
 def full_query_words(disc, N):
     """Reference enumerator: extends kept words to the left, relying on
     suffix closure, and sends full queries only."""
+    engine = wordtree.WordEngine(disc)
     states, level = {EPSILON}, [EPSILON]
     for _ in range(N):
         candidates = sorted(((k,) + w for w in level for k in disc.K_range),
                             key=abstraction.word_key)
-        results = [satcheck.check(satcheck.sequence_query(
-                       disc, w, satcheck.SUBLEVEL, terminal=True))
+        results = [engine.decide(engine.node(w), satcheck.SUBLEVEL)
                    for w in candidates]
         assert all(res.status != "unknown" for res in results)
         level = [w for w, res in zip(candidates, results)

@@ -69,6 +69,12 @@ def test_config_field_validation(tmp_path):
     p.write_text(json.dumps(partial))
     with pytest.raises(ConfigError):
         load_config(p)
+    # optional numbers outside their ranges
+    for key, value in (("a_tol", 2), ("a_tol", 0), ("hP_resolution", 0),
+                       ("h_P", -1)):
+        p.write_text(json.dumps(dict(base, **{key: value})))
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
 
 
 def test_exit_code_config(tmp_path, capsys):
@@ -76,6 +82,28 @@ def test_exit_code_config(tmp_path, capsys):
     p.write_text("{}")
     assert main(["discretize", "--config", str(p)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+    # values that reach contraction.compute_a, compute_hP and
+    # sysmodel.rationalize: one line each, no traceback
+    for key, value in (("a_tol", 2), ("a_tol", 0), ("hP_resolution", 0),
+                       ("h_P", -1)):
+        config = write_config(tmp_path, **{key: value})
+        assert main(["contraction", "--config", config]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert len(err.splitlines()) == 1
+
+
+def test_exit_code_three_variables(tmp_path, capsys):
+    # the bundled loop with a third, decoupled state and h_P pinned: the
+    # bundled solver decides one and two variables only
+    config = write_config(
+        tmp_path, A=[[0, 1, 0], [-2, 3, 0], [0, 0, -1]], B=[[0], [1], [0]],
+        K=[[1, -4, 0]], P_lyap=[[1, 0.25, 0], [0.25, 1, 0], [0, 0, 1]],
+        Q_lyap=[[0.5, 0.25, 0], [0.25, 1.5, 0], [0, 0, 1]], h_P=0.4)
+    assert main(["contraction", "--config", config]) == EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert "3 variables not supported" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_discretize_default_config(capsys):

@@ -11,13 +11,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petctraffic import cli, contraction, qfnra
+from petctraffic import cli, contraction, qfnra, satcheck
 from petctraffic.abstraction import build_mpetc_bisim, build_petc_sim
 from petctraffic.qfnra import (critical_samples, decide, format_rational,
                                root_cmp, roots_of_quadratic, run_script,
-                               t_verdict, verify_witness)
-from conftest import (float_conic_witness, fraction_critical_samples,
-                      fraction_enclosure, fraction_simplest_between)
+                               verify_witness)
+from conftest import (bundled, float_conic_witness,
+                      fraction_critical_samples, fraction_enclosure,
+                      fraction_simplest_between, oracle_decide,
+                      oracle_kernel, t_verdict)
 
 F = Fraction
 
@@ -181,44 +183,59 @@ def test_close_roots_in_swapped_float_order_are_separated():
 # the integer kernel against its Fraction and float oracles
 
 
-@pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs", "one_dim", "scaled"])
 def test_kernel_matches_oracles(case, request, monkeypatch):
     # every root isolation and every conic witness of the contraction
     # queries and of both builds, on the r = 1/2 fixture, on the bundled
-    # loop at r = 4/5 and on the bundled example (r = 1/10); the integer
-    # kernel may answer only where its oracle did not
+    # loop at r = 4/5, on the bundled example (r = 1/10), on a scalar
+    # plant and on the loop at r = 4/5 with P_lyap, Q_lyap and V0 scaled
+    # by 3; the integer kernel may answer only where its oracle did not.
+    # Every contraction query is decided again by the t-scale oracle:
+    # the same verdicts, and every sat witness holds
     calls = {"critical_samples": [], "_conic_witness": []}
     for name, log in calls.items():
         def recording(*args, _fn=getattr(qfnra, name), _log=log, **kwargs):
             out = _fn(*args, **kwargs)
-            # a copy: the word engine appends the vertical direction
+            # a copy: the sample list gets the vertical direction appended
             _log.append((args, kwargs,
                          list(out) if isinstance(out, list) else out))
             return out
         monkeypatch.setattr(qfnra, name, recording)
+    real_check, checked = satcheck.check, []
+
+    def recording_check(query):
+        res = real_check(query)
+        checked.append((query, res))
+        return res
+
+    monkeypatch.setattr(satcheck, "check", recording_check)
     if case == "ci":
         disc = request.getfixturevalue("ci_disc")
         n = contraction.compute_N(contraction.compute_a(disc).a, disc.r)
     else:
-        cfg = cli.load_config(None)
-        if case == "r4_5":
-            cfg = dict(cfg, r=F(4, 5))
-        disc = cli.make_disc(cfg)
+        cfg, disc = bundled(case)
         _, n, _ = cli.run_contraction(cfg, disc)
     build_petc_sim(disc, build_mpetc_bisim(disc, n))
     oracles = {"critical_samples": fraction_critical_samples,
                "_conic_witness": float_conic_witness}
     for name, log in calls.items():
-        assert log, name
+        # a scalar plant has no conic: V0 / v_0 is a rational square
+        assert log or (name == "_conic_witness" and disc.n_x == 1), name
         for args, kwargs, out in log:
             ref = oracles[name](*args, **kwargs)
             if name == "critical_samples":
                 out, ref = _normal(out), _normal(ref)
             assert ref is None or out == ref, (name, args)
+    assert {res.status for _, res in checked} == {"sat", "unsat"}
+    for query, res in checked:
+        with oracle_kernel():
+            assert real_check(query).status == res.status, query
+        if res.status == "sat":
+            assert query.holds(res.witness)
 
 
 # ---------------------------------------------------------------------------
-# interval verdicts
+# the t-scale oracle's interval verdicts
 
 
 def test_t_verdict_basic():
@@ -237,23 +254,34 @@ def test_t_verdict_basic():
 
 
 def test_contradictory_sublevels_unsat():
-    res = decide(2, [(IDENT, "<=", F(1)), (IDENT, ">", F(2))])
+    # the oracle on sublevels; decide on cones
+    res = oracle_decide(2, [(IDENT, "<=", F(1)), (IDENT, ">", F(2))])
     assert res.status == "unsat"
+    assert decide(2, [(IDENT, "<", F(0))]).status == "unsat"
+    swap = form(1, 0, -1)
+    assert decide(2, [(swap, ">", F(0)), (swap, "<", F(0))]).status == "unsat"
 
 
 def test_unit_circle_sat_with_exact_witness():
+    # the oracle on the unit circle; decide on x0^2 = x1^2 with x0 x1 > 0,
+    # whose rational direction (1, 1) is a root of the equality's form
     atoms = [(IDENT, "=", F(1))]
-    res = decide(2, atoms)
+    res = oracle_decide(2, atoms)
     assert res.status == "sat"
     assert verify_witness(atoms, res.witness)
+    atoms = [(form(1, 0, -1), "=", F(0)), (form(0, 1, 0), ">", F(0))]
+    res = decide(2, atoms)
+    assert res.status == "sat" and res.witness == (F(1), F(1))
 
 
 def test_contraction_toy_threshold():
-    # x'x = 1 and (x/2)'(x/2) > a: feasible exactly when a < 1/4
-    quarter = ((F(1, 4), F(0)), (F(0), F(1, 4)))
+    # (x/2)'(x/2) > a x'x: feasible exactly when a < 1/4
     for a, want in ((F(1, 5), "sat"), (F(1, 4), "unsat"), (F(1, 3), "unsat")):
-        res = decide(2, [(IDENT, "=", F(1)), (quarter, ">", a)])
+        gap = form(F(1, 4) - a, 0, F(1, 4) - a)
+        res = decide(2, [(gap, ">", F(0))])
         assert res.status == want, a
+        if want == "sat":
+            assert verify_witness([(gap, ">", F(0))], res.witness)
 
 
 def test_zero_vector_shortcut():
@@ -264,30 +292,42 @@ def test_zero_vector_shortcut():
 
 def test_one_variable():
     sq = ((F(1),),)
-    assert decide(1, [(sq, ">", F(4)), (sq, "<", F(9))]).status == "sat"
-    assert decide(1, [(sq, ">", F(4)), (sq, "<", F(4))]).status == "unsat"
-    res = decide(1, [(sq, "=", F(4))])
+    assert oracle_decide(1, [(sq, ">", F(4)), (sq, "<", F(9))]).status == "sat"
+    assert oracle_decide(1, [(sq, ">", F(4)), (sq, "<", F(4))]).status \
+        == "unsat"
+    res = oracle_decide(1, [(sq, "=", F(4))])
     assert res.status == "sat" and res.witness in ((F(2),), (F(-2),))
     # x^2 = 2 has no rational solution: feasible over the reals, unknown here
-    assert decide(1, [(sq, "=", F(2))]).status == "unknown"
+    assert oracle_decide(1, [(sq, "=", F(2))]).status == "unknown"
+    # decide pads the variable with a second one it never moves
+    assert decide(1, [(sq, ">", F(0))]).witness == (F(1),)
+    assert decide(1, [(sq, ">", F(0)), (sq, "<=", F(0))]).status == "unsat"
+    neg = ((F(-3),),)
+    assert decide(1, [(neg, ">", F(0))]).status == "unsat"
+    assert decide(1, [(neg, "<", F(0)), (sq, "=", F(0))]).status == "unsat"
 
 
 def test_three_variables_unknown():
-    f3 = tuple(tuple(F(i == j) for j in range(3)) for i in range(3))
-    assert decide(3, [(f3, "=", F(1))]).status == "unknown"
+    out = run("""(set-logic QF_NRA)
+    (declare-const x Real)(declare-const y Real)(declare-const z Real)
+    (assert (> (+ (* x x) (* y y) (* z z)) 0))
+    (check-sat)(get-info :reason-unknown)""")
+    assert out.splitlines() == ["unknown",
+                                '(:reason-unknown "3 variables not '
+                                'supported")']
 
 
 def test_irrational_only_equality_unknown_in_2d():
-    # x0^2 + x1^2 = 3 touches no rational point (3 is not a sum of two
-    # rational squares), but is real-feasible: must come back unknown
-    res = decide(2, [(IDENT, "=", F(3))])
-    assert res.status == "unknown"
+    # x0^2 = 2 x1^2 with x0 x1 > 0 holds on the direction (sqrt 2, 1)
+    # only: real-feasible without a rational point, so unknown
+    res = decide(2, [(form(1, 0, -2), "=", F(0)), (form(0, 1, 0), ">", F(0))])
+    assert res.status == "unknown" and res.reason
 
 
 def test_tangency_point_sat():
-    # circle x'x = 1 and half-plane-like cone x0^2 >= 1 meet at (+-1, 0)
-    only0 = form(1, 0, 0)
-    atoms = [(IDENT, "=", F(1)), (only0, ">=", F(1))]
+    # (x0 - x1)^2 <= 0 touches the cone x0 x1 > 0 on the direction (1, 1)
+    # only, at the double root of the form
+    atoms = [(form(1, -1, 1), "<=", F(0)), (form(0, 1, 0), ">", F(0))]
     res = decide(2, atoms)
     assert res.status == "sat"
     assert verify_witness(atoms, res.witness)
@@ -331,28 +371,38 @@ def _sampler_feasible(atoms, rng, trials, margin_scale, strict_only):
     return False
 
 
+def _homogeneous(atoms):
+    return [(f, rel, F(0)) for f, rel, _ in atoms]
+
+
 def test_differential_vs_sampler():
-    rng = random.Random(20240824)
+    # decide on the homogeneous atoms, the t-scale oracle on the general
+    # ones; the homogeneous sampler draws from its own generator
+    rng, hrng = random.Random(20240824), random.Random(20240825)
     for _ in range(250):
         atoms = _random_atoms(rng, rng.randint(1, 5),
                               ["<=", "<", ">=", ">", "="])
-        res = decide(2, atoms)
-        if res.status == "sat":
-            assert verify_witness(atoms, res.witness)
-        elif res.status == "unsat":
-            assert not _sampler_feasible(atoms, rng, 4000, 1e-9, True)
+        for dec, case, r in ((oracle_decide, atoms, rng),
+                             (decide, _homogeneous(atoms), hrng)):
+            res = dec(2, case)
+            if res.status == "sat":
+                assert verify_witness(case, res.witness)
+            elif res.status == "unsat":
+                assert not _sampler_feasible(case, r, 4000, 1e-9, True)
 
 
 def test_inequality_only_never_unknown():
     # without equalities, any real-feasible instance has interior rational
     # points, so the procedure must fully decide
-    rng = random.Random(77)
+    rng, hrng = random.Random(77), random.Random(78)
     for _ in range(150):
         atoms = _random_atoms(rng, rng.randint(1, 4), ["<=", "<", ">=", ">"])
-        res = decide(2, atoms)
-        assert res.status in ("sat", "unsat")
-        if _sampler_feasible(atoms, rng, 2000, 1e-6, True):
-            assert res.status == "sat"
+        for dec, case, r in ((oracle_decide, atoms, rng),
+                             (decide, _homogeneous(atoms), hrng)):
+            res = dec(2, case)
+            assert res.status in ("sat", "unsat")
+            if _sampler_feasible(case, r, 2000, 1e-6, True):
+                assert res.status == "sat"
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +413,8 @@ SCRIPT_SAT = """
 (set-logic QF_NRA)
 (declare-const x0 Real)
 (declare-const x1 Real)
-(assert (= (+ (* x0 x0) (* x1 x1)) 1))
+(assert (= (* x0 x0) (* 4 x1 x1)))
+(assert (> (* x0 x1) 0))
 (check-sat)
 (get-model)
 """
@@ -378,8 +429,8 @@ def test_run_script_sat_model():
 def test_run_script_unsat():
     out = run("""(set-logic QF_NRA)
     (declare-const x Real)
-    (assert (> (* x x) 4))
-    (assert (< (* x x) 1))
+    (assert (> (* x x) 0))
+    (assert (< (* 4 x x) (* x x)))
     (check-sat)""")
     assert out.strip() == "unsat"
 
@@ -387,18 +438,30 @@ def test_run_script_unsat():
 def test_run_script_reason_unknown():
     out = run("""(set-logic QF_NRA)
     (declare-const x Real)(declare-const y Real)
-    (assert (= (+ (* x x) (* y y)) 3))
+    (assert (= (* x x) (* 2 y y)))
+    (assert (> (* x y) 0))
     (check-sat)(get-info :reason-unknown)""")
     lines = out.splitlines()
     assert lines[0] == "unknown"
     assert ":reason-unknown" in lines[1]
 
 
+def test_run_script_nonzero_constant_is_unknown():
+    out = run("""(set-logic QF_NRA)
+    (declare-const x Real)(declare-const y Real)
+    (assert (= (+ (* x x) (* y y)) 1))
+    (check-sat)(get-info :reason-unknown)""")
+    assert out.splitlines() == ["unknown",
+                                '(:reason-unknown "nonzero right-hand '
+                                'side")']
+
+
 def test_run_script_rational_constants_and_minus():
     out = run("""(set-logic QF_NRA)
-    (declare-const x Real)
-    (assert (<= (* x x) (/ 1 4)))
-    (assert (>= (* x x) (- (/ 1 100))))
+    (declare-const x Real)(declare-const y Real)
+    (assert (<= (* (/ 1 4) x x) (* x y)))
+    (assert (>= (* x y) (- (* (/ 1 100) y y) (* 2 x x))))
+    (assert (> (* x x) 0))
     (check-sat)(get-model)""")
     assert out.splitlines()[0] == "sat"
 

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from petctraffic import cli, qfnra, ratlin, satcheck, semantics, verify
+from petctraffic import (cli, qfnra, ratlin, satcheck, semantics, verify,
+                         wordtree)
 from petctraffic.satcheck import (QuadAtom, SatQuery,
                                   check, contraction_counterexample,
                                   parse_model, sequence_query, to_smtlib)
@@ -112,11 +113,17 @@ def test_contraction_query_validation(tiny_disc):
 
 
 def test_solver_unknown_passthrough():
-    # x0^2 + x1^2 = 3 is a real circle without a rational point
-    q = SatQuery((QuadAtom(ratlin.identity(2), "=", F(3)),), 2)
+    # x0^2 = 2 x1^2 with x0 x1 > 0 holds on the irrational direction
+    # (sqrt 2, 1) only
+    q = SatQuery((QuadAtom(ratlin.mat([[1, 0], [0, -2]]), "=", F(0)),
+                  QuadAtom(ratlin.mat([[0, F(1, 2)], [F(1, 2), 0]]), ">",
+                           F(0))), 2)
     res = check(q)
     assert res.status == "unknown" and res.witness is None
     assert res.reason
+    # a query with a shell is outside the homogeneous fragment
+    res = check(SatQuery((QuadAtom(ratlin.identity(2), "=", F(1)),), 2))
+    assert res.status == "unknown" and res.reason
 
 
 def test_replay_completeness(ci_disc):
@@ -125,8 +132,9 @@ def test_replay_completeness(ci_disc):
     words = {semantics.concrete_sequence(ci_disc, x, max_len=100)
              for x in xs}
     words.discard(())
+    engine = wordtree.WordEngine(ci_disc)
     for w in sorted(words):
-        res = check(sequence_query(ci_disc, w))
+        res = engine.decide(engine.node(w), satcheck.SUBLEVEL)
         assert res.status == "sat", w
         assert semantics.concrete_sequence(ci_disc, res.witness,
                                            max_len=100) == w
@@ -138,9 +146,9 @@ def test_prefix_query_monotone(ci_disc):
     # have sat prefix queries
     x = verify.sample_shell_states(ci_disc, 1, seed=5)[0]
     w = semantics.concrete_sequence(ci_disc, x, max_len=100)
+    engine = wordtree.WordEngine(ci_disc)
     for i in range(1, len(w) + 1):
-        res = check(sequence_query(ci_disc, w[:i], terminal=False))
-        assert res.status == "sat", w[:i]
+        assert engine.prefix_status(engine.node(w[:i])) == "sat", w[:i]
 
 
 def test_bundled_solver_found_through_sys_path(tmp_path):
@@ -150,7 +158,7 @@ def test_bundled_solver_found_through_sys_path(tmp_path):
     script = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
               "from fractions import Fraction\n"
               "from petctraffic import ratlin, satcheck\n"
-              "atom = satcheck.QuadAtom(ratlin.identity(2), '=', Fraction(1))\n"
+              "atom = satcheck.QuadAtom(ratlin.identity(2), '>', Fraction(0))\n"
               "print(satcheck.check(satcheck.SatQuery((atom,), 2)).status)\n")
     env = {k: v for k, v in os.environ.items()
            if k not in ("PYTHONPATH", "PETCTRAFFIC_SOLVER")}
@@ -185,3 +193,30 @@ def test_direct_decision_matches_smtlib_path(monkeypatch):
         if res.status == "sat":
             assert query.holds(res.witness)
             assert query.holds(parse_model(text, query.n_x))
+
+
+def test_benchmark_trace_hooks_bind(tmp_path):
+    # perfbench/tracer.py patches names of the program in place; in a
+    # child process, with its end-to-end and layer hooks installed, the
+    # pipeline at r = 4/5 must run, decide its 102 contraction queries
+    # through satcheck.check, and agree with the tracer's own re-decision
+    # of each from its SMT-LIB text
+    root = Path(__file__).resolve().parents[1]
+    script = (f"import sys; sys.path[:0] = [{str(root / 'src')!r}, "
+              f"{str(root / 'perfbench')!r}]\n"
+              "from fractions import Fraction\n"
+              "import tracer\n"
+              "from petctraffic import cli\n"
+              "t = tracer.Tracer()\n"
+              "tracer.install_e2e(t)\n"
+              "layers = tracer.LayerTrace(t)\n"
+              "layers.install()\n"
+              "cfg = cli.load_config(None)\n"
+              "cfg['r'] = Fraction(4, 5)\n"
+              "cli.run_pipeline(cfg)\n"
+              "print(len(layers.mismatches), "
+              "layers.metrics()['satcheck.queries'])\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "102"]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from petctraffic import abstraction, cli, ratlin, satcheck, wordtree
-from conftest import oracle_check, oracle_models
+from conftest import bundled, oracle_check, oracle_models
 
 F = Fraction
 
@@ -52,13 +52,6 @@ def _recorded_build(disc, N, monkeypatch):
     return bisim, sim, decided
 
 
-def _bundled(**changes):
-    cfg = dict(cli.load_config(None), **changes)
-    disc = cli.make_disc(cfg)
-    _, n, _ = cli.run_contraction(cfg, disc)
-    return disc, n
-
-
 @pytest.mark.parametrize("case", ["ci", "r4_5", "one_dim"])
 def test_engine_matches_per_word_oracle(case, request, monkeypatch):
     # every prefix, full and unit-shell query of both builds, on the
@@ -67,11 +60,9 @@ def test_engine_matches_per_word_oracle(case, request, monkeypatch):
     if case == "ci":
         disc, n = (request.getfixturevalue("ci_disc"),
                    request.getfixturevalue("ci_N"))
-    elif case == "r4_5":
-        disc, n = _bundled(r=F(4, 5))
     else:
-        disc, n = _bundled(A=[[F(1, 2)]], B=[[F(1)]], K=[[F(-1)]],
-                           P_lyap=[[F(1)]], Q_lyap=[[F(1)]], r=F(1, 10))
+        cfg, disc = bundled(case)
+        _, n, _ = cli.run_contraction(cfg, disc)
     bisim, sim, decided = _recorded_build(disc, n, monkeypatch)
     oracle = {}
     for word, shell, terminal, status, witness in decided:
