@@ -140,6 +140,11 @@ def _counts(results, assumed_here: int) -> dict[str, int]:
     return counts
 
 
+def _arcs(nodes) -> int:
+    """The feasible arcs kept on the nodes of a word tree."""
+    return sum(len(node.arcs or ()) for node in nodes)
+
+
 def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
                       assume_sat: bool = False) -> TrafficModel:
     """The words realized before entering the periodic set.
@@ -148,7 +153,8 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
     ``wordtree.WordEngine``; a word whose terminal-free query is already
     infeasible is discarded with all its extensions.  ``stats["levels"]``
     counts, per level, the candidates, those pruned by that unsat prefix
-    query, the full-query verdicts of the live ones and the words kept.
+    query, the feasible arcs their prefix queries keep on the tree, the
+    full-query verdicts of the live ones and the words kept.
     """
     engine = wordtree.WordEngine(disc)
     states: set[Word] = {EPSILON}
@@ -181,7 +187,7 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
         levels.append(dict(level=len(levels) + 1,
                            candidates=len(candidates),
                            prefix_unsat=len(candidates) - len(live),
-                           live=len(live),
+                           live=len(live), arcs=_arcs(live),
                            **_counts(full_res, len(assumed) - n_assumed)))
 
     return TrafficModel(kind=MPETC_BISIM, states=frozenset(states),
@@ -209,14 +215,15 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
     By homogeneity, any word realized on the unit shell is realized in
     the initial sublevel set, so the candidate set is exactly the
     non-empty words of the mixed-strategy model.  ``stats`` counts the
-    candidates, their verdicts and the words kept.
+    candidates, the feasible arcs their prefix queries keep on the tree,
+    their verdicts and the words kept.
     """
     if mpetc_model.kind != MPETC_BISIM:
         raise ValueError("candidate model must be of kind mpetc_bisim")
     engine = wordtree.WordEngine(disc)
     candidates = [w for w in mpetc_model.sorted_states() if w != EPSILON]
-    results = [engine.decide(engine.node(w), satcheck.UNIT_LEVEL)
-               for w in candidates]
+    nodes = [engine.node(w) for w in candidates]
+    results = [engine.decide(node, satcheck.UNIT_LEVEL) for node in nodes]
     assumed: set[Word] = set()
     _settle_unknowns(candidates, results, assume_sat, assumed)
     states: set[Word] = set()
@@ -241,6 +248,7 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
                         witnesses=witnesses, h=disc.h, h_P=disc.h_P,
                         assumed=frozenset(assumed) | mpetc_model.assumed,
                         stats=dict(candidates=len(candidates),
+                                   arcs=_arcs(nodes),
                                    **_counts(results, len(assumed))))
 
 

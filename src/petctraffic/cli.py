@@ -76,6 +76,12 @@ def _validate_config(cfg: dict) -> None:
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing config field {key!r}")
+    k_bar, seed = cfg["k_bar"], cfg.get("seed", Fraction(0))
+    if not (isinstance(k_bar, Fraction) and k_bar.denominator == 1
+            and k_bar >= 1):
+        raise ConfigError("k_bar must be an integer >= 1")
+    if not (isinstance(seed, Fraction) and seed.denominator == 1):
+        raise ConfigError("seed must be an integer")
     for key, (lo, hi) in _RANGES.items():
         v = cfg.get(key)
         if key in cfg and not (isinstance(v, Fraction) and lo < v

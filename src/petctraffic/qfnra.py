@@ -514,61 +514,86 @@ def _enclosed_cmp(x, y):
     return root_cmp(r1, r2)
 
 
+def enclosed_roots(polys):
+    """The real roots of the integer quadratics polys = (a2, a1, a0), each
+    as a pair (root, its bounds at 64 bits), in no order."""
+    return [(r, r.bounds(64)) for a, b, c in polys
+            for r in roots_of_quadratic(a, b, c)]
+
+
+def between(pairs, lo=None, hi=None):
+    """The distinct roots of the (root, bounds) pairs that lie strictly
+    between the pairs lo and hi (None: unbounded), in increasing order.
+    Roots are compared by their bounds where these are disjoint, else by
+    root_cmp, so equal roots merge and distinct ones separate."""
+    pairs = sorted((p for p in pairs
+                    if (lo is None or _enclosed_cmp(lo, p) < 0)
+                    and (hi is None or _enclosed_cmp(p, hi) < 0)),
+                   key=cmp_to_key(_enclosed_cmp))
+    return [p for i, p in enumerate(pairs)
+            if i == 0 or _enclosed_cmp(pairs[i - 1], p)]
+
+
+def region_sample(lo, hi, max_prec=1 << 16):
+    """(direction, region) for the open region between consecutive roots
+    lo < hi, given as pairs of ``enclosed_roots`` or None for an unbounded
+    side.
+
+    Between two roots the direction is the simplest rational strictly
+    between their bounds at the first precision (64, 128, ... bits) at
+    which the bounds are disjoint, and the region is those bounds; None
+    when that takes more than max_prec bits.  Below the lowest root the
+    direction is the floor of its lower bound minus one, above the
+    highest root the floor of its upper bound plus two, and with no root
+    at all it is 0."""
+    if lo is None:
+        if hi is None:
+            return Fraction(0), (None, None)
+        ln, _, ld = hi[1]
+        return Fraction(ln // ld - 1), (None, Fraction(ln, ld))
+    if hi is None:
+        _, hn, hd = lo[1]
+        return Fraction(hn // hd + 2), (Fraction(hn, hd), None)
+    (r1, (_, hn, hd)), (r2, (ln, _, ld)) = lo, hi
+    prec = 64
+    while not hn * ld < ln * hd:
+        prec *= 2
+        if prec > max_prec:
+            return None
+        _, hn, hd = r1.bounds(prec)
+        ln, _, ld = r2.bounds(prec)
+    return (Fraction(*_simplest_between(hn, hd, ln, ld)),
+            (Fraction(hn, hd), Fraction(ln, ld)))
+
+
+def point_sample(root):
+    """(direction, region) at a root pair of ``enclosed_roots``: a
+    rational root as a Fraction with region (root, root), an irrational
+    one as its Root with region None."""
+    r = root[0]
+    return (r.value, (r.value, r.value)) if r.is_rational else (r, None)
+
+
 def critical_samples(polys, max_prec=1 << 16):
     """Sample directions m (for the ray s*(1, m)) cutting the line at the
     real roots of the integer quadratics polys = (a2, a1, a0).
 
-    Returns (direction, region) pairs in increasing order: one simplest
-    rational inside every open region between consecutive roots, with the
-    rational bounds of that region (None for unbounded), every rational
-    root as a Fraction with region (root, root), and every irrational
-    root as a Root with region None.  The vertical direction (0, 1) is
-    not included.  Roots are compared exactly, so equal roots merge and
-    distinct ones separate; None when that takes more than max_prec bits.
+    Returns (direction, region) pairs in increasing order: the
+    ``region_sample`` of every open region between consecutive distinct
+    roots and the ``point_sample`` of every root.  The vertical
+    direction (0, 1) is not included.  None when two neighbouring roots
+    do not separate within max_prec bits.
     """
-    roots = []
-    for a, b, c in polys:
-        roots.extend(roots_of_quadratic(a, b, c))
-    if not roots:
-        return [(Fraction(0), (None, None))]
-
-    # exact order: by the enclosures at 64 bits where they are disjoint,
-    # else by root_cmp; equal neighbours merge
-    prec = 64
-    pairs = sorted(((r, r.bounds(prec)) for r in roots),
-                   key=cmp_to_key(_enclosed_cmp))
-    pairs = [p for i, p in enumerate(pairs)
-             if i == 0 or _enclosed_cmp(pairs[i - 1], p)]
-    unique = [r for r, _ in pairs]
-    encl = [e for _, e in pairs]
-
-    # refine enclosures until consecutive roots are strictly separated
-    while True:
-        bad = [i for i in range(len(unique) - 1)
-               if not encl[i][1] * encl[i + 1][2]
-               < encl[i + 1][0] * encl[i][2]]
-        if not bad:
-            break
-        prec *= 2
-        if prec > max_prec:
+    roots = between(enclosed_roots(polys))
+    bounds = [None, *roots, None]
+    samples = []
+    for i in range(len(roots) + 1):
+        sample = region_sample(bounds[i], bounds[i + 1], max_prec)
+        if sample is None:
             return None
-        for i in set(bad) | {i + 1 for i in bad}:
-            encl[i] = unique[i].bounds(prec)
-
-    lo, _, den = encl[0]
-    samples = [(Fraction(lo // den - 1), (None, Fraction(lo, den)))]
-    for i, r in enumerate(unique):
-        if r.is_rational:
-            samples.append((r.value, (r.value, r.value)))
-        else:
-            samples.append((r, None))
-        if i + 1 < len(unique):
-            (_, hn, hd), (ln, _, ld) = encl[i], encl[i + 1]
-            gap = (Fraction(hn, hd), Fraction(ln, ld))
-            samples.append((Fraction(*_simplest_between(hn, hd, ln, ld)),
-                            gap))
-    _, hi, den = encl[-1]
-    samples.append((Fraction(hi // den + 2), (Fraction(hi, den), None)))
+        samples.append(sample)
+        if i < len(roots):
+            samples.append(point_sample(roots[i]))
     return samples
 
 

@@ -9,7 +9,11 @@ against all atoms; unsat and unknown are passed through as decided.
 The contraction queries are homogeneous and go through ``check``.  A
 word query, as ``sequence_query`` writes it, bounds V(x) by V0 and r V0;
 ``wordtree`` decides it on homogeneous forms with the same sign-test
-kernel and re-verifies each witness against the written query.
+kernel.  It re-verifies each witness without building the query: it
+runs the witness along the word on integer vectors and evaluates there
+exactly the atoms ``sequence_query`` writes (``WordEngine.holds``), so
+the written query's ``holds`` is the reference that check is tested
+against.
 
 ``to_smtlib`` and ``parse_model`` write a query as an SMT-LIB2
 (QF_NRA) script and read a model back; the pipeline does not call them,

@@ -10,18 +10,30 @@ Phi_0 = I, eliminating t leaves for a word of length m:
 * the unit-shell query: those and v_m <= r v_0.
 
 Every right-hand side is 0, so a direction is accepted or rejected by
-the signs of binary quadratic forms alone, and the sign-test kernel of
-``qfnra`` decides the query: ``decide_forms`` a prefix query, and
-``sample_directions`` and ``feasible`` the directions on which a full
-query's witness is built.
+the signs of binary quadratic forms alone.  On the directions u = (1, m)
+those forms are quadratics in m, and a query's feasible set is a union
+of arcs: open regions between consecutive roots of its forms, and root
+points, with the vertical direction (0, 1) apart.
 
 A node of the word tree holds the integer Phi of its word over a common
-denominator and the integer V forms of its prefix, so a child multiplies
-one integer M(k) and adds only the atoms of its new letter.  A full
-query that is sat carries a rational witness, built at the first
-feasible rational direction and re-verified exactly against
-``satcheck.sequence_query``; a witness that fails, or a feasible set of
-irrational directions only, is ``unknown``.
+denominator, the integer V forms of its prefix and the feasible arcs of
+its prefix query, each with the ``qfnra`` sample (direction, region)
+that ``critical_samples`` gives it and, for an open arc, the enclosed
+roots that bound it.  A child multiplies one integer M(k) and works only
+inside its parent's arcs: it isolates the roots of its new atoms that
+fall in them, cuts the arcs there and tests only the new atoms, since
+every older atom keeps its sign on each parent arc.  The full sublevel
+and unit-shell queries cut the node's arcs at their terminal atoms the
+same way.  The arcs and samples are those of the whole query, so the
+answers and witnesses are those of sampling every root of every atom.
+
+A full query that is sat carries a rational witness x, built at the
+first feasible rational direction.  It is re-verified by ``holds``,
+which runs x along the word on integers, as ``semantics.IntegerStepper``
+does, and evaluates there exactly every atom that
+``satcheck.sequence_query`` writes, independently of the node's forms.
+A witness that fails, or a feasible set of irrational directions only, is
+``unknown``.
 """
 
 from __future__ import annotations
@@ -29,12 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
-from . import qfnra, satcheck
-from .satcheck import SUBLEVEL, SatResult
-from .semantics import _integer_form, _integer_matrix
+from . import qfnra
+from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
+from .semantics import (IntegerStepper, _dot, _integer_form, _integer_matrix,
+                        _monomials)
 from .sysmodel import DiscretizedPetc
+
 
 def _pullback(form, g) -> tuple[int, int, int]:
     """(a2, a1, a0) with s(G (1, m)) = a2 m^2 + a1 m + a0, for the form
@@ -67,17 +81,58 @@ def _padded(f):
     return f if len(f) == 2 else ((f[0][0], 0), (0, 0))
 
 
+def _cut(arcs, roots):
+    """The arcs (direction, region, bounds) with every open arc cut at the
+    roots, pairs of ``qfnra.enclosed_roots``, that fall strictly inside
+    it, in order; None when two neighbouring roots do not separate.  An open
+    arc's bounds are its bounding root pairs (None: unbounded); a point
+    or the vertical direction has bounds None and is never cut."""
+    out = []
+    for arc in arcs:
+        if arc[2] is None or not roots:
+            out.append(arc)
+            continue
+        lo, hi = arc[2]
+        inside = qfnra.between(roots, lo, hi)
+        if not inside:
+            out.append(arc)
+            continue
+        bounds = [lo, *inside, hi]
+        for i in range(len(inside) + 1):
+            sample = qfnra.region_sample(bounds[i], bounds[i + 1])
+            if sample is None:
+                return None
+            out.append((*sample, (bounds[i], bounds[i + 1])))
+            if i < len(inside):
+                out.append((*qfnra.point_sample(inside[i]), None))
+    return out
+
+
+def _refine(arcs, atoms):
+    """The feasible arcs of a query with the atoms (f, strict) added,
+    from the query's feasible arcs: those arcs cut at the new atoms'
+    roots, and of the pieces the ones at which every new atom holds.
+    The query's own atoms keep their signs on each of its arcs, so only
+    the new atoms are tested.  None when two neighbouring roots do not
+    separate."""
+    if arcs is None:
+        return None
+    cut = _cut(arcs, qfnra.enclosed_roots(f for f, _ in atoms))
+    return None if cut is None else list(qfnra.feasible(atoms, cut))
+
+
 @dataclass(eq=False, slots=True)
 class Node:
     """A word of the tree: Phi = phi / scale, the V forms (q_i, scale_i)
     with q_i(u) = c scale_i^2 V(Phi_i u) for i = 0..m and a fixed c > 0,
-    and the atoms of the word's prefix query."""
+    and the feasible arcs of the word's prefix query (None when their
+    roots did not separate)."""
 
     word: tuple[int, ...]
     phi: tuple
     scale: int
     forms: tuple
-    atoms: tuple
+    arcs: list | None
     cone: list | None = None  # the trigger forms on Phi, for the children
     children: dict = field(default_factory=dict)
 
@@ -95,9 +150,13 @@ class WordEngine:
                          for j in range(1, disc.k_bar)]
         self._lyapunov = _integer_form(_padded(disc.P_rat))
         self._p_scale = _integer_matrix(disc.P_rat)[1]
+        self._run = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
-        self.root = Node((), one, 1,
-                         ((_pullback(self._lyapunov, one), 1),), ())
+        arcs = [(*qfnra.region_sample(None, None), (None, None))]
+        if disc.n_x == 2:
+            arcs.append((qfnra.VERTICAL, (None, None), None))
+        self.root = Node((), one, 1, ((_pullback(self._lyapunov, one), 1),),
+                         arcs)
 
     def node(self, word) -> Node:
         node = self.root
@@ -109,28 +168,35 @@ class WordEngine:
         """The node of node.word + (k,), made once."""
         if k in node.children:
             return node.children[k]
-        disc = self.disc
-        if node.cone is None:
-            node.cone = [_pullback(f, node.phi) for f in self._trigger]
-        atoms = list(node.atoms)
-        for j in range(disc.k_lo, min(k, disc.k_bar)):
-            atoms.append(_atom([-c for c in node.cone[j - 1]], False))
-        if k < disc.k_bar:
-            atoms.append(_atom(node.cone[k - 1], True))
-        if node.word:  # v_m > r v_0 for the parent's length m > 0
-            p, q = disc.r.numerator, disc.r.denominator
-            (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
-            atoms.append(_atom([q * a - p * dm * dm * b
-                                for a, b in zip(qm, q0)], True))
         m, d = self._maps[k]
         (a, b), (c, e) = m
         (f, g), (h, i) = node.phi
         phi = ((a * f + b * h, a * g + b * i), (c * f + e * h, c * g + e * i))
         scale = node.scale * d
         forms = node.forms + ((_pullback(self._lyapunov, phi), scale),)
-        child = Node(node.word + (k,), phi, scale, forms, tuple(atoms))
+        child = Node(node.word + (k,), phi, scale, forms,
+                     _refine(node.arcs, self._letter_atoms(node, k)))
         node.children[k] = child
         return child
+
+    def _letter_atoms(self, node: Node, k: int) -> list:
+        """The atoms that the letter k adds to the prefix query of
+        node.word: the cone of k on Phi and, for a non-empty node.word,
+        v_m > r v_0 at its length m."""
+        disc = self.disc
+        if node.cone is None:
+            node.cone = [_pullback(f, node.phi) for f in self._trigger]
+        atoms = []
+        for j in range(disc.k_lo, min(k, disc.k_bar)):
+            atoms.append(_atom([-c for c in node.cone[j - 1]], False))
+        if k < disc.k_bar:
+            atoms.append(_atom(node.cone[k - 1], True))
+        if node.word:
+            p, q = disc.r.numerator, disc.r.denominator
+            (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
+            atoms.append(_atom([q * a - p * dm * dm * b
+                                for a, b in zip(qm, q0)], True))
+        return atoms
 
     def _terminal(self, node: Node, shell: str) -> list:
         qm, dm = node.forms[-1]
@@ -144,37 +210,75 @@ class WordEngine:
 
     def prefix_status(self, node: Node) -> str:
         """sat, unsat or unknown for the query of node.word without its
-        terminal atom; no witness is built."""
-        return qfnra.decide_forms(node.atoms, self.disc.n_x).status
+        terminal atom, read off its feasible arcs; no witness is built."""
+        if node.arcs is None:
+            return "unknown"
+        if any(not isinstance(arc[0], qfnra.Root) for arc in node.arcs):
+            return "sat"
+        return "unknown" if node.arcs else "unsat"
 
     def decide(self, node: Node, shell: str) -> SatResult:
         """The full query of node.word from the sublevel set or from the
         unit shell, with an exactly re-verified witness when sat."""
-        atoms = node.atoms + tuple(self._terminal(node, shell))
-        samples = qfnra.sample_directions(atoms, self.disc.n_x)
-        if samples is None:
+        terminal = self._terminal(node, shell)
+        arcs = _refine(node.arcs, terminal)
+        if arcs is None:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
-        feasible = False
-        for direction, region in qfnra.feasible(atoms, samples):
-            feasible = True
+        for direction, region, _ in arcs:
             if isinstance(direction, qfnra.Root):
                 continue
-            x = self._witness(node, shell, atoms, direction, region)
+            x = self._witness(node, shell, direction, region)
             if x is None:
                 continue
-            query = satcheck.sequence_query(self.disc, node.word, shell, True)
-            if query.holds(x):
+            if self.holds(node.word, shell, x):
                 return SatResult("sat", witness=x)
             return SatResult("unknown",
                              reason="witness failed exact re-verification")
-        if feasible:
+        if arcs:
             return SatResult("unknown",
                              reason="feasible, but no rational witness was "
                                     "found")
         return SatResult("unsat")
 
-    def _witness(self, node, shell, atoms, direction, region):
+    def holds(self, word, shell: str, x) -> bool:
+        """Whether x satisfies every atom of
+        ``satcheck.sequence_query(disc, word, shell, True)``, decided on
+        the run of x along the word in integers, as in
+        ``semantics.IntegerStepper``: x_i = y_i / c_i with integer y_i,
+        y_i = M_int(k_i) y_{i-1} and c_i = c_{i-1} d(k_i).  A cone atom
+        on x_i is the sign of y_i'N_int y_i, and a bound on
+        V(x_i) = y_i'P_int y_i / (p c_i^2), with P_int = p P, is compared
+        in integers."""
+        disc, run = self.disc, self._run
+        c = lcm(*(Fraction(e).denominator for e in x))
+        y = tuple(int(Fraction(e) * c) for e in x)
+        mono = _monomials(y)
+
+        def level(bound: Fraction) -> int:  # the sign of V(x_i) - bound
+            v = _dot(run.lyapunov, mono) * bound.denominator
+            w = bound.numerator * self._p_scale * c * c
+            return (v > w) - (v < w)
+
+        rv0 = disc.r * disc.V0
+        shell_sign = level(disc.V0)
+        if shell_sign > 0 or (shell == UNIT_LEVEL and shell_sign < 0):
+            return False
+        for k in word:
+            for j in range(disc.k_lo, min(k, disc.k_bar)):
+                if _dot(run.trigger[j - 1], mono) > 0:
+                    return False
+            if k < disc.k_bar and not _dot(run.trigger[k - 1], mono) > 0:
+                return False
+            if level(rv0) <= 0:
+                return False
+            m, d = run.maps[k]
+            y = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
+            c *= d
+            mono = _monomials(y)
+        return level(rv0) <= 0
+
+    def _witness(self, node, shell, direction, region):
         """A rational x = s u on the feasible direction u, or None."""
         disc = self.disc
         u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
@@ -194,10 +298,10 @@ class WordEngine:
         if (direction is qfnra.VERTICAL or disc.n_x == 1
                 or self._conic_base is None):
             return None
+        # every atom is homogeneous and keeps its sign on the region, so a
+        # point of the conic in a direction inside it satisfies them all
         eq = (disc.P_rat, "=", disc.V0)
-        matrices = [(((a0, a1), (0, a2)), ">" if strict else ">=", 0)
-                    for (a2, a1, a0), strict in atoms]
-        return qfnra._conic_witness(eq, matrices + [eq], direction, region,
+        return qfnra._conic_witness(eq, [eq], direction, region,
                                     base=self._conic_base)
 
     @cached_property

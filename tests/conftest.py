@@ -4,8 +4,9 @@ oracles of the exact semantics, the from-scratch Fraction replay that
 the integer orbit of verify replaced, the per-word solver queries that
 the word-tree engine of abstraction replaced, the Fraction root
 isolation and float conic search that the integer kernel of qfnra
-replaced, and the t-scale decision procedure that the sign-test decide
-of qfnra replaced."""
+replaced, the t-scale decision procedure that the sign-test decide of
+qfnra replaced, and the full-sample word queries that the feasible arcs
+of wordtree replaced."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from petctraffic import (abstraction, cli, contraction, qfnra, ratlin,
-                         satcheck, semantics, verify)
+                         satcheck, semantics, verify, wordtree)
 from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
                                   build_predictive_Q, rationalize)
 
@@ -607,6 +608,84 @@ def oracle_models(disc, N, check=oracle_check):
         output=abstraction._outputs(sim_states, disc.h, disc.h_P),
         witnesses=sim_witnesses, h=disc.h, h_P=disc.h_P)
     return bisim, sim
+
+
+# ---------------------------------------------------------------------------
+# the full-sample kernel that the feasible arcs of wordtree replaced: each
+# query samples every root of all its atoms, and a witness is re-verified
+# against the query satcheck.sequence_query writes
+
+
+def prefix_atoms(engine, word) -> list:
+    """The atoms of the prefix query of word, letter by letter."""
+    node, atoms = engine.root, []
+    for k in word:
+        atoms += engine._letter_atoms(node, k)
+        node = engine.child(node, k)
+    return atoms
+
+
+def full_sample_prefix(engine, node) -> qfnra.Decided:
+    """WordEngine.prefix_status on every root of the prefix query's
+    atoms, with the first feasible rational direction as the witness."""
+    return qfnra.decide_forms(prefix_atoms(engine, node.word),
+                              engine.disc.n_x)
+
+
+def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
+    """WordEngine.decide on every root of the query's atoms, with the
+    witness re-verified by satcheck.sequence_query(...).holds."""
+    atoms = prefix_atoms(engine, node.word) + engine._terminal(node, shell)
+    samples = qfnra.sample_directions(atoms, engine.disc.n_x)
+    if samples is None:
+        return satcheck.SatResult("unknown", reason="root separation "
+                                                    "exceeded precision cap")
+    feasible = False
+    for direction, region in qfnra.feasible(atoms, samples):
+        feasible = True
+        if isinstance(direction, qfnra.Root):
+            continue
+        x = _full_sample_witness(engine, node, shell, atoms, direction,
+                                 region)
+        if x is None:
+            continue
+        query = satcheck.sequence_query(engine.disc, node.word, shell, True)
+        if query.holds(x):
+            return satcheck.SatResult("sat", witness=x)
+        return satcheck.SatResult("unknown", reason="witness failed exact "
+                                                    "re-verification")
+    if feasible:
+        return satcheck.SatResult("unknown", reason="feasible, but no "
+                                                    "rational witness")
+    return satcheck.SatResult("unsat")
+
+
+def _full_sample_witness(engine, node, shell, atoms, direction, region):
+    """WordEngine._witness with every atom checked on the conic."""
+    disc = engine.disc
+    u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
+         else (Fraction(1), direction))
+    v = [wordtree._value(f, u) / (engine._p_scale * d * d)
+         for f, d in node.forms]
+    if shell == satcheck.SUBLEVEL:
+        rv0 = disc.r * disc.V0
+        lo = max(rv0 / vi for vi in v[:-1])
+        hi = disc.V0 / v[0]
+        if v[-1] > 0:
+            hi = min(hi, rv0 / v[-1])
+        s = qfnra.rational_sqrt_in(lo, True, hi, False)
+        return (s * u[0], s * u[1])[:disc.n_x]
+    s = qfnra.rational_square_root(disc.V0 / v[0])
+    if s is not None:
+        return (s * u[0], s * u[1])[:disc.n_x]
+    if (direction is qfnra.VERTICAL or disc.n_x == 1
+            or engine._conic_base is None):
+        return None
+    eq = (disc.P_rat, "=", disc.V0)
+    matrices = [(((a0, a1), (0, a2)), ">" if strict else ">=", 0)
+                for (a2, a1, a0), strict in atoms]
+    return qfnra._conic_witness(eq, matrices + [eq], direction, region,
+                                base=engine._conic_base)
 
 
 # changes to the bundled loop for the named test cases: r = 4/5; the

@@ -69,28 +69,43 @@ def test_config_field_validation(tmp_path):
     p.write_text(json.dumps(partial))
     with pytest.raises(ConfigError):
         load_config(p)
-    # optional numbers outside their ranges
+    # optional numbers outside their ranges, and integer fields
     for key, value in (("a_tol", 2), ("a_tol", 0), ("hP_resolution", 0),
-                       ("h_P", -1)):
+                       ("h_P", -1), ("k_bar", 1.5), ("k_bar", 0),
+                       ("seed", "x"), ("seed", 1.5)):
         p.write_text(json.dumps(dict(base, **{key: value})))
         with pytest.raises(ConfigError, match=key):
             load_config(p)
 
 
-def test_exit_code_config(tmp_path, capsys):
+def test_exit_code_config(tmp_path, capsys, monkeypatch):
     p = tmp_path / "broken.json"
     p.write_text("{}")
     assert main(["discretize", "--config", str(p)]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     # values that reach contraction.compute_a, compute_hP and
-    # sysmodel.rationalize: one line each, no traceback
+    # sysmodel.rationalize, and a k_bar that int() would truncate: one
+    # line each, no traceback
     for key, value in (("a_tol", 2), ("a_tol", 0), ("hP_resolution", 0),
-                       ("h_P", -1)):
+                       ("h_P", -1), ("k_bar", 1.5), ("k_bar", 0),
+                       ("k_bar", "6")):
         config = write_config(tmp_path, **{key: value})
         assert main(["contraction", "--config", config]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and key in err
         assert len(err.splitlines()) == 1
+    # a seed that is not an integer, which verify and casestudy read
+    # after the build: rejected before any build
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda *a, **kw: pytest.fail("built"))
+    for value in ("x", 1.5):
+        config = write_config(tmp_path, seed=value)
+        for argv in (["verify", "--samples", "1", "--steps", "1"],
+                     ["casestudy", "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--config", config]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "seed" in err
+            assert len(err.splitlines()) == 1
 
 
 def test_exit_code_three_variables(tmp_path, capsys):

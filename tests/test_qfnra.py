@@ -11,15 +11,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from petctraffic import cli, contraction, qfnra, satcheck
+from petctraffic import cli, contraction, qfnra, satcheck, wordtree
 from petctraffic.abstraction import build_mpetc_bisim, build_petc_sim
 from petctraffic.qfnra import (critical_samples, decide, format_rational,
                                root_cmp, roots_of_quadratic, run_script,
                                verify_witness)
 from conftest import (bundled, float_conic_witness,
                       fraction_critical_samples, fraction_enclosure,
-                      fraction_simplest_between, oracle_decide,
-                      oracle_kernel, t_verdict)
+                      fraction_simplest_between, full_sample_decide,
+                      full_sample_prefix, oracle_decide, oracle_kernel,
+                      oracle_models, t_verdict)
 
 F = Fraction
 
@@ -216,6 +217,16 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
         cfg, disc = bundled(case)
         _, n, _ = cli.run_contraction(cfg, disc)
     build_petc_sim(disc, build_mpetc_bisim(disc, n))
+    # the builds sample only inside their feasible arcs: every word query
+    # is decided again on all its roots, by the full-sample kernel
+    engine = wordtree.WordEngine(disc)
+
+    def full_sample(d, word, shell, terminal):
+        node = engine.node(word)
+        return (full_sample_decide(engine, node, shell) if terminal
+                else full_sample_prefix(engine, node))
+
+    oracle_models(disc, n, full_sample)
     oracles = {"critical_samples": fraction_critical_samples,
                "_conic_witness": float_conic_witness}
     for name, log in calls.items():

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from petctraffic import abstraction, cli, ratlin, satcheck, wordtree
-from conftest import bundled, oracle_check, oracle_models
+from petctraffic import abstraction, cli, qfnra, ratlin, satcheck, wordtree
+from conftest import (bundled, full_sample_decide, full_sample_prefix,
+                      oracle_check, oracle_models)
 
 F = Fraction
 
@@ -29,19 +32,19 @@ def test_pullback_matches_congruence(ci_disc):
 
 def _recorded_build(disc, N, monkeypatch):
     """Both models built on the engine, with every query it decided:
-    (word, shell, terminal, status, witness)."""
+    (engine, node, shell, terminal, status, witness)."""
     decided = []
     prefix_status = wordtree.WordEngine.prefix_status
     decide = wordtree.WordEngine.decide
 
     def recording_prefix(self, node):
         status = prefix_status(self, node)
-        decided.append((node.word, satcheck.SUBLEVEL, False, status, None))
+        decided.append((self, node, satcheck.SUBLEVEL, False, status, None))
         return status
 
     def recording_decide(self, node, shell):
         res = decide(self, node, shell)
-        decided.append((node.word, shell, True, res.status, res.witness))
+        decided.append((self, node, shell, True, res.status, res.witness))
         return res
 
     monkeypatch.setattr(wordtree.WordEngine, "prefix_status",
@@ -52,33 +55,134 @@ def _recorded_build(disc, N, monkeypatch):
     return bisim, sim, decided
 
 
-@pytest.mark.parametrize("case", ["ci", "r4_5", "one_dim"])
+def _case(case, request):
+    """(disc, N) of a named case: the r = 1/2 fixture or a bundled one."""
+    if case == "ci":
+        return (request.getfixturevalue("ci_disc"),
+                request.getfixturevalue("ci_N"))
+    cfg, disc = bundled(case)
+    _, n, _ = cli.run_contraction(cfg, disc)
+    return disc, n
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "one_dim", "cs"])
 def test_engine_matches_per_word_oracle(case, request, monkeypatch):
     # every prefix, full and unit-shell query of both builds, on the
-    # r = 1/2 fixture, on the bundled loop at r = 4/5, and on a scalar
-    # plant (words (6,), (6, 6), (6, 6, 6); only the last on the shell)
-    if case == "ci":
-        disc, n = (request.getfixturevalue("ci_disc"),
-                   request.getfixturevalue("ci_N"))
-    else:
-        cfg, disc = bundled(case)
-        _, n, _ = cli.run_contraction(cfg, disc)
+    # r = 1/2 fixture, on the bundled loop at r = 4/5, on a scalar plant
+    # (words (6,), (6, 6), (6, 6, 6); only the last on the shell) and on
+    # the bundled example (r = 1/10).  The feasible arcs give the status
+    # and the witness of the full-sample kernel on every query; the
+    # per-word oracle gives the same status, except on the bundled
+    # example, where its 1,758 queries take minutes
+    disc, n = _case(case, request)
     bisim, sim, decided = _recorded_build(disc, n, monkeypatch)
-    oracle = {}
-    for word, shell, terminal, status, witness in decided:
-        res = oracle_check(disc, word, shell, terminal)
-        oracle[word, shell, terminal] = res
-        assert status == res.status, (word, shell, terminal)
+    per_word = case != "cs"
+    full, oracle = {}, {}
+    for engine, node, shell, terminal, status, witness in decided:
+        key = node.word, shell, terminal
+        if terminal:
+            full[key] = full_sample_decide(engine, node, shell)
+            assert witness == full[key].witness, key
+        else:
+            full[key] = full_sample_prefix(engine, node)
+        assert status == full[key].status, key
+        if per_word:
+            oracle[key] = oracle_check(disc, *key)
+            assert status == oracle[key].status, key
         if witness is not None:
-            query = satcheck.sequence_query(disc, word, shell, True)
-            assert query.holds(witness), (word, shell)
-    kinds = {(shell, terminal) for _, shell, terminal, _, _ in decided}
+            query = satcheck.sequence_query(disc, node.word, shell, True)
+            assert query.holds(witness), key
+    kinds = {(shell, terminal) for _, _, shell, terminal, _, _ in decided}
     assert kinds == {(satcheck.SUBLEVEL, False), (satcheck.SUBLEVEL, True),
                      (satcheck.UNIT_LEVEL, True)}
     assert {status for *_, status, _ in decided} == {"sat", "unsat"}
-    o_bisim, o_sim = oracle_models(
-        disc, n, lambda d, w, shell, terminal: oracle[w, shell, terminal])
-    for model, ref in ((bisim, o_bisim), (sim, o_sim)):
-        assert model.states == ref.states
-        assert model.edges == ref.edges
-        assert model.assumed == ref.assumed == frozenset()
+    refs = [oracle_models(disc, n, lambda d, w, shell, terminal:
+                          full[w, shell, terminal])]
+    if per_word:
+        refs.append(oracle_models(disc, n, lambda d, w, shell, terminal:
+                                  oracle[w, shell, terminal]))
+    for o_bisim, o_sim in refs:
+        for model, ref in ((bisim, o_bisim), (sim, o_sim)):
+            assert model.states == ref.states
+            assert model.edges == ref.edges
+            assert model.assumed == ref.assumed == frozenset()
+    o_bisim, o_sim = refs[0]
+    assert sim.witnesses == o_sim.witnesses
+    assert bisim.witnesses == {abstraction.EPSILON: (F(0),) * disc.n_x,
+                               **o_bisim.witnesses}
+
+
+def _perturbed(x):
+    """x, x scaled by 1 +- 2^-40, and each coordinate of x moved by
+    +-2^-6 (|x_i| + 1)."""
+    out = [x] + [tuple(v * (1 + step) for v in x)
+                 for step in (F(1, 2**40), F(-1, 2**40))]
+    for i, v in enumerate(x):
+        for step in (F(1, 2**6), F(-1, 2**6)):
+            out.append(x[:i] + (v + step * (abs(v) + 1),) + x[i + 1:])
+    return out
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs", "one_dim"])
+def test_integer_reverify_matches_sequence_query(case, request):
+    # every witness of both builds and its perturbed copies, on its own
+    # word, its prefix, a one-letter extension and its word with another
+    # last letter: WordEngine.holds gives the verdict of the query that
+    # satcheck.sequence_query writes
+    disc, n = _case(case, request)
+    bisim = abstraction.build_mpetc_bisim(disc, n)
+    sim = abstraction.build_petc_sim(disc, bisim)
+    engine = wordtree.WordEngine(disc)
+    queries, verdicts = {}, set()
+    for model, shell in ((bisim, satcheck.SUBLEVEL),
+                         (sim, satcheck.UNIT_LEVEL)):
+        for w, x in model.witnesses.items():
+            if not w:
+                continue
+            other = disc.k_bar if w[-1] != disc.k_bar else disc.k_lo
+            words = [w, w + (w[0],), w[:-1] + (other,)]
+            if len(w) > 1:
+                words.append(w[:-1])
+            for word in words:
+                if (word, shell) not in queries:
+                    queries[word, shell] = satcheck.sequence_query(
+                        disc, word, shell, True)
+                for y in _perturbed(x):
+                    verdict = queries[word, shell].holds(y)
+                    assert engine.holds(word, shell, y) == verdict, (word, y)
+                    verdicts.add(verdict)
+            assert engine.holds(w, shell, x)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("shell", [satcheck.SUBLEVEL, satcheck.UNIT_LEVEL])
+def test_corrupted_witness_is_unknown(shell, tmp_path, monkeypatch, capsys):
+    # a witness moved just outside V <= V0, or just off the unit shell,
+    # fails re-verification: decide answers unknown, and the build exits 4
+    witness = wordtree.WordEngine._witness
+
+    def corrupted(self, node, sh, direction, region):
+        x = witness(self, node, sh, direction, region)
+        if x is None or sh != shell:
+            return x
+        if shell == satcheck.UNIT_LEVEL:
+            return tuple(v * (1 + F(1, 2**60)) for v in x)
+        t = self.disc.V0 / self.disc.V(x)  # V(s x) = s^2 V(x) just above V0
+        s = qfnra.rational_sqrt_in(t, True, t * (1 + F(1, 2**60)), False)
+        return tuple(s * v for v in x)
+
+    _, disc = bundled("r4_5")
+    engine = wordtree.WordEngine(disc)
+    node = engine.node((2,))
+    assert engine.decide(node, shell).status == "sat"
+    monkeypatch.setattr(wordtree.WordEngine, "_witness", corrupted)
+    res = engine.decide(node, shell)
+    assert res.status == "unknown" and "re-verification" in res.reason
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(json.loads(
+        (Path(cli.__file__).parent / "data" / "casestudy.json").read_text()),
+        r=0.8)))
+    assert cli.main(["abstract", "--config", str(config)]) == \
+        cli.EXIT_UNDECIDED
+    err = capsys.readouterr().err
+    assert "re-verification" in err and len(err.splitlines()) == 1
