@@ -12,7 +12,10 @@ direction (0, 1).  The atoms are homogeneous, so a feasible rational
 direction is itself a witness, and feasible irrational directions alone
 leave the query `unknown`.  ``decide`` answers the contraction queries
 of ``satcheck.check`` this way, and ``wordtree`` runs the same kernel on
-the word queries, with the witness helpers here.
+the word queries, with the witness helpers here: it cuts the feasible
+arcs it keeps with the pieces of ``critical_samples``, ``enclosed_roots``
+and ``between`` to isolate and order roots, and ``region_sample`` and
+``point_sample`` to sample a region.
 
 ``run_script`` is an SMT-LIB2 command interpreter around ``decide`` for
 the fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real

@@ -200,6 +200,7 @@ def test_criterion7_determinism(ci_disc, ci_N, ci_bisim, ci_sim):
     s2 = abstraction.build_petc_sim(ci_disc, b2)
     assert abstraction.export_model(b2, "json") == blob_b
     assert abstraction.export_model(s2, "json") == blob_s
+    assert (b2.stats, s2.stats) == (ci_bisim.stats, ci_sim.stats)
 
 
 # ---------------------------------------------------------------------------

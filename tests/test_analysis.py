@@ -111,12 +111,15 @@ def test_build_stats_add_up(ci_disc, ci_cert, ci_N, ci_bisim, ci_sim):
         assert lv["kept"] == lv["sat"] + lv["assumed"]
         assert lv["kept"] == sum(len(w) == lv["level"]
                                  for w in ci_bisim.states)
+        # a live word's prefix query keeps at least one feasible arc
+        assert lv["arcs"] >= lv["live"]
         live = lv["live"]
     assert sum(lv["kept"] for lv in levels) == ci_bisim.n_states(False)
     unit = ci_sim.stats
     assert unit["candidates"] == ci_bisim.n_states(False)
     assert unit["candidates"] == unit["sat"] + unit["unsat"] + unit["unknown"]
     assert unit["kept"] == unit["sat"] + unit["assumed"] == len(ci_sim.states)
+    assert unit["arcs"] >= unit["candidates"]
     rep = analysis.report(ci_bisim, ci_sim, ci_cert.a, ci_N, ci_disc.k_lo,
                           ci_disc.r, ci_disc.h, (1, 1), {"x_s": 1.0},
                           ci_cert.bisection_trace)
