@@ -537,7 +537,14 @@ def between(pairs, lo=None, hi=None):
             if i == 0 or _enclosed_cmp(pairs[i - 1], p)]
 
 
-def region_sample(lo, hi, max_prec=1 << 16):
+_MAX_PREC = 1 << 16  # bits of the root enclosures before giving up
+
+# the one arc of the whole line of directions m, before any root: its
+# sample is 0 and both its bounding roots are absent
+WHOLE_LINE = (Fraction(0), (None, None), (None, None))
+
+
+def _region_sample(lo, hi):
     """(direction, region) for the open region between consecutive roots
     lo < hi, given as pairs of ``enclosed_roots`` or None for an unbounded
     side.
@@ -545,7 +552,7 @@ def region_sample(lo, hi, max_prec=1 << 16):
     Between two roots the direction is the simplest rational strictly
     between their bounds at the first precision (64, 128, ... bits) at
     which the bounds are disjoint, and the region is those bounds; None
-    when that takes more than max_prec bits.  Below the lowest root the
+    when that takes more than _MAX_PREC bits.  Below the lowest root the
     direction is the floor of its lower bound minus one, above the
     highest root the floor of its upper bound plus two, and with no root
     at all it is 0."""
@@ -561,7 +568,7 @@ def region_sample(lo, hi, max_prec=1 << 16):
     prec = 64
     while not hn * ld < ln * hd:
         prec *= 2
-        if prec > max_prec:
+        if prec > _MAX_PREC:
             return None
         _, hn, hd = r1.bounds(prec)
         ln, _, ld = r2.bounds(prec)
@@ -569,7 +576,7 @@ def region_sample(lo, hi, max_prec=1 << 16):
             (Fraction(hn, hd), Fraction(ln, ld)))
 
 
-def point_sample(root):
+def _point_sample(root):
     """(direction, region) at a root pair of ``enclosed_roots``: a
     rational root as a Fraction with region (root, root), an irrational
     one as its Root with region None."""
@@ -577,27 +584,60 @@ def point_sample(root):
     return (r.value, (r.value, r.value)) if r.is_rational else (r, None)
 
 
-def critical_samples(polys, max_prec=1 << 16):
+def cut_arcs(arcs, roots):
+    """The arcs (direction, region, bounds) with every open arc cut at the
+    roots, pairs of ``enclosed_roots``, that fall strictly inside it, in
+    order; None when two neighbouring roots do not separate.  An open
+    arc's bounds are its bounding root pairs (None: unbounded); a point
+    or the vertical direction has bounds None and is never cut.  Each
+    piece carries the ``_region_sample`` or ``_point_sample`` of its
+    region or root."""
+    out = []
+    for arc in arcs:
+        if arc[2] is None or not roots:
+            out.append(arc)
+            continue
+        lo, hi = arc[2]
+        inside = between(roots, lo, hi)
+        if not inside:
+            out.append(arc)
+            continue
+        bounds = [lo, *inside, hi]
+        for i in range(len(inside) + 1):
+            sample = _region_sample(bounds[i], bounds[i + 1])
+            if sample is None:
+                return None
+            out.append((*sample, (bounds[i], bounds[i + 1])))
+            if i < len(inside):
+                out.append((*_point_sample(inside[i]), None))
+    return out
+
+
+def refine_arcs(arcs, atoms):
+    """The feasible arcs of a query with the atoms (f, strict) added,
+    from the query's feasible arcs: those arcs cut at the new atoms'
+    roots, and of the pieces the ones at which every new atom holds.
+    The query's own atoms keep their signs on each of its arcs, so only
+    the new atoms are tested.  None when two neighbouring roots do not
+    separate."""
+    if arcs is None:
+        return None
+    cut = cut_arcs(arcs, enclosed_roots(f for f, _ in atoms))
+    return None if cut is None else list(feasible(atoms, cut))
+
+
+def critical_samples(polys):
     """Sample directions m (for the ray s*(1, m)) cutting the line at the
     real roots of the integer quadratics polys = (a2, a1, a0).
 
-    Returns (direction, region) pairs in increasing order: the
-    ``region_sample`` of every open region between consecutive distinct
-    roots and the ``point_sample`` of every root.  The vertical
+    Returns (direction, region) pairs in increasing order, those of
+    ``cut_arcs`` on the whole line: a sample of every open region between
+    consecutive distinct roots and of every root.  The vertical
     direction (0, 1) is not included.  None when two neighbouring roots
-    do not separate within max_prec bits.
+    do not separate within _MAX_PREC bits.
     """
-    roots = between(enclosed_roots(polys))
-    bounds = [None, *roots, None]
-    samples = []
-    for i in range(len(roots) + 1):
-        sample = region_sample(bounds[i], bounds[i + 1], max_prec)
-        if sample is None:
-            return None
-        samples.append(sample)
-        if i < len(roots):
-            samples.append(point_sample(roots[i]))
-    return samples
+    arcs = cut_arcs([WHOLE_LINE], enclosed_roots(polys))
+    return None if arcs is None else [(d, region) for d, region, _ in arcs]
 
 
 VERTICAL = "vertical"

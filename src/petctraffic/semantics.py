@@ -144,9 +144,10 @@ class IntegerStepper:
 
     def __init__(self, disc: DiscretizedPetc):
         self._k_bar = disc.k_bar
-        self.trigger = [_integer_form(disc.N[k]) for k in range(1, disc.k_bar)]
-        self.lyapunov = _integer_form(disc.P_rat)
-        self.maps = {k: _integer_matrix(m) for k, m in disc.M.items()}
+        self._trigger = [_integer_form(disc.N[k])
+                         for k in range(1, disc.k_bar)]
+        self._lyapunov = _integer_form(disc.P_rat)
+        self._maps = {k: _integer_matrix(m) for k, m in disc.M.items()}
 
     def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
         """The points x_0, x_1, ... of the run from x0, without end."""
@@ -154,10 +155,10 @@ class IntegerStepper:
         y = tuple(int(Fraction(e) * c) for e in x0)
         while True:
             mono = _monomials(y)
-            k = next((i for i, f in enumerate(self.trigger, 1)
+            k = next((i for i, f in enumerate(self._trigger, 1)
                       if _dot(f, mono) > 0), self._k_bar)
-            m, d = self.maps[k]
-            yield OrbitPoint(k, d, _dot(self.lyapunov, mono), y, c)
+            m, d = self._maps[k]
+            yield OrbitPoint(k, d, _dot(self._lyapunov, mono), y, c)
             y = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
             c *= d
 

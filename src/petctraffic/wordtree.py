@@ -17,11 +17,12 @@ points, with the vertical direction (0, 1) apart.
 
 A node of the word tree holds the integer Phi of its word over a common
 denominator, the integer V forms of its prefix and the feasible arcs of
-its prefix query, each with the ``qfnra`` sample (direction, region)
-that ``critical_samples`` gives it and, for an open arc, the enclosed
-roots that bound it.  A child multiplies one integer M(k) and works only
-inside its parent's arcs: it isolates the roots of its new atoms that
-fall in them, cuts the arcs there and tests only the new atoms, since
+its prefix query, each with its sample (direction, region) and, for an
+open arc, the enclosed roots that bound it.  A child multiplies one
+integer M(k) and works only inside its parent's arcs: it isolates the
+roots of its new atoms that fall in them, cuts the arcs there
+(``qfnra.refine_arcs``, whose samples are those of
+``qfnra.critical_samples``) and tests only the new atoms, since
 every older atom keeps its sign on each parent arc.  The full sublevel
 and unit-shell queries cut the node's arcs at their terminal atoms the
 same way.  The arcs and samples are those of the whole query, so the
@@ -45,8 +46,7 @@ from math import gcd, lcm
 
 from . import qfnra
 from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
-from .semantics import (IntegerStepper, _dot, _integer_form, _integer_matrix,
-                        _monomials)
+from .semantics import _dot, _integer_form, _integer_matrix, _monomials
 from .sysmodel import DiscretizedPetc
 
 
@@ -81,46 +81,6 @@ def _padded(f):
     return f if len(f) == 2 else ((f[0][0], 0), (0, 0))
 
 
-def _cut(arcs, roots):
-    """The arcs (direction, region, bounds) with every open arc cut at the
-    roots, pairs of ``qfnra.enclosed_roots``, that fall strictly inside
-    it, in order; None when two neighbouring roots do not separate.  An open
-    arc's bounds are its bounding root pairs (None: unbounded); a point
-    or the vertical direction has bounds None and is never cut."""
-    out = []
-    for arc in arcs:
-        if arc[2] is None or not roots:
-            out.append(arc)
-            continue
-        lo, hi = arc[2]
-        inside = qfnra.between(roots, lo, hi)
-        if not inside:
-            out.append(arc)
-            continue
-        bounds = [lo, *inside, hi]
-        for i in range(len(inside) + 1):
-            sample = qfnra.region_sample(bounds[i], bounds[i + 1])
-            if sample is None:
-                return None
-            out.append((*sample, (bounds[i], bounds[i + 1])))
-            if i < len(inside):
-                out.append((*qfnra.point_sample(inside[i]), None))
-    return out
-
-
-def _refine(arcs, atoms):
-    """The feasible arcs of a query with the atoms (f, strict) added,
-    from the query's feasible arcs: those arcs cut at the new atoms'
-    roots, and of the pieces the ones at which every new atom holds.
-    The query's own atoms keep their signs on each of its arcs, so only
-    the new atoms are tested.  None when two neighbouring roots do not
-    separate."""
-    if arcs is None:
-        return None
-    cut = _cut(arcs, qfnra.enclosed_roots(f for f, _ in atoms))
-    return None if cut is None else list(qfnra.feasible(atoms, cut))
-
-
 @dataclass(eq=False, slots=True)
 class Node:
     """A word of the tree: Phi = phi / scale, the V forms (q_i, scale_i)
@@ -150,9 +110,8 @@ class WordEngine:
                          for j in range(1, disc.k_bar)]
         self._lyapunov = _integer_form(_padded(disc.P_rat))
         self._p_scale = _integer_matrix(disc.P_rat)[1]
-        self._run = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
-        arcs = [(*qfnra.region_sample(None, None), (None, None))]
+        arcs = [qfnra.WHOLE_LINE]
         if disc.n_x == 2:
             arcs.append((qfnra.VERTICAL, (None, None), None))
         self.root = Node((), one, 1, ((_pullback(self._lyapunov, one), 1),),
@@ -175,7 +134,7 @@ class WordEngine:
         scale = node.scale * d
         forms = node.forms + ((_pullback(self._lyapunov, phi), scale),)
         child = Node(node.word + (k,), phi, scale, forms,
-                     _refine(node.arcs, self._letter_atoms(node, k)))
+                     qfnra.refine_arcs(node.arcs, self._letter_atoms(node, k)))
         node.children[k] = child
         return child
 
@@ -221,7 +180,7 @@ class WordEngine:
         """The full query of node.word from the sublevel set or from the
         unit shell, with an exactly re-verified witness when sat."""
         terminal = self._terminal(node, shell)
-        arcs = _refine(node.arcs, terminal)
+        arcs = qfnra.refine_arcs(node.arcs, terminal)
         if arcs is None:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
@@ -249,14 +208,15 @@ class WordEngine:
         y_i = M_int(k_i) y_{i-1} and c_i = c_{i-1} d(k_i).  A cone atom
         on x_i is the sign of y_i'N_int y_i, and a bound on
         V(x_i) = y_i'P_int y_i / (p c_i^2), with P_int = p P, is compared
-        in integers."""
-        disc, run = self.disc, self._run
+        in integers.  A one-variable x is padded to (x, 0), as the
+        matrices are."""
+        disc = self.disc
         c = lcm(*(Fraction(e).denominator for e in x))
-        y = tuple(int(Fraction(e) * c) for e in x)
+        y = tuple(int(Fraction(e) * c) for e in x) + (0,) * (2 - len(x))
         mono = _monomials(y)
 
         def level(bound: Fraction) -> int:  # the sign of V(x_i) - bound
-            v = _dot(run.lyapunov, mono) * bound.denominator
+            v = _dot(self._lyapunov, mono) * bound.denominator
             w = bound.numerator * self._p_scale * c * c
             return (v > w) - (v < w)
 
@@ -266,13 +226,13 @@ class WordEngine:
             return False
         for k in word:
             for j in range(disc.k_lo, min(k, disc.k_bar)):
-                if _dot(run.trigger[j - 1], mono) > 0:
+                if _dot(self._trigger[j - 1], mono) > 0:
                     return False
-            if k < disc.k_bar and not _dot(run.trigger[k - 1], mono) > 0:
+            if k < disc.k_bar and not _dot(self._trigger[k - 1], mono) > 0:
                 return False
             if level(rv0) <= 0:
                 return False
-            m, d = run.maps[k]
+            m, d = self._maps[k]
             y = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
             c *= d
             mono = _monomials(y)

@@ -156,7 +156,7 @@ def _fraction_roots_equal(r1, r2):
     return u == 0 and v * r1.disc == w * g
 
 
-def fraction_critical_samples(polys, max_prec=1 << 16):
+def fraction_critical_samples(polys):
     """qfnra.critical_samples on Fraction enclosures: roots ordered by a
     40-bit float key, deduplicated among float-close neighbours, and
     refined by doubling precision until neighbours separate."""
@@ -183,7 +183,7 @@ def fraction_critical_samples(polys, max_prec=1 << 16):
         if not bad:
             break
         prec *= 2
-        if prec > max_prec:
+        if prec > qfnra._MAX_PREC:
             return None
         for i in set(bad) | {i + 1 for i in bad}:
             encl[i] = fraction_enclosure(unique[i], prec)

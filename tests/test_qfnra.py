@@ -186,11 +186,15 @@ def test_close_roots_in_swapped_float_order_are_separated():
 
 @pytest.mark.parametrize("case", ["ci", "r4_5", "cs", "one_dim", "scaled"])
 def test_kernel_matches_oracles(case, request, monkeypatch):
-    # every root isolation and every conic witness of the contraction
-    # queries and of both builds, on the r = 1/2 fixture, on the bundled
-    # loop at r = 4/5, on the bundled example (r = 1/10), on a scalar
-    # plant and on the loop at r = 4/5 with P_lyap, Q_lyap and V0 scaled
-    # by 3; the integer kernel may answer only where its oracle did not.
+    # every root isolation of the contraction queries and of the
+    # full-sample kernel, which decides every word query of both builds
+    # again, and every conic witness of the queries and of both builds,
+    # on the r = 1/2 fixture, on the bundled loop at r = 4/5, on the
+    # bundled example (r = 1/10), on a scalar plant and on the loop at
+    # r = 4/5 with P_lyap, Q_lyap and V0 scaled by 3; the integer kernel
+    # may answer only where its oracle did not.  The builds sample only
+    # on their feasible arcs, and those arcs are checked through the
+    # full-sample kernel's verdicts and witnesses.
     # Every contraction query is decided again by the t-scale oracle:
     # the same verdicts, and every sat witness holds
     calls = {"critical_samples": [], "_conic_witness": []}
