@@ -210,6 +210,16 @@ def load_models(out: Path):
     return models
 
 
+def _counts(args) -> tuple[int, int]:
+    """--samples and --steps, each an integer >= 0."""
+    for flag in ("samples", "steps"):
+        text = getattr(args, flag)
+        if not text.isdecimal():
+            raise ConfigError(f"--{flag} must be an integer >= 0, "
+                              f"not {text!r}")
+    return int(args.samples), int(args.steps)
+
+
 def _validate(disc: DiscretizedPetc, bisim, sim, samples: int, steps: int,
               seed: int) -> bool:
     rep1 = verify.check_bisim_sample(disc, bisim, samples, seed=seed)
@@ -281,6 +291,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    samples, steps = _counts(args)
     cfg = load_config(args.config)
     seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
     if args.models:
@@ -289,12 +300,13 @@ def cmd_verify(args) -> int:
     else:
         res = run_pipeline(cfg)
         disc, bisim, sim = res.disc, res.bisim, res.sim
-    if not _validate(disc, bisim, sim, args.samples, args.steps, seed):
+    if not _validate(disc, bisim, sim, samples, steps, seed):
         return EXIT_MISMATCH
     return EXIT_OK
 
 
 def cmd_casestudy(args) -> int:
+    samples, steps = _counts(args)
     cfg = load_config(args.config)
     out = Path(args.out)
     t_all = time.perf_counter()
@@ -314,7 +326,7 @@ def cmd_casestudy(args) -> int:
         (out / "trace.csv").write_bytes(trace.to_csv(disc).encode())
 
     t0 = time.perf_counter()
-    passed = _validate(disc, res.bisim, res.sim, args.samples, args.steps,
+    passed = _validate(disc, res.bisim, res.sim, samples, steps,
                        int(cfg.get("seed", 0)))
     res.timings["validation_s"] = time.perf_counter() - t0
     res.timings["total_s"] = time.perf_counter() - t_all
@@ -358,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-sat", action="store_true")
 
     p = add("verify", cmd_verify, help="randomized model validation")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--samples", default="100")
+    p.add_argument("--steps", default="20")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--models", default=None,
                    help="directory with previously exported model JSON")
@@ -367,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("casestudy", cmd_casestudy,
             help="full pipeline on the bundled example")
     p.add_argument("--out", default="casestudy_out")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--samples", default="100")
+    p.add_argument("--steps", default="20")
 
     return parser
 

@@ -5,7 +5,9 @@ trace simulation — all evaluated in exact rational arithmetic over the
 frozen discretization, so these routines double as the brute-force
 oracle for the abstract models.  ``IntegerStepper`` runs the pure
 event-triggered law on integer vectors kept up to a positive scale,
-which is exact too and is what long replays use.
+which is exact too: both checks of ``verify`` run on its orbits, and
+``IntegerStepper.entry_run`` gives the word that ``concrete_sequence``
+gives.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from . import ratlin
@@ -107,18 +110,18 @@ def _integer_form(f) -> tuple[int, ...]:
 
 
 def _monomials(y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(a * y[j] for i, a in enumerate(y) for j in range(i, len(y)))
+    return tuple([a * b for i, a in enumerate(y) for b in y[i:]])
 
 
 def _dot(coeffs: tuple[int, ...], mono: tuple[int, ...]) -> int:
-    return sum(c * m for c, m in zip(coeffs, mono))
+    return sum(map(mul, coeffs, mono))
 
 
 class OrbitPoint(NamedTuple):
     """Step j of an integer orbit: the state x_j = y / c, its inter-event
     index k = kappa(x_j), the common denominator d of M(k), so that the
-    next scale is c d, and v = y'P_int y, which is V(x_j) times c^2 and a
-    positive factor fixed by the discretization."""
+    next scale is c d, and v = y'P_int y, which is V(x_j) times d_P c^2
+    (see ``IntegerStepper``)."""
 
     k: int
     d: int
@@ -140,6 +143,10 @@ class IntegerStepper:
     forms: the sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no
     scale at all.  No gcd is taken, and comparisons of V across steps
     carry the product of the d_k explicitly.
+
+    P_int = d_P P over the common denominator d_P of P, so the integer
+    value v = y'P_int y is d_P c^2 V(x), and a bound V(x) <= t reads
+    v <= d_P t c^2, in integers.
     """
 
     def __init__(self, disc: DiscretizedPetc):
@@ -148,19 +155,60 @@ class IntegerStepper:
                          for k in range(1, disc.k_bar)]
         self._lyapunov = _integer_form(disc.P_rat)
         self._maps = {k: _integer_matrix(m) for k, m in disc.M.items()}
+        self._d_p = _integer_matrix(disc.P_rat)[1]
+        self._v0 = self._d_p * disc.V0
+        self._rv0 = self._d_p * disc.r * disc.V0
+
+    def lyapunov(self, y: tuple[int, ...]) -> int:
+        """y'P_int y: V(y / c) times d_P c^2."""
+        return _dot(self._lyapunov, _monomials(y))
+
+    def level(self, v: int, c: int) -> Fraction:
+        """V(x), exactly, for the state x = y / c with v = lyapunov(y)."""
+        return Fraction(v, self._d_p * c * c)
+
+    def outside(self, v: int, c: int) -> bool:
+        """Whether V(x) > V0, for the state x = y / c with
+        v = lyapunov(y): x lies outside the initial set."""
+        return self._v0.denominator * v > self._v0.numerator * c * c
 
     def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
         """The points x_0, x_1, ... of the run from x0, without end."""
         c = math.lcm(*(Fraction(e).denominator for e in x0))
         y = tuple(int(Fraction(e) * c) for e in x0)
+        trigger, lyapunov = self._trigger, self._lyapunov
+        maps, k_bar = self._maps, self._k_bar
         while True:
             mono = _monomials(y)
-            k = next((i for i, f in enumerate(self._trigger, 1)
-                      if _dot(f, mono) > 0), self._k_bar)
-            m, d = self._maps[k]
-            yield OrbitPoint(k, d, _dot(self._lyapunov, mono), y, c)
-            y = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
+            k = next((i for i, f in enumerate(trigger, 1)
+                      if sum(map(mul, f, mono)) > 0), k_bar)
+            m, d = maps[k]
+            yield OrbitPoint(k, d, sum(map(mul, lyapunov, mono)), y, c)
+            y = tuple([sum(map(mul, row, y)) for row in m])
             c *= d
+
+    def entry_run(self, x0: ConcreteState,
+                  max_len: int) -> list[OrbitPoint]:
+        """The points of the run from x0 before its first entry into the
+        periodic set {V <= r V0}: their letters are the word of x0, and
+        they are the states that the mixed strategy steps with the
+        event-triggered law.  Raises as ``concrete_sequence`` does: a
+        ValueError when x0 lies outside the initial set, and past
+        max_len letters a HorizonExceededError with the state reached
+        and the prefix."""
+        num, den = self._rv0.numerator, self._rv0.denominator
+        orbit = self.orbit(x0)
+        pt = next(orbit)
+        if self.outside(pt.v, pt.c):
+            raise ValueError("initial state outside the initial sublevel set")
+        run: list[OrbitPoint] = []
+        while den * pt.v > num * pt.c * pt.c:
+            if len(run) >= max_len:
+                raise HorizonExceededError(pt.state(),
+                                           tuple(p.k for p in run))
+            run.append(pt)
+            pt = next(orbit)
+        return run
 
 
 @dataclass(frozen=True)

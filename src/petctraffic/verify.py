@@ -4,12 +4,16 @@ Forward direction: sampled concrete words must appear in the bisimilar
 model and replay its unique trace.  Backward direction: every stored
 witness must regenerate exactly its word.  For the simulating model,
 sampled infinite runs must be reproducible edge by edge.  All sampling
-is seeded and exact: random dyadic points, rational membership tests.
+is seeded and exact: random dyadic points, integer membership tests.
+Both checks run on integer orbits of ``semantics.IntegerStepper``: each
+sampled run or witness replay is stepped once, and its words, states
+and Lyapunov tests are read off that orbit in integers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -20,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ratlin, semantics
-from .abstraction import EPSILON, MPETC_BISIM, PETC_SIM, TrafficModel
+from .abstraction import MPETC_BISIM, PETC_SIM, TrafficModel
 from .ratlin import RatVector
 from .sysmodel import DiscretizedPetc
 
@@ -53,21 +57,38 @@ def _bounding_radii(disc: DiscretizedPetc) -> np.ndarray:
     return np.sqrt(float(disc.V0) * np.maximum(np.diag(inv), 0.0))
 
 
+def _sublevel_points(disc: DiscretizedPetc, seed: int,
+                     prec: int) -> Iterator[tuple[RatVector, Fraction]]:
+    """Exact rational points x with V(x) <= V0, each with V(x), by
+    rejection from the bounding box of the ellipsoid, without end.
+
+    Coordinate i is a uniform dyadic n_i / 2^prec, |n_i| <= 2^prec,
+    times a rational radius a_i / b_i.  Over the common denominator
+    D = 2^prec lcm(b_i), x = y / D with integer y, so acceptance is an
+    integer test and only an accepted point is made a Fraction.
+    """
+    rng = random.Random(seed)
+    stepper = semantics.IntegerStepper(disc)
+    scale = 1 << prec
+    radii = [Fraction(r).limit_denominator(10 ** 9)
+             for r in _bounding_radii(disc)]
+    den = math.lcm(*(r.denominator for r in radii))
+    weights = [r.numerator * (den // r.denominator) for r in radii]
+    common = scale * den
+    while True:
+        y = tuple([rng.randint(-scale, scale) * w for w in weights])
+        v = stepper.lyapunov(y)
+        if not stepper.outside(v, common):
+            yield (tuple([Fraction(e, common) for e in y]),
+                   stepper.level(v, common))
+
+
 def sample_states(disc: DiscretizedPetc, n: int, seed: int,
                   prec: int = 30) -> list[RatVector]:
     """n exact rational points with V(x) <= V0, by rejection from the
-    bounding box of the ellipsoid; dyadic coordinates, exact acceptance."""
-    rng = random.Random(seed)
-    radii = _bounding_radii(disc)
-    scale = 1 << prec
-    out: list[RatVector] = []
-    while len(out) < n:
-        x = tuple(Fraction(rng.randint(-scale, scale), scale)
-                  * Fraction(r).limit_denominator(10 ** 9)
-                  for r in radii)
-        if disc.V(x) <= disc.V0:
-            out.append(x)
-    return out
+    bounding box of the ellipsoid; dyadic multiples of rational radii,
+    exact acceptance."""
+    return [x for x, _ in islice(_sublevel_points(disc, seed, prec), n)]
 
 
 def sample_shell_states(disc: DiscretizedPetc, n: int, seed: int,
@@ -77,20 +98,17 @@ def sample_shell_states(disc: DiscretizedPetc, n: int, seed: int,
     from the sublevel sample); used to exercise the event-triggered
     phase."""
     rng = random.Random(seed)
-    raw = sample_states(disc, 2 * n + 16, seed ^ 0x5EED, prec)
+    raw = _sublevel_points(disc, seed ^ 0x5EED, prec)
     out = []
     rv0 = disc.r * disc.V0
-    for x in raw:
-        v = disc.V(x)
+    for x, v in islice(raw, 2 * n + 16):
         if v == 0:
             continue
         if v <= rv0:
-            # push outward with an exact rational scaling
+            # push outward with an exact rational scaling; its band
+            # test on lambda^2 v is V(lambda x) in the band
             lam = _rational_upscale(v, rv0, disc.V0)
             x = tuple(lam * c for c in x)
-            v = disc.V(x)
-            if not (rv0 < v <= disc.V0):
-                continue
         out.append(x)
         if len(out) == n:
             break
@@ -115,42 +133,50 @@ def _rational_upscale(v: Fraction, rv0: Fraction, v0: Fraction) -> Fraction:
 
 
 def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
-                       n_samples: int, seed: int = 0,
-                       max_word_len: int | None = None) -> CheckReport:
-    """Thm.-1-style spot check of the bisimilar model."""
+                       n_samples: int, seed: int = 0) -> CheckReport:
+    """Thm.-1-style spot check of the bisimilar model.  Each sampled run
+    and each witness replay is one integer orbit up to its entry into
+    the periodic set; a failure records the exact rational state."""
     if model.kind != MPETC_BISIM:
         raise ValueError("expected the bisimilar model")
     rep = CheckReport(name="bisimulation sample check")
-    cap = max_word_len if max_word_len is not None else 10 * len(model.states)
+    cap = 10 * len(model.states)
+    stepper = semantics.IntegerStepper(disc)
 
     # forward: sampled concrete word is a state and replays the tree
     for i, x0 in enumerate(sample_states(disc, n_samples, seed)):
-        word = semantics.concrete_sequence(disc, x0, max_len=cap)
+        run = stepper.entry_run(x0, cap)
+        word = tuple(pt.k for pt in run)
         rep.n_checked += 1
         if word not in model.states:
             rep.add_failure(direction="forward", sample=i, x0=x0, word=word)
             continue
         # the unique model trace from `word` is its chain of suffixes;
-        # outputs must equal the concrete inter-sample times
-        x, w = x0, word
-        while w != EPSILON:
-            x_next, dt = semantics.mpetc_step(disc, x)
-            if dt != model.output[w] or (w, w[1:]) not in model.edges:
+        # outputs must equal the concrete inter-sample times, and every
+        # state before entry must lie in the initial set
+        for j, pt in enumerate(run):
+            w = word[j:]
+            if (stepper.outside(pt.v, pt.c)
+                    or disc.h * pt.k != model.output[w]
+                    or (w, w[1:]) not in model.edges):
                 rep.add_failure(direction="forward-trace", sample=i, x0=x0,
                                 word=word, at=w)
                 break
-            x, w = x_next, w[1:]
 
-    # backward: every stored witness regenerates exactly its word
+    # backward: every stored witness regenerates exactly its word; a
+    # witness outside the initial set has no word (replay None)
     for w in model.sorted_states():
         if w not in model.witnesses:
             continue
         rep.n_checked += 1
-        replay = semantics.concrete_sequence(disc, model.witnesses[w],
-                                             max_len=cap)
+        x0 = model.witnesses[w]
+        try:
+            replay = tuple(pt.k for pt in stepper.entry_run(x0, cap))
+        except ValueError:
+            replay = None
         if replay != w:
             rep.add_failure(direction="backward", word=w, replay=replay,
-                            witness=model.witnesses[w])
+                            witness=x0)
     return rep
 
 
@@ -197,8 +223,7 @@ def normalized_word(disc: DiscretizedPetc, x: RatVector,
 
 
 def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
-                   n_samples: int, steps: int, seed: int = 0,
-                   max_word_len: int | None = None) -> CheckReport:
+                   n_samples: int, steps: int, seed: int = 0) -> CheckReport:
     """Thm.-2-style spot check: sampled pure event-triggered runs are
     reproducible by edge-following through the simulating model.  Each
     run is one integer orbit, and the word at every step is a window of
@@ -206,7 +231,7 @@ def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
     if model.kind != PETC_SIM:
         raise ValueError("expected the simulating model")
     rep = CheckReport(name="simulation sample check")
-    cap = max_word_len if max_word_len is not None else 10 * len(model.states)
+    cap = 10 * len(model.states)
     stepper = semantics.IntegerStepper(disc)
     for i, x0 in enumerate(sample_shell_states(disc, n_samples, seed)):
         prev = None

@@ -1,17 +1,18 @@
 """Shared fixtures: the two-dimensional example system at the fast
 setting (r = 0.5) used by most tests, plus small synthetic systems, float
-oracles of the exact semantics, the from-scratch Fraction replay that
-the integer orbit of verify replaced, the per-word solver queries that
-the word-tree engine of abstraction replaced, the Fraction root
-isolation and float conic search that the integer kernel of qfnra
-replaced, the t-scale decision procedure that the sign-test decide of
-qfnra replaced, and the full-sample word queries that the feasible arcs
-of wordtree replaced."""
+oracles of the exact semantics, the Fraction samplers and from-scratch
+Fraction replays that the integer orbits of verify replaced, the
+per-word solver queries that the word-tree engine of abstraction
+replaced, the Fraction root isolation and float conic search that the
+integer kernel of qfnra replaced, the t-scale decision procedure that
+the sign-test decide of qfnra replaced, and the full-sample word queries
+that the feasible arcs of wordtree replaced."""
 
 from __future__ import annotations
 
 import contextlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -78,14 +79,90 @@ def fraction_normalized_word(disc, x, max_len) -> tuple[int, ...]:
     return tuple(word)
 
 
+def fraction_sample_states(disc, n, seed, prec=30):
+    """verify.sample_states on Fraction: each candidate built from the
+    rounded radii and accepted by V(x) <= V0 in Fraction."""
+    rng = random.Random(seed)
+    radii = verify._bounding_radii(disc)
+    scale = 1 << prec
+    out = []
+    while len(out) < n:
+        x = tuple(Fraction(rng.randint(-scale, scale), scale)
+                  * Fraction(r).limit_denominator(10 ** 9)
+                  for r in radii)
+        if disc.V(x) <= disc.V0:
+            out.append(x)
+    return out
+
+
+def fraction_sample_shell_states(disc, n, seed, prec=30):
+    """verify.sample_shell_states on Fraction, with V evaluated again
+    after each rescale."""
+    rng = random.Random(seed)
+    raw = fraction_sample_states(disc, 2 * n + 16, seed ^ 0x5EED, prec)
+    out = []
+    rv0 = disc.r * disc.V0
+    for x in raw:
+        v = disc.V(x)
+        if v == 0:
+            continue
+        if v <= rv0:
+            lam = verify._rational_upscale(v, rv0, disc.V0)
+            x = tuple(lam * c for c in x)
+            v = disc.V(x)
+            if not (rv0 < v <= disc.V0):
+                continue
+        out.append(x)
+        if len(out) == n:
+            break
+    while len(out) < n:
+        out.extend(fraction_sample_shell_states(
+            disc, n - len(out), rng.randint(0, 2 ** 31), prec))
+    return out[:n]
+
+
+def fraction_bisim_check(disc, model, n_samples, seed):
+    """verify.check_bisim_sample on Fraction states: each word from
+    scratch with semantics.concrete_sequence, each trace re-stepped with
+    semantics.mpetc_step (n_checked, failures).  A state outside the
+    initial set raises ValueError here."""
+    n_checked, failures = 0, []
+    cap = 10 * len(model.states)
+    for i, x0 in enumerate(fraction_sample_states(disc, n_samples, seed)):
+        word = semantics.concrete_sequence(disc, x0, max_len=cap)
+        n_checked += 1
+        if word not in model.states:
+            failures.append(dict(direction="forward", sample=i, x0=x0,
+                                 word=word))
+            continue
+        x, w = x0, word
+        while w != abstraction.EPSILON:
+            x_next, dt = semantics.mpetc_step(disc, x)
+            if dt != model.output[w] or (w, w[1:]) not in model.edges:
+                failures.append(dict(direction="forward-trace", sample=i,
+                                     x0=x0, word=word, at=w))
+                break
+            x, w = x_next, w[1:]
+    for w in model.sorted_states():
+        if w not in model.witnesses:
+            continue
+        n_checked += 1
+        replay = semantics.concrete_sequence(disc, model.witnesses[w],
+                                             max_len=cap)
+        if replay != w:
+            failures.append(dict(direction="backward", word=w,
+                                 replay=replay, witness=model.witnesses[w]))
+    return n_checked, failures
+
+
 def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
     """verify.check_sim_petc on Fraction states, with the word of every
     step extracted from scratch: (n_checked, failures).  The Fraction
     check also compared each word's first letter with kappa(x), which
     holds by construction, since the word's first step is petc_step."""
     n_checked, failures = 0, []
-    for i, x0 in enumerate(verify.sample_shell_states(disc, n_samples,
-                                                      seed)):
+    for i, x0 in enumerate(fraction_sample_shell_states(disc, n_samples,
+                                                        seed)):
         x, prev = x0, None
         for step in range(steps):
             word = fraction_normalized_word(disc, x, max_len)

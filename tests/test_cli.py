@@ -9,8 +9,9 @@ import pytest
 
 from petctraffic import abstraction, cli, qfnra, satcheck
 from petctraffic.cli import (ConfigError, EXIT_BLOCKING, EXIT_CONFIG,
-                             EXIT_HORIZON, EXIT_NOT_CONTRACTIVE, EXIT_OK,
-                             EXIT_UNDECIDED, load_config, main)
+                             EXIT_HORIZON, EXIT_MISMATCH,
+                             EXIT_NOT_CONTRACTIVE, EXIT_OK, EXIT_UNDECIDED,
+                             load_config, main)
 
 F = Fraction
 
@@ -106,6 +107,41 @@ def test_exit_code_config(tmp_path, capsys, monkeypatch):
             err = capsys.readouterr().err
             assert err.startswith("config error:") and "seed" in err
             assert len(err.splitlines()) == 1
+
+
+def test_exit_code_config_counts(tmp_path, capsys, monkeypatch):
+    # --samples and --steps must be integers >= 0: one line, before any
+    # build
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda *a, **kw: pytest.fail("built"))
+    for flag, value in (("--samples", "-3"), ("--steps", "-2"),
+                        ("--samples", "1.5"), ("--steps", "x")):
+        counts = {"--samples": "1", "--steps": "1", flag: value}
+        for argv in (["verify"], ["casestudy", "--out", str(tmp_path)]):
+            argv = argv + [arg for item in counts.items() for arg in item]
+            assert main(argv) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and flag in err
+            assert len(err.splitlines()) == 1
+
+
+def test_verify_witness_outside_initial_set(tmp_path, capsys):
+    # a stored witness with V > V0 is a backward failure, not a traceback
+    config = write_config(tmp_path, r=0.8)
+    models = tmp_path / "models"
+    assert main(["abstract", "--config", config, "--out", str(models)]) \
+        == EXIT_OK
+    path = models / "mpetc_bisim.json"
+    doc = json.loads(path.read_text())
+    state = next(s for s in doc["states"] if s["word"] == [1])
+    state["witness"] = ["100/1", "0/1"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--models", str(models),
+                 "--samples", "5", "--steps", "5"]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert '"direction": "backward", "word": [1], "replay": null' in out
+    assert "Traceback" not in err
 
 
 def test_exit_code_three_variables(tmp_path, capsys):

@@ -9,10 +9,27 @@ from types import SimpleNamespace
 import pytest
 
 from petctraffic import cli, semantics, verify
-from petctraffic.abstraction import EPSILON, PETC_SIM
-from conftest import fraction_normalized_word, fraction_sim_check
+from petctraffic.abstraction import EPSILON, MPETC_BISIM, PETC_SIM
+from petctraffic.sysmodel import DiscretizedPetc
+from conftest import (fraction_bisim_check, fraction_normalized_word,
+                      fraction_sample_shell_states, fraction_sample_states,
+                      fraction_sim_check)
 
 F = Fraction
+
+
+@pytest.fixture(scope="module", params=[F(1, 2), F(4, 5), F(1, 10)],
+                ids=["ci", "r4_5", "cs"])
+def built(request):
+    """(disc, bisim, sim): the r = 1/2 fixture, and the bundled loop at
+    the benchmark's r = 4/5 and at its own r = 1/10."""
+    if request.param == F(1, 2):
+        return tuple(request.getfixturevalue(name)
+                     for name in ("ci_disc", "ci_bisim", "ci_sim"))
+    cfg = cli.load_config(None)
+    cfg["r"] = request.param
+    res = cli.run_pipeline(cfg)
+    return res.disc, res.bisim, res.sim
 
 
 def test_sample_states_exactly_inside(ci_disc):
@@ -32,6 +49,61 @@ def test_sample_shell_states_in_band(ci_disc):
     assert len(xs) == 50
     for x in xs:
         assert rv0 < ci_disc.V(x) <= ci_disc.V0
+
+
+def test_samplers_match_fraction_samplers(built):
+    # the integer acceptance tests keep every point of the Fraction ones
+    disc = built[0]
+    for seed in (0, 1, 2024):
+        assert (verify.sample_states(disc, 60, seed)
+                == fraction_sample_states(disc, 60, seed))
+        assert (verify.sample_shell_states(disc, 60, seed)
+                == fraction_sample_shell_states(disc, 60, seed))
+
+
+def test_entry_run_matches_concrete_sequence(built):
+    # on every sample and every witness of both builds, the integer run
+    # has the word of the Fraction replay and passes its states
+    disc, bisim, sim = built
+    stepper = semantics.IntegerStepper(disc)
+    xs = (verify.sample_states(disc, 100, seed=3)
+          + verify.sample_shell_states(disc, 100, seed=3)
+          + [bisim.witnesses[w] for w in bisim.sorted_states()
+             if w in bisim.witnesses]
+          + [sim.witnesses[w] for w in sim.sorted_states()])
+    n_long = 0
+    for x in xs:
+        run = stepper.entry_run(x, 1000)
+        word = semantics.concrete_sequence(disc, x, max_len=1000)
+        assert tuple(pt.k for pt in run) == word
+        states = [x]
+        for _ in word[1:]:
+            states.append(semantics.petc_step(disc, states[-1])[0])
+        assert [pt.state() for pt in run] == (states if word else [])
+        assert not any(stepper.outside(pt.v, pt.c) for pt in run)
+        if len(word) > 2:
+            # past the cap: the same state and prefix
+            n_long += 1
+            with pytest.raises(semantics.HorizonExceededError) as new:
+                stepper.entry_run(x, 2)
+            with pytest.raises(semantics.HorizonExceededError) as old:
+                semantics.concrete_sequence(disc, x, max_len=2)
+            assert ((new.value.state, new.value.word)
+                    == (old.value.state, old.value.word))
+    assert n_long > 0
+    outside = (F(100), F(0))
+    for replay in (lambda x: stepper.entry_run(x, 1000),
+                   lambda x: semantics.concrete_sequence(disc, x)):
+        with pytest.raises(ValueError, match="outside"):
+            replay(outside)
+
+
+def test_bisim_check_matches_fraction_replay(built):
+    disc, bisim, _ = built
+    rep = verify.check_bisim_sample(disc, bisim, 60, seed=11)
+    assert rep.passed, rep.render()
+    assert (rep.n_checked, rep.failures) == fraction_bisim_check(
+        disc, bisim, 60, seed=11)
 
 
 def test_normalized_word_homogeneous(ci_disc):
@@ -126,6 +198,8 @@ def test_bisim_check_detects_missing_state(ci_disc, ci_bisim):
     assert not rep.passed
     assert any(f["direction"] == "forward" for f in rep.failures)
     assert "FAIL" in rep.render()
+    assert (rep.n_checked, rep.failures) == fraction_bisim_check(
+        ci_disc, pruned, 40, seed=1)
 
 
 def test_bisim_check_detects_bad_witness(ci_disc, ci_bisim):
@@ -136,6 +210,55 @@ def test_bisim_check_detects_bad_witness(ci_disc, ci_bisim):
     rep = verify.check_bisim_sample(ci_disc, doctored, 5, seed=1)
     assert any(f["direction"] == "backward" and f["word"] == some
                for f in rep.failures)
+    assert (rep.n_checked, rep.failures) == fraction_bisim_check(
+        ci_disc, doctored, 5, seed=1)
+
+
+def test_bisim_check_detects_wrong_output(ci_disc, ci_bisim):
+    some = max(ci_bisim.sorted_states(), key=len)
+    output = dict(ci_bisim.output)
+    output[some[1:]] += ci_disc.h
+    doctored = replace(ci_bisim, output=output)
+    rep = verify.check_bisim_sample(ci_disc, doctored, 200, seed=1)
+    assert any(f["direction"] == "forward-trace" for f in rep.failures)
+    assert (rep.n_checked, rep.failures) == fraction_bisim_check(
+        ci_disc, doctored, 200, seed=1)
+
+
+class _FirstLetterTime:
+    def __getitem__(self, word):
+        return F(word[0])
+
+
+def test_bisim_check_records_states_outside_the_initial_set():
+    # a loop that is not contractive: the letter 1 (|x1| > |x2|) swaps
+    # and doubles the state, so V grows by 4 and leaves {V <= 1}; the
+    # letter 2 shrinks it by 10, into {V <= 1/4}
+    one, zero = F(1), F(0)
+    eye = ((one, zero), (zero, one))
+    disc = DiscretizedPetc(
+        M={1: ((zero, F(2)), (F(2), zero)),
+           2: ((F(1, 10), zero), (zero, F(1, 10)))},
+        N={1: ((one, zero), (zero, -one)), 2: eye}, P_rat=eye, Q_rat=eye,
+        M_P=eye, k_lo=1, h_P=one, h=one, k_bar=2, r=F(1, 4), V0=one,
+        sys=None)
+    x = (F(4, 5), F(1, 5))
+    assert semantics.concrete_sequence(disc, x) == (1, 2)
+    model = SimpleNamespace(
+        kind=MPETC_BISIM, states=_EveryWord(), edges=_EveryWord(),
+        output=_FirstLetterTime(), witnesses={(1, 2): x, (1,): (F(2), 0)},
+        sorted_states=lambda: [(1,), (1, 2)])
+    rep = verify.check_bisim_sample(disc, model, 40, seed=1)
+    trace = [f for f in rep.failures if f["direction"] == "forward-trace"]
+    assert trace and all(f["word"] == (1, 2) and f["at"] == (2,)
+                         for f in trace)
+    # the witness outside the initial set has no word; the other replays
+    assert [f for f in rep.failures if f["direction"] == "backward"] == [
+        dict(direction="backward", word=(1,), replay=None,
+             witness=(F(2), 0))]
+    # where the Fraction replay stopped with a ValueError
+    with pytest.raises(ValueError, match="outside"):
+        fraction_bisim_check(disc, model, 40, seed=1)
 
 
 def test_bisim_check_wants_bisim_kind(ci_disc, ci_sim):
