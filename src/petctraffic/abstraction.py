@@ -10,6 +10,9 @@ Three model kinds over words of discrete inter-event times:
   Lyapunov shell, with domino edges: from k-sigma one may move to any
   state extending sigma.
 
+Both builds walk one ``wordtree.WordEngine``, which the bisimilar model
+keeps as ``tree`` for the simulating build.
+
 State sets are pure functions of the discretization and the horizon:
 enumeration is lexicographic and every query is decided exactly, so
 repeated builds are bit-identical.
@@ -56,6 +59,9 @@ class TrafficModel:
     assumed: frozenset[Word] = frozenset()
     # how the build reached the state set: counts only, no timings
     stats: dict = field(default_factory=dict, compare=False)
+    # the word tree of a bisimilar build, for the simulating build
+    tree: wordtree.WordEngine | None = field(default=None, compare=False,
+                                             repr=False)
 
     def __post_init__(self):
         if self.kind not in (TRIVIAL, MPETC_BISIM, PETC_SIM):
@@ -194,18 +200,18 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
                         edges=frozenset(_tree_edges(states)),
                         output=_outputs(states, disc.h, disc.h_P),
                         witnesses=witnesses, h=disc.h, h_P=disc.h_P,
-                        assumed=frozenset(assumed), stats={"levels": levels})
+                        assumed=frozenset(assumed), stats={"levels": levels},
+                        tree=engine)
 
 
 def domino_edges(states) -> set[tuple[Word, Word]]:
-    """(k sigma, tau) for every tau extending sigma."""
-    edges = set()
-    for w in states:
-        tail = w[1:]
-        for t in states:
-            if t[:len(tail)] == tail:
-                edges.add((w, t))
-    return edges
+    """(k sigma, tau) for every tau extending sigma, read off an index
+    from each prefix to the states that extend it."""
+    extending: dict[Word, list[Word]] = {}
+    for t in states:
+        for i in range(len(t) + 1):
+            extending.setdefault(t[:i], []).append(t)
+    return {(w, t) for w in states for t in extending.get(w[1:], ())}
 
 
 def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
@@ -214,13 +220,16 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
 
     By homogeneity, any word realized on the unit shell is realized in
     the initial sublevel set, so the candidate set is exactly the
-    non-empty words of the mixed-strategy model.  ``stats`` counts the
+    non-empty words of the mixed-strategy model, each decided on its node
+    of the model's ``tree``; a model without a tree for this disc
+    (trivial or imported) is a ValueError.  ``stats`` counts the
     candidates, the feasible arcs their prefix queries keep on the tree,
     their verdicts and the words kept.
     """
-    if mpetc_model.kind != MPETC_BISIM:
-        raise ValueError("candidate model must be of kind mpetc_bisim")
-    engine = wordtree.WordEngine(disc)
+    engine = mpetc_model.tree
+    if engine is None or engine.disc is not disc:
+        raise ValueError("candidate model must be the bisimilar model "
+                         "built for this discretization")
     candidates = [w for w in mpetc_model.sorted_states() if w != EPSILON]
     nodes = [engine.node(w) for w in candidates]
     results = [engine.decide(node, satcheck.UNIT_LEVEL) for node in nodes]
@@ -235,10 +244,7 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
         elif w in assumed:
             states.add(w)
     edges = domino_edges(states)
-    out_deg = {w: 0 for w in states}
-    for s, _ in edges:
-        out_deg[s] += 1
-    blocked = sorted((w for w, d in out_deg.items() if d == 0), key=word_key)
+    blocked = sorted(states - {s for s, _ in edges}, key=word_key)
     if blocked:
         raise BlockingStateError(
             f"blocking states in the simulating model: {blocked[:5]}")

@@ -9,11 +9,11 @@ against all atoms; unsat and unknown are passed through as decided.
 The contraction queries are homogeneous and go through ``check``.  A
 word query, as ``sequence_query`` writes it, bounds V(x) by V0 and r V0;
 ``wordtree`` decides it on homogeneous forms with the same sign-test
-kernel.  It re-verifies each witness without building the query: it
-runs the witness along the word on integer vectors and evaluates there
-exactly the atoms ``sequence_query`` writes (``WordEngine.holds``), so
-the written query's ``holds`` is the reference that check is tested
-against.
+kernel, on one word tree for both model builds, and leaves out the
+sublevel terminal atoms, which the certified decrease implies.  It
+re-verifies each witness without building the query, on the integer
+run of ``semantics.IntegerStepper.entry_run`` (``WordEngine.holds``);
+the written query's ``holds`` is the reference it is tested against.
 
 ``to_smtlib`` and ``parse_model`` write a query as an SMT-LIB2
 (QF_NRA) script and read a model back; the pipeline does not call them,

@@ -3,8 +3,10 @@
 Forward direction: sampled concrete words must appear in the bisimilar
 model and replay its unique trace.  Backward direction: every stored
 witness must regenerate exactly its word.  For the simulating model,
-sampled infinite runs must be reproducible edge by edge.  All sampling
-is seeded and exact: random dyadic points, integer membership tests.
+sampled infinite runs must be reproducible edge by edge, and every
+stored witness must lie on the unit shell and regenerate its word.  All
+sampling is seeded and exact: random dyadic points, integer membership
+tests.
 Both checks run on integer orbits of ``semantics.IntegerStepper``: each
 sampled run or witness replay is stepped once, and its words, states
 and Lyapunov tests are read off that orbit in integers.
@@ -24,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from . import ratlin, semantics
-from .abstraction import MPETC_BISIM, PETC_SIM, TrafficModel
+from .abstraction import MPETC_BISIM, PETC_SIM, TrafficModel, word_key
 from .ratlin import RatVector
 from .sysmodel import DiscretizedPetc
 
@@ -163,21 +165,24 @@ def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
                                 word=word, at=w)
                 break
 
-    # backward: every stored witness regenerates exactly its word; a
-    # witness outside the initial set has no word (replay None)
-    for w in model.sorted_states():
-        if w not in model.witnesses:
-            continue
+    _check_witnesses(rep, model, stepper, cap,
+                     lambda x: disc.V(x) <= disc.V0, direction="backward")
+    return rep
+
+
+def _check_witnesses(rep: CheckReport, model: TrafficModel,
+                     stepper: semantics.IntegerStepper, cap: int,
+                     admitted, **tag) -> None:
+    """Backward: every stored witness regenerates exactly its word; one
+    that `admitted` rejects has no word (replay None)."""
+    for w in sorted(model.witnesses, key=word_key):
         rep.n_checked += 1
         x0 = model.witnesses[w]
-        try:
+        replay = None
+        if admitted(x0):
             replay = tuple(pt.k for pt in stepper.entry_run(x0, cap))
-        except ValueError:
-            replay = None
         if replay != w:
-            rep.add_failure(direction="backward", word=w, replay=replay,
-                            witness=x0)
-    return rep
+            rep.add_failure(**tag, word=w, replay=replay, witness=x0)
 
 
 def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
@@ -227,7 +232,9 @@ def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
     """Thm.-2-style spot check: sampled pure event-triggered runs are
     reproducible by edge-following through the simulating model.  Each
     run is one integer orbit, and the word at every step is a window of
-    it; a failure records the exact rational state."""
+    it; a failure records the exact rational state.  Backward, every
+    stored witness must lie on the unit shell and regenerate exactly its
+    word."""
     if model.kind != PETC_SIM:
         raise ValueError("expected the simulating model")
     rep = CheckReport(name="simulation sample check")
@@ -247,4 +254,6 @@ def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
                                 word=word, prev=prev, kind="missing edge")
                 break
             prev = word
+    _check_witnesses(rep, model, stepper, cap,
+                     lambda x: disc.V(x) == disc.V0, kind="backward")
     return rep

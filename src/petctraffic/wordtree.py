@@ -19,22 +19,25 @@ A node of the word tree holds the integer Phi of its word over a common
 denominator, the integer V forms of its prefix and the feasible arcs of
 its prefix query, each with its sample (direction, region) and, for an
 open arc, the enclosed roots that bound it.  A child multiplies one
-integer M(k) and works only inside its parent's arcs: it isolates the
-roots of its new atoms that fall in them, cuts the arcs there
-(``qfnra.refine_arcs``, whose samples are those of
-``qfnra.critical_samples``) and tests only the new atoms, since
-every older atom keeps its sign on each parent arc.  The full sublevel
-and unit-shell queries cut the node's arcs at their terminal atoms the
-same way.  The arcs and samples are those of the whole query, so the
-answers and witnesses are those of sampling every root of every atom.
+integer M(k), cuts its parent's arcs at the roots of its new atoms that
+fall in them (``qfnra.refine_arcs``, whose samples are those of
+``qfnra.critical_samples``) and tests only the new atoms, since every
+older atom keeps its sign on each parent arc.  So the answers and
+witnesses are those of sampling every root of every atom.  Both model
+builds decide their words on one tree.
 
-A full query that is sat carries a rational witness x, built at the
-first feasible rational direction.  It is re-verified by ``holds``,
-which runs x along the word on integers, as ``semantics.IntegerStepper``
-does, and evaluates there exactly every atom that
-``satcheck.sequence_query`` writes, independently of the node's forms.
-A witness that fails, or a feasible set of irrational directions only, is
-``unknown``.
+The full sublevel query is decided on the prefix arcs: each puts
+Phi_{i-1} u in the cone of k_i, where the contraction certificate gives
+V(M(k) y) <= a V(y) with a < 1, so v_0 > v_1 > ... > v_m there and the
+atoms v_m < v_i cut nothing.  The unit-shell query cuts the arcs at its
+one terminal atom.  A sat query's rational witness x, built at the
+first feasible rational direction, is re-verified by ``holds``: x lies
+on the unit shell if the query asks for it, and its integer run
+(``semantics.IntegerStepper.entry_run``) enters the periodic set after
+exactly the word.  That uses neither the forms nor the certificate, so
+a wrong certificate, or a loop that is not contractive, gives
+``unknown``, never a wrong ``sat``; so does a witness that fails, or a
+feasible set of irrational directions only.
 """
 
 from __future__ import annotations
@@ -42,11 +45,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import qfnra
 from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
-from .semantics import _dot, _integer_form, _integer_matrix, _monomials
+from .semantics import (HorizonExceededError, IntegerStepper, _integer_form,
+                        _integer_matrix)
 from .sysmodel import DiscretizedPetc
 
 
@@ -110,6 +114,7 @@ class WordEngine:
                          for j in range(1, disc.k_bar)]
         self._lyapunov = _integer_form(_padded(disc.P_rat))
         self._p_scale = _integer_matrix(disc.P_rat)[1]
+        self._stepper = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
         arcs = [qfnra.WHOLE_LINE]
         if disc.n_x == 2:
@@ -157,12 +162,10 @@ class WordEngine:
                                 for a, b in zip(qm, q0)], True))
         return atoms
 
-    def _terminal(self, node: Node, shell: str) -> list:
+    def _terminal(self, node: Node) -> list:
+        """The unit-shell terminal atom v_m <= r v_0, the one atom by
+        which decide refines the prefix arcs."""
         qm, dm = node.forms[-1]
-        if shell == SUBLEVEL:  # v_m < v_i for every i < m
-            return [_atom([dm * dm * a - di * di * b for a, b in zip(qi, qm)],
-                          True) for qi, di in node.forms[:-1]]
-        # v_m <= r v_0
         p, q = self.disc.r.numerator, self.disc.r.denominator
         return [_atom([p * dm * dm * a - q * b
                        for a, b in zip(node.forms[0][0], qm)], False)]
@@ -177,10 +180,11 @@ class WordEngine:
         return "unknown" if node.arcs else "unsat"
 
     def decide(self, node: Node, shell: str) -> SatResult:
-        """The full query of node.word from the sublevel set or from the
-        unit shell, with an exactly re-verified witness when sat."""
-        terminal = self._terminal(node, shell)
-        arcs = qfnra.refine_arcs(node.arcs, terminal)
+        """The full query of node.word from the sublevel set (on the prefix
+        arcs) or from the unit shell, with a re-verified witness when
+        sat."""
+        arcs = (node.arcs if shell == SUBLEVEL
+                else qfnra.refine_arcs(node.arcs, self._terminal(node)))
         if arcs is None:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
@@ -201,58 +205,35 @@ class WordEngine:
         return SatResult("unsat")
 
     def holds(self, word, shell: str, x) -> bool:
-        """Whether x satisfies every atom of
-        ``satcheck.sequence_query(disc, word, shell, True)``, decided on
-        the run of x along the word in integers, as in
-        ``semantics.IntegerStepper``: x_i = y_i / c_i with integer y_i,
-        y_i = M_int(k_i) y_{i-1} and c_i = c_{i-1} d(k_i).  A cone atom
-        on x_i is the sign of y_i'N_int y_i, and a bound on
-        V(x_i) = y_i'P_int y_i / (p c_i^2), with P_int = p P, is compared
-        in integers.  A one-variable x is padded to (x, 0), as the
-        matrices are."""
-        disc = self.disc
-        c = lcm(*(Fraction(e).denominator for e in x))
-        y = tuple(int(Fraction(e) * c) for e in x) + (0,) * (2 - len(x))
-        mono = _monomials(y)
-
-        def level(bound: Fraction) -> int:  # the sign of V(x_i) - bound
-            v = _dot(self._lyapunov, mono) * bound.denominator
-            w = bound.numerator * self._p_scale * c * c
-            return (v > w) - (v < w)
-
-        rv0 = disc.r * disc.V0
-        shell_sign = level(disc.V0)
-        if shell_sign > 0 or (shell == UNIT_LEVEL and shell_sign < 0):
+        """Whether x lies on the unit shell if shell asks for it, and its
+        integer run enters the periodic set after exactly the letters of
+        word.  That is the query ``satcheck.sequence_query(disc, word,
+        shell, True)``, whose exclusions start at k_lo where kappa starts
+        at 1: they agree while N(j) has no positive direction for
+        j < k_lo, and where they would not, the run is the reference."""
+        if shell == UNIT_LEVEL and self.disc.V(x) != self.disc.V0:
             return False
-        for k in word:
-            for j in range(disc.k_lo, min(k, disc.k_bar)):
-                if _dot(self._trigger[j - 1], mono) > 0:
-                    return False
-            if k < disc.k_bar and not _dot(self._trigger[k - 1], mono) > 0:
-                return False
-            if level(rv0) <= 0:
-                return False
-            m, d = self._maps[k]
-            y = tuple(sum(a * b for a, b in zip(row, y)) for row in m)
-            c *= d
-            mono = _monomials(y)
-        return level(rv0) <= 0
+        try:
+            run = self._stepper.entry_run(x, len(word))
+        except (ValueError, HorizonExceededError):
+            return False
+        return tuple(pt.k for pt in run) == tuple(word)
 
     def _witness(self, node, shell, direction, region):
         """A rational x = s u on the feasible direction u, or None."""
         disc = self.disc
         u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
              else (Fraction(1), direction))
-        v = [_value(f, u) / (self._p_scale * d * d) for f, d in node.forms]
+        v0, v_prev, v_m = (_value(f, u) / (self._p_scale * d * d)
+                           for f, d in (node.forms[0], *node.forms[-2:]))
         if shell == SUBLEVEL:
+            # v_0 > ... > v_m on the prefix arcs: s^2 in
+            # (r V0 / v_{m-1}, min(V0 / v_0, r V0 / v_m)]
             rv0 = disc.r * disc.V0
-            lo = max(rv0 / vi for vi in v[:-1])
-            hi = disc.V0 / v[0]
-            if v[-1] > 0:
-                hi = min(hi, rv0 / v[-1])
-            s = qfnra.rational_sqrt_in(lo, True, hi, False)
+            hi = disc.V0 / v0 if v_m <= 0 else min(disc.V0 / v0, rv0 / v_m)
+            s = qfnra.rational_sqrt_in(rv0 / v_prev, True, hi, False)
             return (s * u[0], s * u[1])[:disc.n_x]
-        s = qfnra.rational_square_root(disc.V0 / v[0])
+        s = qfnra.rational_square_root(disc.V0 / v0)
         if s is not None:
             return (s * u[0], s * u[1])[:disc.n_x]
         if (direction is qfnra.VERTICAL or disc.n_x == 1

@@ -5,8 +5,10 @@ Fraction replays that the integer orbits of verify replaced, the
 per-word solver queries that the word-tree engine of abstraction
 replaced, the Fraction root isolation and float conic search that the
 integer kernel of qfnra replaced, the t-scale decision procedure that
-the sign-test decide of qfnra replaced, and the full-sample word queries
-that the feasible arcs of wordtree replaced."""
+the sign-test decide of qfnra replaced, the pairwise domino edges that
+the prefix index of abstraction replaced, and the full-sample word
+queries, with the sublevel terminal atoms, that the feasible arcs of
+wordtree replaced."""
 
 from __future__ import annotations
 
@@ -157,7 +159,8 @@ def fraction_bisim_check(disc, model, n_samples, seed):
 
 def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
     """verify.check_sim_petc on Fraction states, with the word of every
-    step extracted from scratch: (n_checked, failures).  The Fraction
+    step extracted from scratch and every witness replayed with
+    semantics.concrete_sequence: (n_checked, failures).  The Fraction
     check also compared each word's first letter with kappa(x), which
     holds by construction, since the word's first step is petc_step."""
     n_checked, failures = 0, []
@@ -177,6 +180,14 @@ def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
                 break
             prev = word
             x, _ = semantics.petc_step(disc, x)
+    for w in sorted(model.witnesses, key=abstraction.word_key):
+        n_checked += 1
+        x = model.witnesses[w]
+        replay = (semantics.concrete_sequence(disc, x, max_len=max_len)
+                  if disc.V(x) == disc.V0 else None)
+        if replay != w:
+            failures.append(dict(kind="backward", word=w, replay=replay,
+                                 witness=x))
     return n_checked, failures
 
 
@@ -681,10 +692,21 @@ def oracle_models(disc, N, check=oracle_check):
             sim_witnesses[w] = res.witness
     sim = abstraction.TrafficModel(
         kind=abstraction.PETC_SIM, states=frozenset(sim_states),
-        edges=frozenset(abstraction.domino_edges(sim_states)),
+        edges=frozenset(pairwise_domino_edges(sim_states)),
         output=abstraction._outputs(sim_states, disc.h, disc.h_P),
         witnesses=sim_witnesses, h=disc.h, h_P=disc.h_P)
     return bisim, sim
+
+
+def pairwise_domino_edges(states) -> set:
+    """abstraction.domino_edges by comparing every pair of states."""
+    edges = set()
+    for w in states:
+        tail = w[1:]
+        for t in states:
+            if t[:len(tail)] == tail:
+                edges.add((w, t))
+    return edges
 
 
 # ---------------------------------------------------------------------------
@@ -702,6 +724,16 @@ def prefix_atoms(engine, word) -> list:
     return atoms
 
 
+def sublevel_terminal_atoms(node) -> list:
+    """The terminal atoms v_m < v_i, for every i < m, of the full sublevel
+    query of node.word; the certified decrease implies them on its
+    prefix arcs, so WordEngine.decide leaves them out."""
+    qm, dm = node.forms[-1]
+    return [wordtree._atom([dm * dm * a - di * di * b
+                            for a, b in zip(qi, qm)], True)
+            for qi, di in node.forms[:-1]]
+
+
 def full_sample_prefix(engine, node) -> qfnra.Decided:
     """WordEngine.prefix_status on every root of the prefix query's
     atoms, with the first feasible rational direction as the witness."""
@@ -712,7 +744,9 @@ def full_sample_prefix(engine, node) -> qfnra.Decided:
 def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
     """WordEngine.decide on every root of the query's atoms, with the
     witness re-verified by satcheck.sequence_query(...).holds."""
-    atoms = prefix_atoms(engine, node.word) + engine._terminal(node, shell)
+    atoms = prefix_atoms(engine, node.word) + (
+        sublevel_terminal_atoms(node) if shell == satcheck.SUBLEVEL
+        else engine._terminal(node))
     samples = qfnra.sample_directions(atoms, engine.disc.n_x)
     if samples is None:
         return satcheck.SatResult("unknown", reason="root separation "

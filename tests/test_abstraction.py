@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from petctraffic import abstraction, satcheck, semantics, wordtree
+from petctraffic import abstraction, cli, satcheck, semantics, wordtree
 from petctraffic.abstraction import (EPSILON, TrafficModel, build_mpetc_bisim,
                                      build_petc_sim, build_trivial,
                                      domino_edges, export_model, import_model)
-from conftest import make_system
+from conftest import bundled, make_system, pairwise_domino_edges
 from petctraffic.sysmodel import rationalize
 from petctraffic import contraction
 
@@ -97,10 +97,29 @@ def test_domino_edges_small():
     assert ((1, 2), (1,)) not in edges
 
 
-def test_build_petc_sim_wants_bisim(ci_disc):
+def test_build_petc_sim_wants_bisim(ci_disc, ci_bisim):
+    # only the bisimilar model that carries its word tree will do: not a
+    # trivial model, nor the same bisimilar model imported from JSON
     trivial = build_trivial(6, 1)
     with pytest.raises(ValueError):
         build_petc_sim(ci_disc, trivial)
+    with pytest.raises(ValueError):
+        build_petc_sim(ci_disc, import_model(export_model(ci_bisim)))
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
+def test_domino_edges_match_pairwise_oracle(case, ci_bisim, ci_sim):
+    # the prefix index gives the edges of comparing every pair of states,
+    # on both builds' state sets at r = 1/2, 4/5 and 1/10
+    if case == "ci":
+        bisim, sim = ci_bisim, ci_sim
+    else:
+        cfg, disc = bundled(case)
+        _, n, _ = cli.run_contraction(cfg, disc)
+        bisim = build_mpetc_bisim(disc, n)
+        sim = build_petc_sim(disc, bisim)
+    for states in (bisim.states, sim.states):
+        assert domino_edges(states) == pairwise_domino_edges(states)
 
 
 def full_query_words(disc, N):

@@ -144,6 +144,30 @@ def test_verify_witness_outside_initial_set(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_sim_witnesses_off_the_shell(tmp_path, capsys):
+    # every simulating witness moved far off the unit shell: the
+    # simulation check fails on each, and verify exits 5 without a
+    # traceback
+    config = write_config(tmp_path, r=0.8)
+    models = tmp_path / "models"
+    assert main(["abstract", "--config", config, "--out", str(models)]) \
+        == EXIT_OK
+    path = models / "petc_sim.json"
+    doc = json.loads(path.read_text())
+    for state in doc["states"]:
+        state["witness"] = ["100/1", "0/1"]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--models", str(models),
+                 "--samples", "20", "--steps", "5"]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert "simulation sample check: FAIL" in out
+    first = json.dumps(doc["states"][0]["word"])
+    assert (f'"kind": "backward", "word": {first}, "replay": null, '
+            '"witness": ["100", "0"]') in out
+    assert "Traceback" not in err
+
+
 def test_exit_code_three_variables(tmp_path, capsys):
     # the bundled loop with a third, decoupled state and h_P pinned: the
     # bundled solver decides one and two variables only

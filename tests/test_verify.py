@@ -159,7 +159,7 @@ def test_sim_check_windows_match_fraction_replay(r, ci_disc):
         cfg["r"] = r
         disc = cli.make_disc(cfg)
     model = SimpleNamespace(kind=PETC_SIM, states=_EveryWord(),
-                            edges=_EveryWord())
+                            edges=_EveryWord(), witnesses={})
     n_samples, steps = 20, 30
     rep = verify.check_sim_petc(disc, model, n_samples, steps, seed=5)
     assert rep.passed and rep.n_checked == n_samples * steps
@@ -269,7 +269,7 @@ def test_bisim_check_wants_bisim_kind(ci_disc, ci_sim):
 def test_sim_check_passes(ci_disc, ci_sim):
     rep = verify.check_sim_petc(ci_disc, ci_sim, 30, steps=12, seed=2)
     assert rep.passed, rep.render()
-    assert rep.n_checked == 30 * 12
+    assert rep.n_checked == 30 * 12 + len(ci_sim.witnesses)
 
 
 def test_sim_check_detects_missing_edges(ci_disc, ci_sim):
@@ -305,6 +305,25 @@ def test_sim_check_detects_missing_state(ci_disc, ci_sim):
     assert (rep.n_checked, rep.failures) == fraction_sim_check(
         ci_disc, pruned, 30, 12, seed=2, max_len=10 * len(pruned.states))
     assert all(isinstance(c, F) for f in rep.failures for c in f["x"])
+
+
+def test_sim_check_detects_bad_witnesses(ci_disc, ci_sim):
+    # a witness of the wrong word, on the unit shell, and a witness off
+    # the shell are backward failures, with the exact witness
+    some = next(w for w in ci_sim.sorted_states() if len(w) >= 2)
+    other = next(w for w in ci_sim.sorted_states() if w != some)
+    bad = dict(ci_sim.witnesses)
+    bad[some] = ci_sim.witnesses[other]
+    bad[other] = tuple(2 * v for v in ci_sim.witnesses[other])
+    doctored = replace(ci_sim, witnesses=bad)
+    rep = verify.check_sim_petc(ci_disc, doctored, 5, steps=3, seed=2)
+    backward = [f for f in rep.failures if f["kind"] == "backward"]
+    assert {f["word"] for f in backward} == {some, other}
+    assert all(f["witness"] == bad[f["word"]] for f in backward)
+    assert dict((f["word"], f["replay"]) for f in backward)[other] is None
+    assert rep.n_checked == 5 * 3 + len(ci_sim.witnesses)
+    assert (rep.n_checked, rep.failures) == fraction_sim_check(
+        ci_disc, doctored, 5, 3, seed=2, max_len=10 * len(doctored.states))
 
 
 def test_sim_check_wants_sim_kind(ci_disc, ci_bisim):

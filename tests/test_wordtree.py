@@ -10,7 +10,7 @@ import pytest
 
 from petctraffic import abstraction, cli, qfnra, ratlin, satcheck, wordtree
 from conftest import (bundled, full_sample_decide, full_sample_prefix,
-                      oracle_check, oracle_models)
+                      oracle_check, oracle_models, sublevel_terminal_atoms)
 
 F = Fraction
 
@@ -110,6 +110,40 @@ def test_engine_matches_per_word_oracle(case, request, monkeypatch):
     assert sim.witnesses == o_sim.witnesses
     assert bisim.witnesses == {abstraction.EPSILON: (F(0),) * disc.n_x,
                                **o_bisim.witnesses}
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
+def test_sublevel_terminal_atoms_cut_no_arc(case, request):
+    # at every live node of the bisimilar build, the atoms v_m < v_i that
+    # decide leaves out neither cut nor drop a prefix arc
+    disc, n = _case(case, request)
+    engine = abstraction.build_mpetc_bisim(disc, n).tree
+    nodes, live = [engine.root], 0
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children.values())
+        if node is engine.root or engine.prefix_status(node) == "unsat":
+            continue
+        live += 1
+        atoms = sublevel_terminal_atoms(node)
+        assert qfnra.refine_arcs(node.arcs, atoms) == node.arcs, node.word
+    assert live > 0
+
+
+def test_pipeline_builds_one_word_tree(monkeypatch):
+    # both builds of run_pipeline walk the same WordEngine
+    made = []
+    init = wordtree.WordEngine.__init__
+
+    def counting_init(self, disc):
+        made.append(disc)
+        init(self, disc)
+
+    monkeypatch.setattr(wordtree.WordEngine, "__init__", counting_init)
+    cfg, _ = bundled("r4_5")
+    res = cli.run_pipeline(cfg)
+    assert len(made) == 1 and made[0] is res.disc
+    assert res.bisim.tree is not None and res.sim.tree is None
 
 
 def _perturbed(x):
