@@ -4,18 +4,26 @@ constraints in one or two variables, by sign tests on integer forms.
 An atom x'Fx rel 0 in two variables is the sign of a binary quadratic
 form, kept as a primitive integer triple (a2, a1, a0) with a strict
 flag.  On the directions u = (1, m) each form is an integer quadratic in
-m, sign-invariant between its real roots.  ``critical_samples`` isolates
-those roots exactly, on integers, and ``feasible`` tests the signs at
-one simplest rational direction per open region, at each rational root
-exactly, at each irrational root in Z[sqrt(D)] and at the vertical
-direction (0, 1).  The atoms are homogeneous, so a feasible rational
-direction is itself a witness, and feasible irrational directions alone
-leave the query `unknown`.  ``decide`` answers the contraction queries
-of ``satcheck.check`` this way, and ``wordtree`` runs the same kernel on
-the word queries, with the witness helpers here: it cuts the feasible
-arcs it keeps with the pieces of ``critical_samples``, ``enclosed_roots``
-and ``between`` to isolate and order roots, and ``region_sample`` and
-``point_sample`` to sample a region.
+m, sign-invariant between its real roots.  Every query takes one path:
+it starts from ``line_arcs``, the whole line of m and the vertical
+direction (0, 1), ``cut_arcs`` cuts those arcs at the roots of its forms,
+isolated exactly on integers (``enclosed_roots``, ordered by
+``between``), and ``feasible`` tests the signs at each piece's sample:
+one simplest rational direction per open region, each rational root
+exactly, each irrational root in Z[sqrt(D)].  The atoms are homogeneous,
+so a feasible rational direction is itself a witness, and feasible
+irrational directions alone leave the query `unknown`.  ``decide``
+answers the contraction queries of ``satcheck.check`` by cutting
+``line_arcs`` once (``decide_forms``); ``wordtree`` keeps the feasible
+arcs of each word and cuts them again for every letter
+(``refine_arcs``).
+
+A rational is chosen by one rule: the simplest rational strictly between
+integer enclosures over 2^prec, at the first precision (64, 128, ...
+bits) at which they leave a gap.  The sample direction of a region
+between two roots lies between their enclosures (``_region_sample``),
+and a witness scale s with lo < s^2 < hi between those of sqrt(lo) and
+sqrt(hi) (``simplest_sqrt_between``).
 
 ``run_script`` is an SMT-LIB2 command interpreter around ``decide`` for
 the fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
@@ -311,29 +319,6 @@ def root_cmp(r1, r2):
 # rational points
 
 
-def rational_sqrt_in(lo, lo_strict, hi, hi_strict):
-    """A rational s > 0 with s^2 inside the given t-interval."""
-    if hi is None:
-        target = lo + 1
-        s = Fraction(math.isqrt(target.numerator // target.denominator + 2) + 2)
-        while not s * s > lo:
-            s *= 2
-        return s
-    p, q = Fraction(0), hi + 1
-    for _ in range(4000):
-        mid = (p + q) / 2
-        m2 = mid * mid
-        lo_ok = m2 > lo or (m2 == lo and not lo_strict)
-        hi_ok = m2 < hi or (m2 == hi and not hi_strict)
-        if lo_ok and hi_ok:
-            return mid
-        if not lo_ok:
-            p = mid
-        else:
-            q = mid
-    raise ArithmeticError("no rational scale found in interval")
-
-
 def _simplest_between(ln, ld, hn, hd):
     """(p, q): the smallest-denominator rational p/q strictly inside
     (ln/ld, hn/hd), with ld, hd > 0 and ln/ld < hn/hd.
@@ -358,6 +343,24 @@ def _simplest_between(ln, ld, hn, hd):
     for t in reversed(terms):  # p/q <- t + 1/(p/q)
         p, q = t * p + q, p
     return p, q
+
+
+def simplest_sqrt_between(ln, ld, hn, hd):
+    """(p, q): a rational s = p/q > 0 with ln/ld < s^2 < hn/hd, for
+    0 <= ln/ld < hn/hd and ld, hd > 0.
+
+    At 64, 128, ... bits, sqrt(lo) and sqrt(hi) are enclosed from inside
+    by the integers lo' = isqrt(lo 4^prec) + 1 and hi' = isqrt(hi 4^prec)
+    over 2^prec; at the first precision with lo' < hi', s is the simplest
+    rational strictly between those two, as ``_region_sample`` takes
+    its directions."""
+    prec = 64
+    while True:
+        lo = math.isqrt((ln << 2 * prec) // ld) + 1
+        hi = math.isqrt((hn << 2 * prec) // hd)
+        if lo < hi:
+            return _simplest_between(lo, 1 << prec, hi, 1 << prec)
+        prec *= 2
 
 
 def rational_square_root(t):
@@ -542,6 +545,17 @@ _MAX_PREC = 1 << 16  # bits of the root enclosures before giving up
 # the one arc of the whole line of directions m, before any root: its
 # sample is 0 and both its bounding roots are absent
 WHOLE_LINE = (Fraction(0), (None, None), (None, None))
+VERTICAL = "vertical"
+
+
+def line_arcs(n):
+    """The arcs of every direction in n = 1 or 2 variables, before any
+    root: the whole line of u = (1, m) and, for n = 2, the vertical
+    direction (0, 1), which no root cuts."""
+    arcs = [WHOLE_LINE]
+    if n == 2:
+        arcs.append((VERTICAL, (None, None), None))
+    return arcs
 
 
 def _region_sample(lo, hi):
@@ -626,23 +640,6 @@ def refine_arcs(arcs, atoms):
     return None if cut is None else list(feasible(atoms, cut))
 
 
-def critical_samples(polys):
-    """Sample directions m (for the ray s*(1, m)) cutting the line at the
-    real roots of the integer quadratics polys = (a2, a1, a0).
-
-    Returns (direction, region) pairs in increasing order, those of
-    ``cut_arcs`` on the whole line: a sample of every open region between
-    consecutive distinct roots and of every root.  The vertical
-    direction (0, 1) is not included.  None when two neighbouring roots
-    do not separate within _MAX_PREC bits.
-    """
-    arcs = cut_arcs([WHOLE_LINE], enclosed_roots(polys))
-    return None if arcs is None else [(d, region) for d, region, _ in arcs]
-
-
-VERTICAL = "vertical"
-
-
 def sign(f, direction) -> int:
     """The sign of the binary form f = (a2, a1, a0), that is
     a2 u1^2 + a1 u0 u1 + a0 u0^2, at u = (1, m) for a Fraction or Root m,
@@ -657,23 +654,6 @@ def sign(f, direction) -> int:
     a, b, d = direction.a, direction.b, direction.disc
     return _sign_pair(a2 * (b * b + d) - 2 * a * b * a1 + 4 * a * a * a0,
                       direction.eps * (2 * a * a1 - 2 * b * a2), d)
-
-
-def sample_directions(atoms, n):
-    """The directions at which the atoms (f, strict), meaning f > 0 or
-    f >= 0, decide a query in n = 1 or 2 variables: those of
-    ``critical_samples`` for the atoms' forms, each with its region, and
-    for n = 2 the vertical one.  None when the roots of the forms cannot
-    be separated."""
-    polys = set()
-    for f, _ in atoms:
-        if any(f):
-            polys.add(f if next(c for c in f if c) > 0
-                      else tuple(-c for c in f))
-    samples = critical_samples(sorted(polys))
-    if samples is not None and n == 2:
-        samples.append((VERTICAL, (None, None)))
-    return samples
 
 
 def feasible(atoms, samples):
@@ -721,15 +701,16 @@ def decide(n, atoms):
 
 def decide_forms(atoms, n):
     """Decide the sign conditions atoms (f, strict) in n = 1 or 2
-    variables: `sat` with the first feasible rational direction as the
-    witness, `unknown` when only irrational directions are feasible or
-    the roots cannot be separated, else `unsat`."""
-    samples = sample_directions(atoms, n)
-    if samples is None:
+    variables on the ``line_arcs`` cut at the roots of their forms:
+    `sat` with the first feasible rational direction as the witness,
+    `unknown` when only irrational directions are feasible or the roots
+    cannot be separated, else `unsat`."""
+    arcs = cut_arcs(line_arcs(n), enclosed_roots(f for f, _ in atoms))
+    if arcs is None:
         return Decided("unknown",
                        reason="root separation exceeded precision cap")
     status = Decided("unsat")
-    for direction, _ in feasible(atoms, samples):
+    for direction, _, _ in feasible(atoms, arcs):
         if not isinstance(direction, Root):
             u = (0, 1) if direction is VERTICAL else (1, direction)
             return Decided("sat", witness=tuple(Fraction(v) for v in u[:n]))

@@ -229,9 +229,6 @@ class Trace:
             out.append(out[-1] + t)
         return tuple(out)
 
-    def lyapunov_values(self, disc: DiscretizedPetc) -> tuple[Fraction, ...]:
-        return tuple(disc.V(x) for x in self.states)
-
     def to_csv(self, disc: DiscretizedPetc) -> str:
         buf = io.StringIO()
         n = disc.n_x

@@ -243,17 +243,12 @@ class DiscretizedPetc:
 
 def min_inter_sample_float(n_forms: dict[int, np.ndarray], k_bar: int,
                            eig_tol: float = EIG_TOL) -> int:
+    """Smallest k at which N(k) admits a positive direction; k_bar if none."""
     ks = sorted(n_forms)
     for k in ks:
         if np.linalg.eigvalsh(n_forms[k]).max() > eig_tol:
             return k
     return k_bar
-
-
-def min_inter_sample(disc: DiscretizedPetc, eig_tol: float = EIG_TOL) -> int:
-    """Smallest k at which N(k) admits a positive direction; k_bar if none."""
-    floats = {k: ratlin.to_float_matrix(disc.N[k]) for k in disc.N}
-    return min_inter_sample_float(floats, disc.k_bar, eig_tol)
 
 
 def rationalize(sys: PetcSystem, h_P: Fraction) -> DiscretizedPetc:

@@ -166,7 +166,8 @@ def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
                 break
 
     _check_witnesses(rep, model, stepper, cap,
-                     lambda x: disc.V(x) <= disc.V0, direction="backward")
+                     lambda x: len(x) == disc.n_x and disc.V(x) <= disc.V0,
+                     direction="backward")
     return rep
 
 
@@ -174,7 +175,8 @@ def _check_witnesses(rep: CheckReport, model: TrafficModel,
                      stepper: semantics.IntegerStepper, cap: int,
                      admitted, **tag) -> None:
     """Backward: every stored witness regenerates exactly its word; one
-    that `admitted` rejects has no word (replay None)."""
+    that `admitted` rejects, such as one with the wrong number of
+    coordinates, has no word (replay None)."""
     for w in sorted(model.witnesses, key=word_key):
         rep.n_checked += 1
         x0 = model.witnesses[w]
@@ -255,5 +257,6 @@ def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
                 break
             prev = word
     _check_witnesses(rep, model, stepper, cap,
-                     lambda x: disc.V(x) == disc.V0, kind="backward")
+                     lambda x: len(x) == disc.n_x and disc.V(x) == disc.V0,
+                     kind="backward")
     return rep

@@ -18,21 +18,28 @@ points, with the vertical direction (0, 1) apart.
 A node of the word tree holds the integer Phi of its word over a common
 denominator, the integer V forms of its prefix and the feasible arcs of
 its prefix query, each with its sample (direction, region) and, for an
-open arc, the enclosed roots that bound it.  A child multiplies one
-integer M(k), cuts its parent's arcs at the roots of its new atoms that
-fall in them (``qfnra.refine_arcs``, whose samples are those of
-``qfnra.critical_samples``) and tests only the new atoms, since every
-older atom keeps its sign on each parent arc.  So the answers and
-witnesses are those of sampling every root of every atom.  Both model
-builds decide their words on one tree.
+open arc, the enclosed roots that bound it.  The root starts from
+``qfnra.line_arcs``, as every contraction query does.  A child
+multiplies one integer M(k), cuts its parent's arcs at the roots of its
+new atoms that fall in them (``qfnra.refine_arcs``) and tests only the
+new atoms, since every older atom keeps its sign on each parent arc.  So
+the answers and witnesses are those of cutting ``line_arcs`` once at
+every root of every atom.  Both model builds decide their words on one
+tree.
 
 The full sublevel query is decided on the prefix arcs: each puts
 Phi_{i-1} u in the cone of k_i, where the contraction certificate gives
 V(M(k) y) <= a V(y) with a < 1, so v_0 > v_1 > ... > v_m there and the
 atoms v_m < v_i cut nothing.  The unit-shell query cuts the arcs at its
-one terminal atom.  A sat query's rational witness x, built at the
-first feasible rational direction, is re-verified by ``holds``: x lies
-on the unit shell if the query asks for it, and its integer run
+one terminal atom.  A sat query's rational witness is x = s u at the
+first feasible rational direction u, with the V forms evaluated there
+in integers.  From the sublevel set, s^2 lies strictly between the
+bounds that V <= V0, the word and the entry into the periodic set put
+on it, and s is the simplest rational by the rule of
+``qfnra.simplest_sqrt_between``.  On the unit shell s = sqrt(V0 / V(u))
+when that is rational, else x is a rational point of the conic V = V0
+in the arc.  x is re-verified by ``holds``: x lies on the unit shell if
+the query asks for it, and its integer run
 (``semantics.IntegerStepper.entry_run``) enters the periodic set after
 exactly the word.  That uses neither the forms nor the certificate, so
 a wrong certificate, or a loop that is not contractive, gives
@@ -45,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 from . import qfnra
 from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
@@ -71,11 +78,6 @@ def _atom(coeffs, strict: bool):
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
     return tuple(coeffs), strict
-
-
-def _value(f, u) -> Fraction:
-    a2, a1, a0 = f
-    return a2 * u[1] * u[1] + a1 * u[0] * u[1] + a0 * u[0] * u[0]
 
 
 def _padded(f):
@@ -116,11 +118,8 @@ class WordEngine:
         self._p_scale = _integer_matrix(disc.P_rat)[1]
         self._stepper = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
-        arcs = [qfnra.WHOLE_LINE]
-        if disc.n_x == 2:
-            arcs.append((qfnra.VERTICAL, (None, None), None))
         self.root = Node((), one, 1, ((_pullback(self._lyapunov, one), 1),),
-                         arcs)
+                         qfnra.line_arcs(disc.n_x))
 
     def node(self, word) -> Node:
         node = self.root
@@ -220,24 +219,42 @@ class WordEngine:
         return tuple(pt.k for pt in run) == tuple(word)
 
     def _witness(self, node, shell, direction, region):
-        """A rational x = s u on the feasible direction u, or None."""
+        """A rational x = s u on the feasible direction u = (1, m), or
+        u = (0, 1) for the vertical, or None.
+
+        Each V form q_i is evaluated in integers at (q, p) for m = p/q,
+        or at (0, 1), as w_i, so that V(Phi_i u) = w_i / (c q^2 scale_i^2)
+        with q = 1 for the vertical: every bound on s^2 is a quotient of
+        integers, and the smaller of two is found by cross-multiplying."""
         disc = self.disc
-        u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
-             else (Fraction(1), direction))
-        v0, v_prev, v_m = (_value(f, u) / (self._p_scale * d * d)
-                           for f, d in (node.forms[0], *node.forms[-2:]))
+        vertical = direction is qfnra.VERTICAL
+        u0, u1 = ((0, 1) if vertical
+                  else (direction.denominator, direction.numerator))
+        (f0, _), (fp, dp), (fm, dm) = node.forms[0], *node.forms[-2:]
+        w0, wp, wm = ((a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0
+                      for a2, a1, a0 in (f0, fp, fm))
+        vd = disc.V0.denominator
+        rn, rd = disc.r.numerator, disc.r.denominator
+        # V0 / V(Phi_i u) = top scale_i^2 / (vd w_i)
+        top = disc.V0.numerator * self._p_scale * (u0 or 1) ** 2
         if shell == SUBLEVEL:
             # v_0 > ... > v_m on the prefix arcs: s^2 in
-            # (r V0 / v_{m-1}, min(V0 / v_0, r V0 / v_m)]
-            rv0 = disc.r * disc.V0
-            hi = disc.V0 / v0 if v_m <= 0 else min(disc.V0 / v0, rv0 / v_m)
-            s = qfnra.rational_sqrt_in(rv0 / v_prev, True, hi, False)
-            return (s * u[0], s * u[1])[:disc.n_x]
-        s = qfnra.rational_square_root(disc.V0 / v0)
+            # (r V0 / v_{m-1}, min(V0 / v_0, r V0 / v_m)), with scale_0 = 1
+            hi = (top, vd * w0)
+            if wm > 0 and rn * dm * dm * w0 < rd * wm:
+                hi = (rn * top * dm * dm, rd * vd * wm)
+            s = Fraction(*qfnra.simplest_sqrt_between(
+                rn * top * dp * dp, rd * vd * wp, *hi))
+        else:
+            # s^2 = V0 / v_0 = top / (vd w0) is the square of a rational
+            # exactly when top vd w0 is the square of an integer
+            t = top * vd * w0
+            root = isqrt(t) if t > 0 else -1
+            s = Fraction(root, vd * w0) if root * root == t else None
         if s is not None:
-            return (s * u[0], s * u[1])[:disc.n_x]
-        if (direction is qfnra.VERTICAL or disc.n_x == 1
-                or self._conic_base is None):
+            return ((Fraction(0), s) if vertical
+                    else (s, s * direction))[:disc.n_x]
+        if vertical or disc.n_x == 1 or self._conic_base is None:
             return None
         # every atom is homogeneous and keeps its sign on the region, so a
         # point of the conic in a direction inside it satisfies them all

@@ -206,6 +206,15 @@ def fraction_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
     return fl + 1 / fraction_simplest_between(1 / b, 1 / a)
 
 
+def simplest_sqrt_in(lo, hi):
+    """qfnra.simplest_sqrt_between on Fraction ends 0 <= lo < hi: a
+    rational s > 0 with lo < s^2 < hi.  hi None stands for +infinity, for
+    which any finite end above lo will do: lo + 1."""
+    hi = lo + 1 if hi is None else hi
+    return Fraction(*qfnra.simplest_sqrt_between(
+        lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+
+
 def fraction_enclosure(r, prec):
     """Rational bounds lo <= r <= hi of a qfnra.Root, within 2^-prec / a
     for an irrational root."""
@@ -245,7 +254,8 @@ def _fraction_roots_equal(r1, r2):
 
 
 def fraction_critical_samples(polys):
-    """qfnra.critical_samples on Fraction enclosures: roots ordered by a
+    """The (direction, region) samples of qfnra.cut_arcs on the whole line
+    at the roots of polys, on Fraction enclosures: roots ordered by a
     40-bit float key, deduplicated among float-close neighbours, and
     refined by doubling precision until neighbours separate."""
     roots = []
@@ -505,12 +515,12 @@ def _witness_at_direction(direction, verdict, data, atoms, region, eq_atoms):
         return (s, s * direction)
 
     if verdict == OPEN:
-        lo, lo_strict, hi, hi_strict = data
+        lo, _, hi, _ = data
         lo = _exact_fraction(lo)
         hi = _exact_fraction(hi) if hi is not None else None
         if lo is None or (hi is None and data[2] is not None):
             return None
-        x = embed(qfnra.rational_sqrt_in(lo, lo_strict, hi, hi_strict))
+        x = embed(simplest_sqrt_in(lo, hi))
         return x if qfnra.verify_witness(atoms, x) else None
     t = _exact_fraction(data)
     if t is None:
@@ -544,7 +554,7 @@ def oracle_decide(n, atoms):
         if verdict == INFEAS:
             return qfnra.Decided("unsat")
         if verdict == OPEN:
-            s = qfnra.rational_sqrt_in(*data)
+            s = simplest_sqrt_in(data[0], data[2])
         else:
             s = qfnra.rational_square_root(_exact_fraction(data))
         if s is not None and qfnra.verify_witness(atoms, (s,)):
@@ -597,7 +607,7 @@ def oracle_decide(n, atoms):
             if any(prim):
                 crit.add(prim)
 
-    samples = qfnra.critical_samples(sorted(crit))
+    samples = fraction_critical_samples(sorted(crit))
     if samples is None:
         return qfnra.Decided("unknown",
                              reason="root separation exceeded precision cap")
@@ -637,17 +647,16 @@ def oracle_decide(n, atoms):
 
 @contextlib.contextmanager
 def oracle_kernel():
-    """qfnra with fraction_critical_samples and float_conic_witness in
-    place of its integer root isolation and exact conic slopes, and with
-    oracle_decide in place of its sign-test decide."""
-    saved = qfnra.critical_samples, qfnra._conic_witness, qfnra.decide
-    qfnra.critical_samples = fraction_critical_samples
+    """qfnra with oracle_decide, which isolates roots on Fraction
+    enclosures, in place of its sign-test decide, and float_conic_witness
+    in place of its exact conic slopes."""
+    saved = qfnra._conic_witness, qfnra.decide
     qfnra._conic_witness = float_conic_witness
     qfnra.decide = oracle_decide
     try:
         yield
     finally:
-        qfnra.critical_samples, qfnra._conic_witness, qfnra.decide = saved
+        qfnra._conic_witness, qfnra.decide = saved
 
 
 def oracle_check(disc, word, shell, terminal) -> satcheck.SatResult:
@@ -743,17 +752,19 @@ def full_sample_prefix(engine, node) -> qfnra.Decided:
 
 def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
     """WordEngine.decide on every root of the query's atoms, with the
-    witness re-verified by satcheck.sequence_query(...).holds."""
+    witness re-verified by satcheck.sequence_query(...).holds.  The
+    query's atoms cut qfnra.line_arcs once, as in qfnra.decide_forms; but
+    like WordEngine.decide it needs the region of each feasible arc for
+    a conic witness, and moves on past a direction without a witness, so
+    it walks every feasible arc."""
     atoms = prefix_atoms(engine, node.word) + (
         sublevel_terminal_atoms(node) if shell == satcheck.SUBLEVEL
         else engine._terminal(node))
-    samples = qfnra.sample_directions(atoms, engine.disc.n_x)
-    if samples is None:
+    arcs = qfnra.refine_arcs(qfnra.line_arcs(engine.disc.n_x), atoms)
+    if arcs is None:
         return satcheck.SatResult("unknown", reason="root separation "
                                                     "exceeded precision cap")
-    feasible = False
-    for direction, region in qfnra.feasible(atoms, samples):
-        feasible = True
+    for direction, region, _ in arcs:
         if isinstance(direction, qfnra.Root):
             continue
         x = _full_sample_witness(engine, node, shell, atoms, direction,
@@ -765,7 +776,7 @@ def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
             return satcheck.SatResult("sat", witness=x)
         return satcheck.SatResult("unknown", reason="witness failed exact "
                                                     "re-verification")
-    if feasible:
+    if arcs:
         return satcheck.SatResult("unknown", reason="feasible, but no "
                                                     "rational witness")
     return satcheck.SatResult("unsat")
@@ -776,15 +787,15 @@ def _full_sample_witness(engine, node, shell, atoms, direction, region):
     disc = engine.disc
     u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
          else (Fraction(1), direction))
-    v = [wordtree._value(f, u) / (engine._p_scale * d * d)
-         for f, d in node.forms]
+    v = [(a2 * u[1] * u[1] + a1 * u[0] * u[1] + a0 * u[0] * u[0])
+         / (engine._p_scale * d * d) for (a2, a1, a0), d in node.forms]
     if shell == satcheck.SUBLEVEL:
         rv0 = disc.r * disc.V0
         lo = max(rv0 / vi for vi in v[:-1])
         hi = disc.V0 / v[0]
         if v[-1] > 0:
             hi = min(hi, rv0 / v[-1])
-        s = qfnra.rational_sqrt_in(lo, True, hi, False)
+        s = simplest_sqrt_in(lo, hi)
         return (s * u[0], s * u[1])[:disc.n_x]
     s = qfnra.rational_square_root(disc.V0 / v[0])
     if s is not None:

@@ -168,6 +168,36 @@ def test_verify_sim_witnesses_off_the_shell(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_verify_witnesses_of_the_wrong_length(tmp_path, capsys):
+    # every bisimilar witness with three coordinates and every simulating
+    # witness with one, for a plant with two: each is a backward failure
+    # with no replay, and verify exits 5 without a traceback
+    config = write_config(tmp_path, r=0.8)
+    models = tmp_path / "models"
+    assert main(["abstract", "--config", config, "--out", str(models)]) \
+        == EXIT_OK
+    for name, resize in (("mpetc_bisim.json", lambda x: x + ["1/2"]),
+                         ("petc_sim.json", lambda x: x[:1])):
+        path = models / name
+        doc = json.loads(path.read_text())
+        for state in doc["states"]:
+            if state["word"]:
+                state["witness"] = resize(state["witness"])
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--models", str(models),
+                 "--samples", "5", "--steps", "3"]) == EXIT_MISMATCH
+    out, err = capsys.readouterr()
+    assert "bisimulation sample check: FAIL" in out
+    assert "simulation sample check: FAIL" in out
+    failures = [json.loads(line) for line in out.splitlines()
+                if line.startswith("  {")]
+    for tag in ("direction", "kind"):
+        backward = [f for f in failures if f.get(tag) == "backward"]
+        assert backward and all(f["replay"] is None for f in backward)
+    assert "Traceback" not in err
+
+
 def test_exit_code_three_variables(tmp_path, capsys):
     # the bundled loop with a third, decoupled state and h_P pinned: the
     # bundled solver decides one and two variables only

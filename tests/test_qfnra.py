@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from petctraffic import cli, contraction, qfnra, satcheck, wordtree
 from petctraffic.abstraction import build_mpetc_bisim, build_petc_sim
-from petctraffic.qfnra import (critical_samples, decide, format_rational,
-                               root_cmp, roots_of_quadratic, run_script,
+from petctraffic.qfnra import (decide, format_rational, root_cmp,
+                               roots_of_quadratic, run_script,
                                verify_witness)
 from conftest import (bundled, float_conic_witness,
                       fraction_critical_samples, fraction_enclosure,
@@ -127,8 +127,51 @@ def test_simplest_between_matches_fraction_walk(a, b, offset):
                                                                          hi)
 
 
+_SQRT_LO = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=0, max_value=10**6),
+    st.builds(F, st.integers(0, 2**600), st.integers(1, 2**600)))
+# hi - lo, or None for hi = lo (1 + 2^-200), and 2^-200 when lo = 0
+_SQRT_GAP = st.one_of(
+    st.just(None),
+    st.fractions(min_value=0, max_value=10**6).filter(bool),
+    st.builds(F, st.integers(1, 2**600), st.integers(1, 2**600)))
+
+
+@given(_SQRT_LO, _SQRT_GAP)
+@settings(max_examples=300, deadline=None)
+def test_simplest_sqrt_between(lo, gap):
+    # lo < s^2 < hi, and s is the simplest rational strictly between the
+    # integer enclosures of sqrt(lo) and sqrt(hi) at which it returned
+    hi = lo + gap if gap is not None else lo * (1 + F(1, 2**200))
+    hi = hi or F(1, 2**200)
+    p, q = qfnra.simplest_sqrt_between(lo.numerator, lo.denominator,
+                                       hi.numerator, hi.denominator)
+    s = F(p, q)
+    assert s > 0 and lo < s * s < hi
+    prec = 64
+    while True:
+        a = math.isqrt((lo.numerator << 2 * prec) // lo.denominator) + 1
+        b = math.isqrt((hi.numerator << 2 * prec) // hi.denominator)
+        if a < b:
+            break
+        prec *= 2
+    e_lo, e_hi = F(a, 1 << prec), F(b, 1 << prec)
+    assert s == fraction_simplest_between(e_lo, e_hi)
+    # no smaller denominator, by enumeration where q is small
+    for d in range(1, min(q, 1000)):
+        assert not F(math.floor(e_lo * d) + 1, d) < e_hi, d
+
+
+def line_samples(polys):
+    """The (direction, region) samples of the whole line cut at the roots
+    of the integer quadratics polys, or None."""
+    arcs = qfnra.cut_arcs([qfnra.WHOLE_LINE], qfnra.enclosed_roots(polys))
+    return None if arcs is None else [(d, region) for d, region, _ in arcs]
+
+
 def _normal(samples):
-    """critical_samples output with each Root as its defining integers."""
+    """line_samples output with each Root as its defining integers."""
     if samples is None:
         return None
     return [((d.a, d.b, d.disc, d.eps) if isinstance(d, qfnra.Root) else d,
@@ -153,7 +196,7 @@ def test_critical_samples_ordered(polys):
     # inside its region, and the Fraction oracle's list wherever it has
     # one
     polys = sorted(polys)
-    samples = critical_samples(polys)
+    samples = line_samples(polys)
     assert samples is not None
     for (d0, _), (d1, _) in zip(samples, samples[1:]):
         assert _bounds(d0)[1] < _bounds(d1)[0]
@@ -186,9 +229,10 @@ def test_close_roots_in_swapped_float_order_are_separated():
 
 @pytest.mark.parametrize("case", ["ci", "r4_5", "cs", "one_dim", "scaled"])
 def test_kernel_matches_oracles(case, request, monkeypatch):
-    # every root isolation of the contraction queries and of the
-    # full-sample kernel, which decides every word query of both builds
-    # again, and every conic witness of the queries and of both builds,
+    # every cut of the whole line of directions, by the contraction
+    # queries (decide_forms), by the full-sample kernel, which decides
+    # every word query of both builds again, and at the root of the word
+    # tree, and every conic witness of the queries and of both builds,
     # on the r = 1/2 fixture, on the bundled loop at r = 4/5, on the
     # bundled example (r = 1/10), on a scalar plant and on the loop at
     # r = 4/5 with P_lyap, Q_lyap and V0 scaled by 3; the integer kernel
@@ -197,15 +241,25 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
     # full-sample kernel's verdicts and witnesses.
     # Every contraction query is decided again by the t-scale oracle:
     # the same verdicts, and every sat witness holds
-    calls = {"critical_samples": [], "_conic_witness": []}
-    for name, log in calls.items():
-        def recording(*args, _fn=getattr(qfnra, name), _log=log, **kwargs):
-            out = _fn(*args, **kwargs)
-            # a copy: the sample list gets the vertical direction appended
-            _log.append((args, kwargs,
-                         list(out) if isinstance(out, list) else out))
-            return out
-        monkeypatch.setattr(qfnra, name, recording)
+    cuts, conics = [], []
+
+    def recording_decide_forms(atoms, n, _fn=qfnra.decide_forms):
+        cuts.append([f for f, _ in atoms])
+        return _fn(atoms, n)
+
+    def recording_refine_arcs(arcs, atoms, _fn=qfnra.refine_arcs):
+        if arcs and arcs[0] == qfnra.WHOLE_LINE:
+            cuts.append([f for f, _ in atoms])
+        return _fn(arcs, atoms)
+
+    def recording_conic_witness(*args, _fn=qfnra._conic_witness, **kwargs):
+        out = _fn(*args, **kwargs)
+        conics.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(qfnra, "decide_forms", recording_decide_forms)
+    monkeypatch.setattr(qfnra, "refine_arcs", recording_refine_arcs)
+    monkeypatch.setattr(qfnra, "_conic_witness", recording_conic_witness)
     real_check, checked = satcheck.check, []
 
     def recording_check(query):
@@ -231,16 +285,15 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
                 else full_sample_prefix(engine, node))
 
     oracle_models(disc, n, full_sample)
-    oracles = {"critical_samples": fraction_critical_samples,
-               "_conic_witness": float_conic_witness}
-    for name, log in calls.items():
-        # a scalar plant has no conic: V0 / v_0 is a rational square
-        assert log or (name == "_conic_witness" and disc.n_x == 1), name
-        for args, kwargs, out in log:
-            ref = oracles[name](*args, **kwargs)
-            if name == "critical_samples":
-                out, ref = _normal(out), _normal(ref)
-            assert ref is None or out == ref, (name, args)
+    assert cuts
+    for polys in cuts:
+        ref = _normal(fraction_critical_samples(polys))
+        assert ref is None or _normal(line_samples(polys)) == ref, polys
+    # a scalar plant has no conic: V0 / v_0 is a rational square
+    assert conics or disc.n_x == 1
+    for args, kwargs, out in conics:
+        ref = float_conic_witness(*args, **kwargs)
+        assert ref is None or out == ref, args
     assert {res.status for _, res in checked} == {"sat", "unsat"}
     for query, res in checked:
         with oracle_kernel():

@@ -148,7 +148,7 @@ def test_simulate_trace_and_csv(ci_disc):
     assert instants[0] == 0
     assert all(b > a for a, b in zip(instants, instants[1:]))
     assert instants[-1] <= 3
-    vs = tr.lyapunov_values(ci_disc)
+    vs = [ci_disc.V(x) for x in tr.states]
     assert vs[0] == ci_disc.V(x0)
     assert tr.entered_periodic_at is not None
     # V never exceeds its starting value along the run

@@ -18,7 +18,7 @@ from petctraffic import ratlin
 from petctraffic.sysmodel import (DiscretizedPetc, PetcSystem,
                                   PredictiveTriggerSpec, build_predictive_Q,
                                   discretize, discretize_at_time, expm,
-                                  held_input_maps, min_inter_sample,
+                                  held_input_maps, min_inter_sample_float,
                                   rationalize, trig_form)
 from conftest import make_system
 
@@ -213,7 +213,9 @@ def test_rationalize_freezes_floats(ci_disc: DiscretizedPetc):
 
 
 def test_min_inter_sample(ci_disc):
-    k_lo = min_inter_sample(ci_disc)
+    k_lo = min_inter_sample_float(
+        {k: ratlin.to_float_matrix(n) for k, n in ci_disc.N.items()},
+        ci_disc.k_bar)
     assert k_lo == ci_disc.k_lo
     # oracle: first k whose rational form admits a positive value on a grid
     found = None

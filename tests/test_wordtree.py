@@ -10,7 +10,8 @@ import pytest
 
 from petctraffic import abstraction, cli, qfnra, ratlin, satcheck, wordtree
 from conftest import (bundled, full_sample_decide, full_sample_prefix,
-                      oracle_check, oracle_models, sublevel_terminal_atoms)
+                      oracle_check, oracle_models, simplest_sqrt_in,
+                      sublevel_terminal_atoms)
 
 F = Fraction
 
@@ -202,7 +203,7 @@ def test_corrupted_witness_is_unknown(shell, tmp_path, monkeypatch, capsys):
         if shell == satcheck.UNIT_LEVEL:
             return tuple(v * (1 + F(1, 2**60)) for v in x)
         t = self.disc.V0 / self.disc.V(x)  # V(s x) = s^2 V(x) just above V0
-        s = qfnra.rational_sqrt_in(t, True, t * (1 + F(1, 2**60)), False)
+        s = simplest_sqrt_in(t, t * (1 + F(1, 2**60)))
         return tuple(s * v for v in x)
 
     _, disc = bundled("r4_5")
