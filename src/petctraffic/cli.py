@@ -125,13 +125,18 @@ def _np(rows) -> np.ndarray:
 
 
 def make_disc(cfg: dict) -> DiscretizedPetc:
+    """The discretized loop at the pinned h_P, which must pass the scan's
+    condition, or else at the h_P of the scan."""
     sys_ = build_system(cfg)
     if "h_P" in cfg:
         h_p = Fraction(cfg["h_P"])
+        if not contraction.hP_condition(sys_, h_p):
+            raise NotContractiveError(
+                f"the pinned h_P = {h_p} lets the Lyapunov function "
+                "increase under periodic sampling")
     else:
-        h_p = contraction.compute_hP(
-            sys_, resolution=Fraction(cfg.get("hP_resolution",
-                                              Fraction(1, 100))))
+        h_p = contraction.compute_hP(sys_, resolution=Fraction(
+            cfg.get("hP_resolution", contraction.DEFAULT_HP_RESOLUTION)))
     return rationalize(sys_, h_p)
 
 
@@ -141,7 +146,7 @@ def make_disc(cfg: dict) -> DiscretizedPetc:
 
 def run_contraction(cfg: dict, disc: DiscretizedPetc):
     cert = contraction.compute_a(
-        disc, tol=Fraction(cfg.get("a_tol", Fraction(1, 1000))))
+        disc, tol=Fraction(cfg.get("a_tol", contraction.DEFAULT_A_TOL)))
     n = contraction.compute_N(cert.a, disc.r)
     k_size = disc.k_bar - disc.k_lo + 1
     bounds = contraction.trace_count_bounds(max(k_size, 2), n)

@@ -1,14 +1,15 @@
 """Certified contraction factor, periodic-phase period, and horizon.
 
-The per-sample Lyapunov decrease ratio `a` is certified by bisection,
-each candidate validated through per-cone counterexample queries; the
-periodic period h_P by an exact eigenvalue scan; the word-length horizon
-N by exact rational power bracketing, so the ceiling can never
-under-count.
+The per-sample Lyapunov decrease ratio `a` is certified by one bisection
+on the multiples of a_tol, each probe deciding per-cone counterexample
+queries up to the first violated cone; the periodic period h_P by an
+exact eigenvalue scan; the word-length horizon N by exact rational power
+bracketing, so the ceiling can never under-count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,65 +47,51 @@ class ContractionCert:
 
 def _validate_candidate(disc: DiscretizedPetc,
                         a: Fraction) -> tuple[bool, dict[int, SatResult]]:
-    """a holds iff every cone's counterexample query is unsat."""
-    ks = list(disc.K_range)
-    results = {k: satcheck.contraction_counterexample(disc, k, a) for k in ks}
-    for k in ks:
-        if results[k].status == "unknown":
+    """a holds iff every cone's counterexample query is unsat; the cones
+    are decided in order up to the first sat one."""
+    results: dict[int, SatResult] = {}
+    for k in disc.K_range:
+        res = results[k] = satcheck.contraction_counterexample(disc, k, a)
+        if res.status == "unknown":
             raise SolverUnknownError(
-                f"contraction query undecided at k={k}, a={a}: "
-                f"{results[k].reason}")
-    return all(results[k].status == "unsat" for k in ks), results
+                f"contraction query undecided at k={k}, a={a}: {res.reason}")
+        if res.status == "sat":
+            return False, results
+    return True, results
 
 
 def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL) -> ContractionCert:
-    """Smallest certified decrease ratio within tol, rounded up to the
-    tol grid.  Bisection keeps a violated lower end and a certified
-    upper end; the returned grid point is re-validated explicitly."""
+    """Smallest certified decrease ratio on the tol grid, a = j tol < 1.
+
+    Validity is monotone in a, since V(u) > 0 for u != 0, so one
+    bisection on the grid index j finds it: the upper end j = hi stays
+    certified, with its per-cone unsat results, and the lower end stays
+    violated or zero.  The first probe is the largest multiple of tol
+    below one."""
     tol = _as_exact(tol)
     if not 0 < tol < 1:
         raise ValueError("tol must be in (0, 1)")
     trace: list[tuple[Fraction, str]] = []
-    hi = 1 - tol
-    ok, evidence = _validate_candidate(disc, hi)
-    trace.append((hi, "unsat" if ok else "sat"))
+
+    def probe(j: int) -> tuple[bool, dict[int, SatResult]]:
+        ok, results = _validate_candidate(disc, j * tol)
+        trace.append((j * tol, "unsat" if ok else "sat"))
+        return ok, results
+
+    lo, hi = 0, math.ceil(1 / tol) - 1
+    ok, evidence = probe(hi)
     if not ok:
         raise NotContractiveError(
-            f"decrease ratio {float(hi):.6g} is still violated; "
+            f"decrease ratio {float(hi * tol):.6g} is still violated; "
             "the loop does not contract per sample")
-    # bisect well below tol so that snapping up to the grid lands on the
-    # smallest grid value above the true infimum
-    lo = Fraction(0)
-    while hi - lo > tol / 16:
-        mid = (lo + hi) / 2
-        ok, res = _validate_candidate(disc, mid)
-        trace.append((mid, "unsat" if ok else "sat"))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        ok, results = probe(mid)
         if ok:
-            hi, evidence = mid, res
+            hi, evidence = mid, results
         else:
             lo = mid
-    # snap up to the tol grid; monotonicity keeps the snapped value valid,
-    # but it is validated anyway so the certificate is self-contained
-    a = -((-hi) // tol) * tol
-    if a >= 1:
-        a = 1 - tol
-    if a != hi:
-        ok, evidence = _validate_candidate(disc, a)
-        trace.append((a, "unsat" if ok else "sat"))
-        if not ok:
-            raise NotContractiveError(
-                f"grid value {float(a):.6g} unexpectedly violated")
-    # the infimum may sit exactly on a grid point; step down while valid
-    for _ in range(2):
-        down = a - tol
-        if down <= 0:
-            break
-        ok, res = _validate_candidate(disc, down)
-        trace.append((down, "unsat" if ok else "sat"))
-        if not ok:
-            break
-        a, evidence = down, res
-    return ContractionCert(a=a, per_k_unsat=evidence,
+    return ContractionCert(a=hi * tol, per_k_unsat=evidence,
                            bisection_trace=tuple(trace), tol=tol)
 
 

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import ratlin, semantics
+from . import qfnra, ratlin, semantics
 from .abstraction import MPETC_BISIM, PETC_SIM, TrafficModel, word_key
 from .ratlin import RatVector
 from .sysmodel import DiscretizedPetc
@@ -95,43 +95,25 @@ def sample_states(disc: DiscretizedPetc, n: int, seed: int,
 
 def sample_shell_states(disc: DiscretizedPetc, n: int, seed: int,
                         prec: int = 30) -> list[RatVector]:
-    """n exact rational points with 0 < V(x) <= V0 and V(x) > r V0,
-    i.e. inside the initial set but outside the periodic set (rescaled
-    from the sublevel sample); used to exercise the event-triggered
-    phase."""
-    rng = random.Random(seed)
-    raw = _sublevel_points(disc, seed ^ 0x5EED, prec)
+    """n exact rational points with r V0 < V(x) <= V0, i.e. inside the
+    initial set but outside the periodic set; used to exercise the
+    event-triggered phase.  A sublevel point x below the band is scaled
+    by the simplest rational lambda with r V0 < lambda^2 V(x) < V0."""
+    if n == 0:
+        return []
     out = []
     rv0 = disc.r * disc.V0
-    for x, v in islice(raw, 2 * n + 16):
+    for x, v in _sublevel_points(disc, seed ^ 0x5EED, prec):
         if v == 0:
             continue
         if v <= rv0:
-            # push outward with an exact rational scaling; its band
-            # test on lambda^2 v is V(lambda x) in the band
-            lam = _rational_upscale(v, rv0, disc.V0)
+            lo, hi = rv0 / v, disc.V0 / v
+            lam = Fraction(*qfnra.simplest_sqrt_between(
+                lo.numerator, lo.denominator, hi.numerator, hi.denominator))
             x = tuple(lam * c for c in x)
         out.append(x)
         if len(out) == n:
-            break
-    while len(out) < n:
-        extra = sample_shell_states(disc, n - len(out),
-                                    rng.randint(0, 2 ** 31), prec)
-        out.extend(extra)
-    return out[:n]
-
-
-def _rational_upscale(v: Fraction, rv0: Fraction, v0: Fraction) -> Fraction:
-    """A rational lambda with r V0 < lambda^2 v <= V0: a rational
-    approximation of sqrt of the band's midpoint, refined until it
-    lands inside."""
-    t_lo, t_hi = rv0 / v, v0 / v
-    mid = float((t_lo + t_hi) / 2) ** 0.5
-    for digits in (6, 9, 12, 15, 18):
-        lam = Fraction(mid).limit_denominator(10 ** digits)
-        if lam > 0 and t_lo < lam * lam <= t_hi:
-            return lam
-    raise ArithmeticError("could not place a rational scale in the band")
+            return out
 
 
 def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,

@@ -8,11 +8,13 @@ integer kernel of qfnra replaced, the t-scale decision procedure that
 the sign-test decide of qfnra replaced, the pairwise domino edges that
 the prefix index of abstraction replaced, and the full-sample word
 queries, with the sublevel terminal atoms, that the feasible arcs of
-wordtree replaced."""
+wordtree replaced, and the three-phase search for the contraction factor
+that the grid bisection of contraction replaced."""
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -81,46 +83,43 @@ def fraction_normalized_word(disc, x, max_len) -> tuple[int, ...]:
     return tuple(word)
 
 
-def fraction_sample_states(disc, n, seed, prec=30):
-    """verify.sample_states on Fraction: each candidate built from the
-    rounded radii and accepted by V(x) <= V0 in Fraction."""
+def _fraction_sublevel_points(disc, seed, prec):
+    """Candidates built from the rounded radii and accepted by
+    V(x) <= V0 in Fraction, without end."""
     rng = random.Random(seed)
     radii = verify._bounding_radii(disc)
     scale = 1 << prec
-    out = []
-    while len(out) < n:
+    while True:
         x = tuple(Fraction(rng.randint(-scale, scale), scale)
                   * Fraction(r).limit_denominator(10 ** 9)
                   for r in radii)
         if disc.V(x) <= disc.V0:
-            out.append(x)
-    return out
+            yield x
+
+
+def fraction_sample_states(disc, n, seed, prec=30):
+    """verify.sample_states on Fraction."""
+    return list(itertools.islice(_fraction_sublevel_points(disc, seed, prec),
+                                 n))
 
 
 def fraction_sample_shell_states(disc, n, seed, prec=30):
     """verify.sample_shell_states on Fraction, with V evaluated again
     after each rescale."""
-    rng = random.Random(seed)
-    raw = fraction_sample_states(disc, 2 * n + 16, seed ^ 0x5EED, prec)
+    points = _fraction_sublevel_points(disc, seed ^ 0x5EED, prec)
     out = []
     rv0 = disc.r * disc.V0
-    for x in raw:
+    while len(out) < n:
+        x = next(points)
         v = disc.V(x)
         if v == 0:
             continue
         if v <= rv0:
-            lam = verify._rational_upscale(v, rv0, disc.V0)
+            lam = simplest_sqrt_in(rv0 / v, disc.V0 / v)
             x = tuple(lam * c for c in x)
-            v = disc.V(x)
-            if not (rv0 < v <= disc.V0):
-                continue
+            assert rv0 < disc.V(x) < disc.V0
         out.append(x)
-        if len(out) == n:
-            break
-    while len(out) < n:
-        out.extend(fraction_sample_shell_states(
-            disc, n - len(out), rng.randint(0, 2 ** 31), prec))
-    return out[:n]
+    return out
 
 
 def fraction_bisim_check(disc, model, n_samples, seed):
@@ -705,6 +704,71 @@ def oracle_models(disc, N, check=oracle_check):
         output=abstraction._outputs(sim_states, disc.h, disc.h_P),
         witnesses=sim_witnesses, h=disc.h, h_P=disc.h_P)
     return bisim, sim
+
+
+def _all_cones_candidate(disc, a):
+    """a holds iff every cone's counterexample query is unsat; every cone
+    is decided."""
+    ks = list(disc.K_range)
+    results = {k: satcheck.contraction_counterexample(disc, k, a) for k in ks}
+    for k in ks:
+        if results[k].status == "unknown":
+            raise satcheck.SolverUnknownError(
+                f"contraction query undecided at k={k}, a={a}: "
+                f"{results[k].reason}")
+    return all(results[k].status == "unsat" for k in ks), results
+
+
+def bisection_compute_a(disc, tol=contraction.DEFAULT_A_TOL):
+    """contraction.compute_a in three phases: a bisection on the reals
+    down to tol/16, a snap up to the tol grid, and up to two step-downs
+    on the grid.  It probes 1 - tol first, which is off the grid when
+    1/tol is not an integer."""
+    tol = contraction._as_exact(tol)
+    if not 0 < tol < 1:
+        raise ValueError("tol must be in (0, 1)")
+    trace = []
+    hi = 1 - tol
+    ok, evidence = _all_cones_candidate(disc, hi)
+    trace.append((hi, "unsat" if ok else "sat"))
+    if not ok:
+        raise contraction.NotContractiveError(
+            f"decrease ratio {float(hi):.6g} is still violated; "
+            "the loop does not contract per sample")
+    # bisect well below tol so that snapping up to the grid lands on the
+    # smallest grid value above the true infimum
+    lo = Fraction(0)
+    while hi - lo > tol / 16:
+        mid = (lo + hi) / 2
+        ok, res = _all_cones_candidate(disc, mid)
+        trace.append((mid, "unsat" if ok else "sat"))
+        if ok:
+            hi, evidence = mid, res
+        else:
+            lo = mid
+    # snap up to the tol grid; monotonicity keeps the snapped value valid,
+    # but it is validated anyway so the certificate is self-contained
+    a = -((-hi) // tol) * tol
+    if a >= 1:
+        a = 1 - tol
+    if a != hi:
+        ok, evidence = _all_cones_candidate(disc, a)
+        trace.append((a, "unsat" if ok else "sat"))
+        if not ok:
+            raise contraction.NotContractiveError(
+                f"grid value {float(a):.6g} unexpectedly violated")
+    # the infimum may sit exactly on a grid point; step down while valid
+    for _ in range(2):
+        down = a - tol
+        if down <= 0:
+            break
+        ok, res = _all_cones_candidate(disc, down)
+        trace.append((down, "unsat" if ok else "sat"))
+        if not ok:
+            break
+        a, evidence = down, res
+    return contraction.ContractionCert(a=a, per_k_unsat=evidence,
+                                       bisection_trace=tuple(trace), tol=tol)
 
 
 def pairwise_domino_edges(states) -> set:

@@ -263,6 +263,32 @@ def test_exit_code_not_contractive(tmp_path, capsys):
     assert "not contractive" in err and "Traceback" not in err
 
 
+def test_exit_code_pinned_hP_not_contractive(tmp_path, capsys):
+    # at h_P = 5 periodic sampling lets V grow: the pinned period fails
+    # the scan's condition before any model is built
+    config = write_config(tmp_path, h_P=5)
+    for command in ("analyze", "casestudy"):
+        out = str(tmp_path / command)
+        assert main([command, "--config", config, "--out", out]) \
+            == EXIT_NOT_CONTRACTIVE
+        err = capsys.readouterr().err
+        assert "h_P = 5" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+
+def test_casestudy_with_r_close_to_one(tmp_path, capsys):
+    # r V0 and V0 are 10^-17 apart: every shell sample is scaled into a
+    # band that a float square root cannot hit
+    config = tmp_path / "config.json"
+    config.write_text(open_default().replace('"r": 0.1',
+                                             '"r": 0.99999999999999999'))
+    out = tmp_path / "out"
+    assert main(["casestudy", "--config", str(config), "--out", str(out),
+                 "--samples", "5", "--steps", "3"]) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
+    assert json.loads((out / "report.json").read_text())["N"] == 1
+
+
 def test_verify_malformed_models(tmp_path, capsys):
     models = tmp_path / "models"
     models.mkdir()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,10 @@ from petctraffic import contraction
 from petctraffic.contraction import (NotContractiveError, compute_N,
                                      compute_a, compute_hP, hP_condition,
                                      trace_count_bounds)
-from petctraffic.sysmodel import PetcSystem
-from conftest import max_step_ratio
+from petctraffic.satcheck import SatResult, SolverUnknownError
+from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
+                                  build_predictive_Q, rationalize)
+from conftest import bisection_compute_a, bundled, max_step_ratio
 
 F = Fraction
 
@@ -23,16 +26,18 @@ def test_compute_a_toy_exact_threshold(tiny_disc):
     cert = compute_a(tiny_disc, tol=F(1, 1000))
     assert cert.a == F(1, 4)
     assert all(r.status == "unsat" for r in cert.per_k_unsat.values())
-    assert cert.bisection_trace[-1][1] == "sat"  # the step-down probe failed
-    # coarser grid: the infimum is between grid points, snap goes up
+    # minimal on the grid: the next grid value down was probed and refuted
+    assert (cert.a - cert.tol, "sat") in cert.bisection_trace
+    # coarser grid: the infimum is between grid points, a is the grid
+    # value above it
     cert2 = compute_a(tiny_disc, tol=F(3, 1000))
     assert F(1, 4) <= cert2.a < F(1, 4) + F(3, 1000)
     assert cert2.a % F(3, 1000) == 0
+    assert (cert2.a - cert2.tol, "sat") in cert2.bisection_trace
 
 
 def test_compute_a_not_contractive():
     # M doubles the state: no ratio below one can ever be certified
-    from petctraffic.sysmodel import rationalize
     sys_ = PetcSystem(A=[[0.0, 0.0], [0.0, 0.0]], B=[[1.0], [0.0]],
                       K=[[0.0, 0.0]], P=np.eye(2), Q_trig=np.zeros((4, 4)),
                       h=F(1), k_bar=1, r=F(1, 4))
@@ -124,3 +129,102 @@ def test_max_step_ratio_bounded_by_certificate(ci_disc, ci_cert):
     assert 0 < ratio <= float(ci_cert.a) + 1e-9
     # the certificate is within its tolerance of the empirical maximum
     assert ratio > float(ci_cert.a - 2 * ci_cert.tol) - 5e-3
+
+
+A_TOLS = (F(1, 1000), F(1, 100), F(3, 1000), F(1, 7))
+
+
+def random_stabilized_disc(rng):
+    """A loop made as in the robustness sweep, or None if it has no
+    periodic period: a plant in controllable canonical form with both
+    closed-loop poles placed, P_lyap the solution of A_cl' P + P A_cl = -I
+    rounded to eighths, Q_lyap = I, and random rho, h and k_bar."""
+    a0, a1 = rng.uniform(-3, 3, 2)
+    p1, p2 = -rng.uniform(0.5, 3, 2)
+    a, b = np.array([[0, 1], [a0, a1]]), np.array([[0], [1]])
+    k = np.array([[-p1 * p2 - a0, p1 + p2 - a1]])
+    a_cl, eye = a + b @ k, np.eye(2)
+    p = np.linalg.solve(np.kron(eye, a_cl.T) + np.kron(a_cl.T, eye),
+                        -eye.ravel()).reshape(2, 2)
+    p = np.round(8 * (p + p.T) / 2) / 8
+    if np.linalg.eigvalsh(p).min() <= 0:
+        return None
+    common = dict(A=a, B=b, K=k, P=p, h=F(rng.choice([5, 10, 20]), 100),
+                  k_bar=int(rng.integers(3, 7)), r=F(1, 2))
+    spec = PredictiveTriggerSpec(P_lyap=p, Q_lyap=eye,
+                                 rho=float(rng.uniform(0.5, 0.95)))
+    placeholder = PetcSystem(Q_trig=np.zeros((4, 4)), **common)
+    sys_ = PetcSystem(Q_trig=build_predictive_Q(spec, placeholder), **common)
+    try:
+        return rationalize(sys_, compute_hP(sys_))
+    except NotContractiveError:
+        return None
+
+
+def _outcome(fn, disc, tol):
+    try:
+        return fn(disc, tol=tol)
+    except NotContractiveError as exc:
+        return exc
+
+
+def test_compute_a_matches_three_phase_search():
+    # the grid bisection returns the a of the three-phase search, or
+    # raises the same error, on the bundled loop and on random stabilized
+    # plants.  Where 1/tol is not an integer, the three-phase search
+    # probes 1 - tol, off the grid, first: an infimum between it and the
+    # largest grid value below one is refuted there but certified here.
+    rng = np.random.default_rng(14)
+    discs = [bundled("cs")[1]]
+    while len(discs) < 9:
+        disc = random_stabilized_disc(rng)
+        if disc is not None:
+            discs.append(disc)
+    raised = 0
+    for disc in discs:
+        for tol in A_TOLS:
+            new = _outcome(compute_a, disc, tol)
+            old = _outcome(bisection_compute_a, disc, tol)
+            if isinstance(new, NotContractiveError):
+                assert isinstance(old, NotContractiveError)
+                raised += 1
+                continue
+            top = (math.ceil(1 / tol) - 1) * tol
+            if isinstance(old, NotContractiveError):
+                assert 1 - tol < new.a == top
+                continue
+            assert new.a == old.a and new.tol == old.tol == tol
+            assert set(new.per_k_unsat) == set(disc.K_range)
+            assert all(r.status == "unsat"
+                       for r in new.per_k_unsat.values())
+            assert new.bisection_trace[0] == (top, "unsat")
+            assert (new.a, "unsat") in new.bisection_trace
+            if new.a > tol:
+                assert (new.a - tol, "sat") in new.bisection_trace
+            assert len(new.bisection_trace) <= 1 + math.ceil(
+                math.log2(top / tol))
+    # both outcomes occur among the plants and grids
+    assert 0 < raised < len(discs) * len(A_TOLS)
+
+
+def test_compute_a_stops_at_the_first_violated_cone(monkeypatch, tiny_disc):
+    # a refuted probe decides its cones up to the first sat one; an
+    # unknown before it is an error
+    calls = []
+    real = contraction.satcheck.contraction_counterexample
+
+    def counted(disc, k, a):
+        calls.append((k, a))
+        return real(disc, k, a)
+
+    monkeypatch.setattr(contraction.satcheck, "contraction_counterexample",
+                        counted)
+    disc = bundled("cs")[1]
+    ok, results = contraction._validate_candidate(disc, F(1, 2))
+    assert not ok and list(results) == [k for k, _ in calls]
+    assert results[calls[-1][0]].status == "sat"
+    assert len(calls) < len(disc.K_range)
+    monkeypatch.setattr(contraction.satcheck, "contraction_counterexample",
+                        lambda disc, k, a: SatResult("unknown", reason="x"))
+    with pytest.raises(SolverUnknownError):
+        compute_a(tiny_disc)

@@ -198,7 +198,7 @@ def test_direct_decision_matches_smtlib_path(monkeypatch):
 def test_benchmark_trace_hooks_bind(tmp_path):
     # perfbench/tracer.py patches names of the program in place; in a
     # child process, with its end-to-end and layer hooks installed, the
-    # pipeline at r = 4/5 must run, decide its 102 contraction queries
+    # pipeline at r = 4/5 must run, decide its 41 contraction queries
     # through satcheck.check, and agree with the tracer's own re-decision
     # of each from its SMT-LIB text
     root = Path(__file__).resolve().parents[1]
@@ -219,4 +219,4 @@ def test_benchmark_trace_hooks_bind(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "102"]
+    assert proc.stdout.split() == ["0", "41"]

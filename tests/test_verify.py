@@ -49,6 +49,7 @@ def test_sample_shell_states_in_band(ci_disc):
     assert len(xs) == 50
     for x in xs:
         assert rv0 < ci_disc.V(x) <= ci_disc.V0
+    assert verify.sample_shell_states(ci_disc, 0, seed=3) == []
 
 
 def test_samplers_match_fraction_samplers(built):
