@@ -128,7 +128,9 @@ def build_trivial(K, N: int, h=Fraction(1), h_P=Fraction(1),
                         h=Fraction(h), h_P=Fraction(h_P))
 
 
-def _settle_unknowns(words, results, assume_sat, assumed: set):
+def _keep(words, results, assume_sat, states, witnesses, assumed) -> dict:
+    """Keep each sat word with its witness, and each unknown one as
+    assumed if assume_sat, else raise; the verdict and kept counts."""
     for w, res in zip(words, results):
         if res.status == "unknown":
             if not assume_sat:
@@ -136,14 +138,14 @@ def _settle_unknowns(words, results, assume_sat, assumed: set):
                     f"undecided feasibility for word {w}: {res.reason}",
                     word=w)
             assumed.add(w)
-
-
-def _counts(results, assumed_here: int) -> dict[str, int]:
+        elif res.status == "sat":
+            witnesses[w] = res.witness
+        if res.status != "unsat":
+            states.add(w)
     statuses = [res.status for res in results]
     counts = {s: statuses.count(s) for s in ("sat", "unsat", "unknown")}
-    counts["assumed"] = assumed_here
-    counts["kept"] = counts["sat"] + assumed_here
-    return counts
+    return dict(counts, assumed=counts["unknown"],
+                kept=counts["sat"] + counts["unknown"])
 
 
 def _arcs(nodes) -> int:
@@ -156,11 +158,12 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
     """The words realized before entering the periodic set.
 
     Words are extended to the right, level by level, on one
-    ``wordtree.WordEngine``; a word whose terminal-free query is already
-    infeasible is discarded with all its extensions.  ``stats["levels"]``
-    counts, per level, the candidates, those pruned by that unsat prefix
-    query, the feasible arcs their prefix queries keep on the tree, the
-    full-query verdicts of the live ones and the words kept.
+    ``wordtree.WordEngine``, and each candidate is decided once, by its
+    full sublevel query.  That query is unsat exactly when the word's
+    node keeps no feasible arc, and then so is every extension: an unsat
+    word is discarded with all its extensions.  ``stats["levels"]``
+    counts, per level, the candidates, the feasible arcs their nodes
+    keep, their verdicts (the unsat ones pruned) and the words kept.
     """
     engine = wordtree.WordEngine(disc)
     states: set[Word] = {EPSILON}
@@ -175,26 +178,15 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
                             key=lambda node: word_key(node.word))
         if not candidates:
             break
-        # the terminal-free query first: if it is unsat, the full query
-        # is unsat too and no extension can ever be feasible
-        live = [node for node in candidates
-                if engine.prefix_status(node) != "unsat"]
-        words = [node.word for node in live]
-        full_res = [engine.decide(node, satcheck.SUBLEVEL) for node in live]
-        n_assumed = len(assumed)
-        _settle_unknowns(words, full_res, assume_sat, assumed)
-        frontier = live
-        for w, fr in zip(words, full_res):
-            if fr.status == "sat":
-                states.add(w)
-                witnesses[w] = fr.witness
-            elif w in assumed:
-                states.add(w)
+        results = [engine.decide(node, satcheck.SUBLEVEL)
+                   for node in candidates]
+        counts = _keep([node.word for node in candidates], results,
+                       assume_sat, states, witnesses, assumed)
+        frontier = [node for node, res in zip(candidates, results)
+                    if res.status != "unsat"]
         levels.append(dict(level=len(levels) + 1,
                            candidates=len(candidates),
-                           prefix_unsat=len(candidates) - len(live),
-                           live=len(live), arcs=_arcs(live),
-                           **_counts(full_res, len(assumed) - n_assumed)))
+                           arcs=_arcs(candidates), **counts))
 
     return TrafficModel(kind=MPETC_BISIM, states=frozenset(states),
                         edges=frozenset(_tree_edges(states)),
@@ -223,7 +215,7 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
     non-empty words of the mixed-strategy model, each decided on its node
     of the model's ``tree``; a model without a tree for this disc
     (trivial or imported) is a ValueError.  ``stats`` counts the
-    candidates, the feasible arcs their prefix queries keep on the tree,
+    candidates, the feasible arcs their nodes keep on the tree,
     their verdicts and the words kept.
     """
     engine = mpetc_model.tree
@@ -233,16 +225,11 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
     candidates = [w for w in mpetc_model.sorted_states() if w != EPSILON]
     nodes = [engine.node(w) for w in candidates]
     results = [engine.decide(node, satcheck.UNIT_LEVEL) for node in nodes]
-    assumed: set[Word] = set()
-    _settle_unknowns(candidates, results, assume_sat, assumed)
     states: set[Word] = set()
     witnesses: dict[Word, RatVector] = {}
-    for w, res in zip(candidates, results):
-        if res.status == "sat":
-            states.add(w)
-            witnesses[w] = res.witness
-        elif w in assumed:
-            states.add(w)
+    assumed: set[Word] = set()
+    counts = _keep(candidates, results, assume_sat, states, witnesses,
+                   assumed)
     edges = domino_edges(states)
     blocked = sorted(states - {s for s, _ in edges}, key=word_key)
     if blocked:
@@ -254,8 +241,7 @@ def build_petc_sim(disc: DiscretizedPetc, mpetc_model: TrafficModel,
                         witnesses=witnesses, h=disc.h, h_P=disc.h_P,
                         assumed=frozenset(assumed) | mpetc_model.assumed,
                         stats=dict(candidates=len(candidates),
-                                   arcs=_arcs(nodes),
-                                   **_counts(results, len(assumed))))
+                                   arcs=_arcs(nodes), **counts))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,11 @@ def _validate_config(cfg: dict) -> None:
     for key in _REQUIRED:
         if key not in cfg:
             raise ConfigError(f"missing config field {key!r}")
+    for key, value in cfg.items():
+        try:  # float() of every number in the field, nested ones too
+            json.dumps(value, default=float)
+        except OverflowError as exc:
+            raise ConfigError(f"{key} has a number beyond a double") from exc
     k_bar, seed = cfg["k_bar"], cfg.get("seed", Fraction(0))
     if not (isinstance(k_bar, Fraction) and k_bar.denominator == 1
             and k_bar >= 1):
@@ -186,6 +191,16 @@ def run_pipeline(cfg: dict, assume_sat: bool = False) -> PipelineResult:
     return PipelineResult(disc, cert, n, bounds, bisim, sim, rep)
 
 
+def out_dir(path) -> Path:
+    """path, checked before any work: a directory can be made there if
+    its nearest existing ancestor is one.  export makes it."""
+    out = Path(path)
+    top = next(p for p in (out, *out.parents) if p.exists())
+    if not top.is_dir():
+        raise ConfigError(f"cannot create --out {out}: {top} is no directory")
+    return out
+
+
 def export(out: Path, models, rep=None) -> None:
     """Each model as <kind>.json and <kind>.dot, the report as
     report.json and report.txt."""
@@ -268,7 +283,7 @@ def cmd_contraction(args) -> int:
 
 def cmd_abstract(args) -> int:
     cfg = load_config(args.config)
-    out = Path(args.out)
+    out = out_dir(args.out)
     if args.trivial:
         disc = make_disc(cfg)
         _, n, _ = run_contraction(cfg, disc)
@@ -288,10 +303,11 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    out = args.out and out_dir(args.out)
     res = run_pipeline(load_config(args.config), args.assume_sat)
     print(res.report.render(), end="")
-    if args.out:
-        export(Path(args.out), [res.bisim, res.sim], res.report)
+    if out:
+        export(out, [res.bisim, res.sim], res.report)
     return EXIT_OK
 
 
@@ -313,7 +329,7 @@ def cmd_verify(args) -> int:
 def cmd_casestudy(args) -> int:
     samples, steps = _counts(args)
     cfg = load_config(args.config)
-    out = Path(args.out)
+    out = out_dir(args.out)
     t_all = time.perf_counter()
     res = run_pipeline(cfg)
     disc, rep = res.disc, res.report

@@ -15,8 +15,8 @@ so a feasible rational direction is itself a witness, and feasible
 irrational directions alone leave the query `unknown`.  ``decide``
 answers the contraction queries of ``satcheck.check`` by cutting
 ``line_arcs`` once (``decide_forms``); ``wordtree`` keeps the feasible
-arcs of each word and cuts them again for every letter
-(``refine_arcs``).
+arcs of each word and cuts them once for all its letters, and once at
+its unit-shell atom (``refine_arcs``).
 
 A rational is chosen by one rule: the simplest rational strictly between
 integer enclosures over 2^prec, at the first precision (64, 128, ...
@@ -601,11 +601,13 @@ def _point_sample(root):
 def cut_arcs(arcs, roots):
     """The arcs (direction, region, bounds) with every open arc cut at the
     roots, pairs of ``enclosed_roots``, that fall strictly inside it, in
-    order; None when two neighbouring roots do not separate.  An open
-    arc's bounds are its bounding root pairs (None: unbounded); a point
-    or the vertical direction has bounds None and is never cut.  Each
-    piece carries the ``_region_sample`` or ``_point_sample`` of its
-    region or root."""
+    order; None when arcs is None or two neighbouring roots do not
+    separate.  An open arc's bounds are its bounding root pairs (None:
+    unbounded); a point or the vertical direction has bounds None and is
+    never cut.  Each piece carries the ``_region_sample`` or
+    ``_point_sample`` of its region or root."""
+    if arcs is None:
+        return None
     out = []
     for arc in arcs:
         if arc[2] is None or not roots:
@@ -632,10 +634,8 @@ def refine_arcs(arcs, atoms):
     from the query's feasible arcs: those arcs cut at the new atoms'
     roots, and of the pieces the ones at which every new atom holds.
     The query's own atoms keep their signs on each of its arcs, so only
-    the new atoms are tested.  None when two neighbouring roots do not
-    separate."""
-    if arcs is None:
-        return None
+    the new atoms are tested.  None when arcs is None or two
+    neighbouring roots do not separate."""
     cut = cut_arcs(arcs, enclosed_roots(f for f, _ in atoms))
     return None if cut is None else list(feasible(atoms, cut))
 

@@ -19,32 +19,37 @@ A node of the word tree holds the integer Phi of its word over a common
 denominator, the integer V forms of its prefix and the feasible arcs of
 its prefix query, each with its sample (direction, region) and, for an
 open arc, the enclosed roots that bound it.  The root starts from
-``qfnra.line_arcs``, as every contraction query does.  A child
-multiplies one integer M(k), cuts its parent's arcs at the roots of its
-new atoms that fall in them (``qfnra.refine_arcs``) and tests only the
-new atoms, since every older atom keeps its sign on each parent arc.  So
-the answers and witnesses are those of cutting ``line_arcs`` once at
-every root of every atom.  Both model builds decide their words on one
-tree.
+``qfnra.line_arcs``, as every contraction query does.  The letters
+k_lo..k_bar partition the directions by kappa, so a node makes all its
+children by one cut of its arcs, at the roots of its entry form
+q v_m - p d_m^2 v_0 (r = p/q) and its trigger forms N(j) o Phi,
+k_lo <= j < k_bar.  It drops the pieces where v_m > r v_0 fails and
+gives every other one to kappa at its sample: the first j >= k_lo with
+N(j) o Phi > 0 there, else k_bar.  Older atoms keep their signs on the
+pieces of a parent arc, so a child's arcs are those of cutting
+``line_arcs`` once at every root of the entry and trigger forms of its
+proper prefixes, where its prefix atoms hold; its siblings' roots make
+them finer than its query needs.  Both builds share one tree.
 
-The full sublevel query is decided on the prefix arcs: each puts
-Phi_{i-1} u in the cone of k_i, where the contraction certificate gives
-V(M(k) y) <= a V(y) with a < 1, so v_0 > v_1 > ... > v_m there and the
-atoms v_m < v_i cut nothing.  The unit-shell query cuts the arcs at its
-one terminal atom.  A sat query's rational witness is x = s u at the
-first feasible rational direction u, with the V forms evaluated there
-in integers.  From the sublevel set, s^2 lies strictly between the
-bounds that V <= V0, the word and the entry into the periodic set put
-on it, and s is the simplest rational by the rule of
-``qfnra.simplest_sqrt_between``.  On the unit shell s = sqrt(V0 / V(u))
-when that is rational, else x is a rational point of the conic V = V0
-in the arc.  x is re-verified by ``holds``: x lies on the unit shell if
-the query asks for it, and its integer run
-(``semantics.IntegerStepper.entry_run``) enters the periodic set after
-exactly the word.  That uses neither the forms nor the certificate, so
-a wrong certificate, or a loop that is not contractive, gives
-``unknown``, never a wrong ``sat``; so does a witness that fails, or a
-feasible set of irrational directions only.
+Each node answers two queries.  The full sublevel query is decided on
+the prefix arcs: each puts Phi_{i-1} u in the cone of k_i, where the
+contraction certificate gives V(M(k) y) <= a V(y) with a < 1, so
+v_0 > v_1 > ... > v_m there and the atoms v_m < v_i cut nothing.  So it
+is unsat exactly when the node keeps no arc, and then so is every
+extension.  The unit-shell query cuts the arcs at its one terminal
+atom.  A sat query's rational witness is x = s u at the first feasible
+rational direction u, with the V forms evaluated there in integers.
+From the sublevel set, s^2 lies strictly between the bounds that
+V <= V0, the word and the entry into the periodic set put on it, and s
+is the simplest rational by the rule of ``qfnra.simplest_sqrt_between``.
+On the unit shell s = sqrt(V0 / V(u)) when that is rational, else x is
+a rational point of the conic V = V0 in the arc.  x is re-verified by
+``holds``: x lies on the unit shell if the query asks for it, and its
+integer run (``semantics.IntegerStepper.entry_run``) enters the
+periodic set after exactly the word.  That uses neither the forms nor
+the certificate, so a wrong certificate, or a loop that is not
+contractive, gives ``unknown``, never a wrong ``sat``; so does a witness
+that fails, or a feasible set of irrational directions only.
 """
 
 from __future__ import annotations
@@ -99,8 +104,7 @@ class Node:
     scale: int
     forms: tuple
     arcs: list | None
-    cone: list | None = None  # the trigger forms on Phi, for the children
-    children: dict = field(default_factory=dict)
+    children: dict = field(default_factory=dict)  # every letter, once split
 
 
 class WordEngine:
@@ -128,55 +132,46 @@ class WordEngine:
         return node
 
     def child(self, node: Node, k: int) -> Node:
-        """The node of node.word + (k,), made once."""
-        if k in node.children:
-            return node.children[k]
-        m, d = self._maps[k]
-        (a, b), (c, e) = m
-        (f, g), (h, i) = node.phi
-        phi = ((a * f + b * h, a * g + b * i), (c * f + e * h, c * g + e * i))
-        scale = node.scale * d
-        forms = node.forms + ((_pullback(self._lyapunov, phi), scale),)
-        child = Node(node.word + (k,), phi, scale, forms,
-                     qfnra.refine_arcs(node.arcs, self._letter_atoms(node, k)))
-        node.children[k] = child
-        return child
+        """The node of node.word + (k,); the first call makes them all."""
+        if not node.children:
+            self._split(node)
+        return node.children[k]
 
-    def _letter_atoms(self, node: Node, k: int) -> list:
-        """The atoms that the letter k adds to the prefix query of
-        node.word: the cone of k on Phi and, for a non-empty node.word,
-        v_m > r v_0 at its length m."""
+    def _split(self, node: Node) -> None:
+        """Every child of node, with the pieces of node.arcs at which
+        v_m > r v_0 holds, each given to kappa at its sample."""
         disc = self.disc
-        if node.cone is None:
-            node.cone = [_pullback(f, node.phi) for f in self._trigger]
-        atoms = []
-        for j in range(disc.k_lo, min(k, disc.k_bar)):
-            atoms.append(_atom([-c for c in node.cone[j - 1]], False))
-        if k < disc.k_bar:
-            atoms.append(_atom(node.cone[k - 1], True))
-        if node.word:
-            p, q = disc.r.numerator, disc.r.denominator
-            (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
-            atoms.append(_atom([q * a - p * dm * dm * b
-                                for a, b in zip(qm, q0)], True))
-        return atoms
+        entry = [_atom(self._entry(node), True)] if node.word else []
+        triggers = [_atom(_pullback(f, node.phi), True)
+                    for f in self._trigger[disc.k_lo - 1:]]
+        cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(
+            f for f, _ in entry + triggers))
+        arcs = (dict.fromkeys(disc.K_range) if cut is None
+                else {k: [] for k in disc.K_range})
+        for piece in qfnra.feasible(entry, cut or ()):
+            kappa = next((j for j, (f, _) in enumerate(triggers, disc.k_lo)
+                          if qfnra.sign(f, piece[0]) > 0), disc.k_bar)
+            arcs[kappa].append(piece)
+        (f, g), (h, i) = node.phi
+        for k in disc.K_range:
+            ((a, b), (c, e)), d = self._maps[k]
+            phi = ((a * f + b * h, a * g + b * i),
+                   (c * f + e * h, c * g + e * i))
+            form = (_pullback(self._lyapunov, phi), node.scale * d)
+            node.children[k] = Node(node.word + (k,), phi, node.scale * d,
+                                    node.forms + (form,), arcs[k])
+
+    def _entry(self, node: Node) -> list:
+        """q v_m - p d_m^2 v_0 with r = p/q, at the length m of node.word:
+        positive where the word has not entered the periodic set."""
+        p, q = self.disc.r.numerator, self.disc.r.denominator
+        (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
+        return [q * a - p * dm * dm * b for a, b in zip(qm, q0)]
 
     def _terminal(self, node: Node) -> list:
-        """The unit-shell terminal atom v_m <= r v_0, the one atom by
-        which decide refines the prefix arcs."""
-        qm, dm = node.forms[-1]
-        p, q = self.disc.r.numerator, self.disc.r.denominator
-        return [_atom([p * dm * dm * a - q * b
-                       for a, b in zip(node.forms[0][0], qm)], False)]
-
-    def prefix_status(self, node: Node) -> str:
-        """sat, unsat or unknown for the query of node.word without its
-        terminal atom, read off its feasible arcs; no witness is built."""
-        if node.arcs is None:
-            return "unknown"
-        if any(not isinstance(arc[0], qfnra.Root) for arc in node.arcs):
-            return "sat"
-        return "unknown" if node.arcs else "unsat"
+        """The unit-shell terminal atom v_m <= r v_0, the negated entry
+        form, by which decide refines the prefix arcs."""
+        return [_atom([-c for c in self._entry(node)], False)]
 
     def decide(self, node: Node, shell: str) -> SatResult:
         """The full query of node.word from the sublevel set (on the prefix

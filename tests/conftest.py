@@ -260,18 +260,19 @@ def fraction_critical_samples(polys):
     roots = []
     for a, b, c in polys:
         roots.extend(qfnra.roots_of_quadratic(a, b, c))
-    roots.sort(key=_float_key)
-    unique = []
-    for r in roots:
+    keyed = sorted(((_float_key(r), r) for r in roots), key=lambda kr: kr[0])
+    unique, keys = [], []
+    for key, r in keyed:
         dup = False
-        for u in reversed(unique):
-            if _float_key(r) - _float_key(u) > 1e-6:
+        for u_key, u in zip(reversed(keys), reversed(unique)):
+            if key - u_key > 1e-6:
                 break
             if _fraction_roots_equal(u, r):
                 dup = True
                 break
         if not dup:
             unique.append(r)
+            keys.append(key)
     prec = 64
     encl = [fraction_enclosure(r, prec) for r in unique]
     while True:
@@ -788,13 +789,49 @@ def pairwise_domino_edges(states) -> set:
 # against the query satcheck.sequence_query writes
 
 
+def letter_atoms(engine, node, k) -> list:
+    """The atoms that the letter k adds to the prefix query of
+    node.word: the cone of k on Phi and, for a non-empty node.word,
+    v_m > r v_0 at its length m."""
+    disc = engine.disc
+    cone = [wordtree._pullback(f, node.phi) for f in engine._trigger]
+    atoms = []
+    for j in range(disc.k_lo, min(k, disc.k_bar)):
+        atoms.append(wordtree._atom([-c for c in cone[j - 1]], False))
+    if k < disc.k_bar:
+        atoms.append(wordtree._atom(cone[k - 1], True))
+    if node.word:
+        p, q = disc.r.numerator, disc.r.denominator
+        (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
+        atoms.append(wordtree._atom([q * a - p * dm * dm * b
+                                     for a, b in zip(qm, q0)], True))
+    return atoms
+
+
 def prefix_atoms(engine, word) -> list:
     """The atoms of the prefix query of word, letter by letter."""
     node, atoms = engine.root, []
     for k in word:
-        atoms += engine._letter_atoms(node, k)
+        atoms += letter_atoms(engine, node, k)
         node = engine.child(node, k)
     return atoms
+
+
+def split_forms(engine, word) -> list:
+    """The trigger forms N(j) o Phi_i, k_lo <= j < k_bar, of every proper
+    prefix of word, by which the word tree splits a node among its
+    children, as primitive integer triples."""
+    node, forms = engine.root, []
+    for k in word:
+        forms += [wordtree._atom(wordtree._pullback(f, node.phi), True)[0]
+                  for f in engine._trigger[engine.disc.k_lo - 1:]]
+        node = engine.child(node, k)
+    return forms
+
+
+def line_cut(forms, n):
+    """qfnra.line_arcs cut once at every root of the forms."""
+    return qfnra.cut_arcs(qfnra.line_arcs(n), qfnra.enclosed_roots(forms))
 
 
 def sublevel_terminal_atoms(node) -> list:
@@ -808,23 +845,29 @@ def sublevel_terminal_atoms(node) -> list:
 
 
 def full_sample_prefix(engine, node) -> qfnra.Decided:
-    """WordEngine.prefix_status on every root of the prefix query's
-    atoms, with the first feasible rational direction as the witness."""
+    """The prefix query of node.word on every root of its atoms, with the
+    first feasible rational direction as the witness."""
     return qfnra.decide_forms(prefix_atoms(engine, node.word),
                               engine.disc.n_x)
 
 
 def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
-    """WordEngine.decide on every root of the query's atoms, with the
-    witness re-verified by satcheck.sequence_query(...).holds.  The
-    query's atoms cut qfnra.line_arcs once, as in qfnra.decide_forms; but
-    like WordEngine.decide it needs the region of each feasible arc for
-    a conic witness, and moves on past a direction without a witness, so
-    it walks every feasible arc."""
+    """WordEngine.decide on every root of the query's atoms and of the
+    split_forms of its word, with the witness re-verified by
+    satcheck.sequence_query(...).holds.  Those roots cut qfnra.line_arcs
+    once (line_cut), and the pieces at which every atom holds are the
+    feasible arcs; like WordEngine.decide it needs the region of each
+    for a conic witness, and moves on past a direction without a
+    witness, so it walks every feasible arc."""
     atoms = prefix_atoms(engine, node.word) + (
         sublevel_terminal_atoms(node) if shell == satcheck.SUBLEVEL
         else engine._terminal(node))
-    arcs = qfnra.refine_arcs(qfnra.line_arcs(engine.disc.n_x), atoms)
+    # each cone atom's form is a split form, or its negation
+    forms = split_forms(engine, node.word)
+    known = set(forms) | {tuple(-c for c in f) for f in forms}
+    cut = line_cut(forms + [f for f, _ in atoms if f not in known],
+                   engine.disc.n_x)
+    arcs = None if cut is None else list(qfnra.feasible(atoms, cut))
     if arcs is None:
         return satcheck.SatResult("unknown", reason="root separation "
                                                     "exceeded precision cap")

@@ -102,18 +102,20 @@ def test_build_stats_add_up(ci_disc, ci_cert, ci_N, ci_bisim, ci_sim):
     levels = ci_bisim.stats["levels"]
     # the build stops after N levels or at the first level left empty
     assert [lv["level"] for lv in levels] == list(range(1, len(levels) + 1))
-    assert len(levels) == ci_N or levels[-1]["live"] == 0
+    assert (len(levels) == ci_N
+            or levels[-1]["candidates"] == levels[-1]["unsat"])
     live = 1
     for lv in levels:
+        # the words of the last level whose full query is not unsat are
+        # extended by every letter; the unsat ones are pruned
         assert lv["candidates"] == live * len(ci_disc.K_range)
-        assert lv["candidates"] == lv["prefix_unsat"] + lv["live"]
-        assert lv["live"] == lv["sat"] + lv["unsat"] + lv["unknown"]
+        assert lv["candidates"] == lv["unsat"] + lv["sat"] + lv["unknown"]
         assert lv["kept"] == lv["sat"] + lv["assumed"]
         assert lv["kept"] == sum(len(w) == lv["level"]
                                  for w in ci_bisim.states)
-        # a live word's prefix query keeps at least one feasible arc
-        assert lv["arcs"] >= lv["live"]
-        live = lv["live"]
+        # a word that is not unsat keeps at least one feasible arc
+        live = lv["candidates"] - lv["unsat"]
+        assert lv["arcs"] >= live
     assert sum(lv["kept"] for lv in levels) == ci_bisim.n_states(False)
     unit = ci_sim.stats
     assert unit["candidates"] == ci_bisim.n_states(False)

@@ -109,6 +109,46 @@ def test_exit_code_config(tmp_path, capsys, monkeypatch):
             assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["A", "P_lyap", "Q_lyap", "rho", "h",
+                                 "h_P", "hP_resolution", "V0"])
+def test_exit_code_config_number_beyond_a_double(key, tmp_path, capsys,
+                                                 monkeypatch):
+    # a number that float() cannot convert, in a matrix entry or a scalar
+    # field: one line naming the field, before any build
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda *a, **kw: pytest.fail("built"))
+    base = json.loads(open_default())
+    if isinstance(base.get(key), list):
+        base[key][0][0] = 0.125
+    else:
+        base[key] = 0.125
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(base).replace("0.125", "1e400"))
+    for argv in (["discretize"], ["casestudy", "--out", str(tmp_path)]):
+        assert main(argv + ["--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["casestudy", "analyze", "abstract",
+                                     "abstract --trivial"])
+def test_exit_code_out_below_a_file(command, tmp_path, capsys, monkeypatch):
+    # an --out that cannot be made a directory: one line, and the
+    # pipeline never runs
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda *a, **kw: pytest.fail("built"))
+    monkeypatch.setattr(cli, "run_contraction", lambda cfg, disc:
+                        (None, 2, None))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = command.split() + ["--out", str(blocker / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--out" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_exit_code_config_counts(tmp_path, capsys, monkeypatch):
     # --samples and --steps must be integers >= 0: one line, before any
     # build

@@ -16,6 +16,7 @@ from petctraffic.abstraction import build_mpetc_bisim, build_petc_sim
 from petctraffic.qfnra import (decide, format_rational, root_cmp,
                                roots_of_quadratic, run_script,
                                verify_witness)
+import conftest
 from conftest import (bundled, float_conic_witness,
                       fraction_critical_samples, fraction_enclosure,
                       fraction_simplest_between, full_sample_decide,
@@ -230,9 +231,10 @@ def test_close_roots_in_swapped_float_order_are_separated():
 @pytest.mark.parametrize("case", ["ci", "r4_5", "cs", "one_dim", "scaled"])
 def test_kernel_matches_oracles(case, request, monkeypatch):
     # every cut of the whole line of directions, by the contraction
-    # queries (decide_forms), by the full-sample kernel, which decides
-    # every word query of both builds again, and at the root of the word
-    # tree, and every conic witness of the queries and of both builds,
+    # queries (decide_forms) and by the full-sample kernel, which decides
+    # every word query of both builds again, at the roots of its atoms and
+    # of the trigger forms that split the word tree (line_cut), and every
+    # conic witness of the queries and of both builds,
     # on the r = 1/2 fixture, on the bundled loop at r = 4/5, on the
     # bundled example (r = 1/10), on a scalar plant and on the loop at
     # r = 4/5 with P_lyap, Q_lyap and V0 scaled by 3; the integer kernel
@@ -247,10 +249,9 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
         cuts.append([f for f, _ in atoms])
         return _fn(atoms, n)
 
-    def recording_refine_arcs(arcs, atoms, _fn=qfnra.refine_arcs):
-        if arcs and arcs[0] == qfnra.WHOLE_LINE:
-            cuts.append([f for f, _ in atoms])
-        return _fn(arcs, atoms)
+    def recording_line_cut(forms, n, _fn=conftest.line_cut):
+        cuts.append(list(forms))
+        return _fn(forms, n)
 
     def recording_conic_witness(*args, _fn=qfnra._conic_witness, **kwargs):
         out = _fn(*args, **kwargs)
@@ -258,7 +259,7 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
         return out
 
     monkeypatch.setattr(qfnra, "decide_forms", recording_decide_forms)
-    monkeypatch.setattr(qfnra, "refine_arcs", recording_refine_arcs)
+    monkeypatch.setattr(conftest, "line_cut", recording_line_cut)
     monkeypatch.setattr(qfnra, "_conic_witness", recording_conic_witness)
     real_check, checked = satcheck.check, []
 

@@ -141,14 +141,15 @@ def test_replay_completeness(ci_disc):
 
 
 def test_prefix_query_monotone(ci_disc):
-    # a word with an unsat prefix query can have no feasible extension;
+    # a word with an unsat full query can have no feasible extension;
     # spot-check the contrapositive on realized words: all their prefixes
-    # have sat prefix queries
+    # have sat full queries
     x = verify.sample_shell_states(ci_disc, 1, seed=5)[0]
     w = semantics.concrete_sequence(ci_disc, x, max_len=100)
     engine = wordtree.WordEngine(ci_disc)
     for i in range(1, len(w) + 1):
-        assert engine.prefix_status(engine.node(w[:i])) == "sat", w[:i]
+        res = engine.decide(engine.node(w[:i]), satcheck.SUBLEVEL)
+        assert res.status == "sat", w[:i]
 
 
 def test_bundled_solver_found_through_sys_path(tmp_path):

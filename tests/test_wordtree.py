@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from petctraffic import abstraction, cli, qfnra, ratlin, satcheck, wordtree
+from petctraffic import (abstraction, cli, qfnra, ratlin, satcheck,
+                         semantics, wordtree)
 from conftest import (bundled, full_sample_decide, full_sample_prefix,
                       oracle_check, oracle_models, simplest_sqrt_in,
                       sublevel_terminal_atoms)
@@ -33,27 +34,30 @@ def test_pullback_matches_congruence(ci_disc):
 
 def _recorded_build(disc, N, monkeypatch):
     """Both models built on the engine, with every query it decided:
-    (engine, node, shell, terminal, status, witness)."""
+    (node, shell, status, witness)."""
     decided = []
-    prefix_status = wordtree.WordEngine.prefix_status
     decide = wordtree.WordEngine.decide
-
-    def recording_prefix(self, node):
-        status = prefix_status(self, node)
-        decided.append((self, node, satcheck.SUBLEVEL, False, status, None))
-        return status
 
     def recording_decide(self, node, shell):
         res = decide(self, node, shell)
-        decided.append((self, node, shell, True, res.status, res.witness))
+        decided.append((node, shell, res.status, res.witness))
         return res
 
-    monkeypatch.setattr(wordtree.WordEngine, "prefix_status",
-                        recording_prefix)
     monkeypatch.setattr(wordtree.WordEngine, "decide", recording_decide)
     bisim = abstraction.build_mpetc_bisim(disc, N)
     sim = abstraction.build_petc_sim(disc, bisim)
     return bisim, sim, decided
+
+
+def _memo(table, compute):
+    """An oracle_models check that looks each query up in table, and
+    computes and stores it there when it is missing."""
+    def check(disc, word, shell, terminal):
+        key = word, shell, terminal
+        if key not in table:
+            table[key] = compute(word, shell, terminal)
+        return table[key]
+    return check
 
 
 def _case(case, request):
@@ -68,67 +72,109 @@ def _case(case, request):
 
 @pytest.mark.parametrize("case", ["ci", "r4_5", "one_dim", "cs"])
 def test_engine_matches_per_word_oracle(case, request, monkeypatch):
-    # every prefix, full and unit-shell query of both builds, on the
-    # r = 1/2 fixture, on the bundled loop at r = 4/5, on a scalar plant
-    # (words (6,), (6, 6), (6, 6, 6); only the last on the shell) and on
-    # the bundled example (r = 1/10).  The feasible arcs give the status
-    # and the witness of the full-sample kernel on every query; the
-    # per-word oracle gives the same status, except on the bundled
-    # example, where its 1,758 queries take minutes
+    # every full and unit-shell query of both builds, on the r = 1/2
+    # fixture, on the bundled loop at r = 4/5, on a scalar plant (words
+    # (6,), (6, 6), (6, 6, 6); only the last on the shell) and on the
+    # bundled example (r = 1/10).  The feasible arcs give the status and
+    # the witness of the full-sample kernel on every query; the per-word
+    # oracle gives the same status, except on the bundled example, where
+    # its queries take minutes.  The engine prunes a word by its unsat
+    # full query; the reference models prune by the written prefix query.
+    # A full query whose prefix query is unsat is unsat, so the references
+    # decide only the prefix query of such a word
     disc, n = _case(case, request)
     bisim, sim, decided = _recorded_build(disc, n, monkeypatch)
-    per_word = case != "cs"
-    full, oracle = {}, {}
-    for engine, node, shell, terminal, status, witness in decided:
-        key = node.word, shell, terminal
-        if terminal:
-            full[key] = full_sample_decide(engine, node, shell)
-            assert witness == full[key].witness, key
-        else:
-            full[key] = full_sample_prefix(engine, node)
-        assert status == full[key].status, key
-        if per_word:
-            oracle[key] = oracle_check(disc, *key)
-            assert status == oracle[key].status, key
+    engine = bisim.tree
+
+    def full_sample(word, shell, terminal):
+        node = engine.node(word)
+        return (full_sample_decide(engine, node, shell) if terminal
+                else full_sample_prefix(engine, node))
+
+    full = _memo({}, full_sample)
+    checks = [full]
+    if case != "cs":
+        checks.append(_memo({}, lambda *key: oracle_check(disc, *key)))
+    for node, shell, status, witness in decided:
+        key = node.word, shell
+        for check in checks:
+            ref = (satcheck.SatResult("unsat") if shell == satcheck.SUBLEVEL
+                   and check(disc, *key, False).status == "unsat"
+                   else check(disc, *key, True))
+            assert status == ref.status, key
+            if check is full:
+                assert witness == ref.witness, key
         if witness is not None:
             query = satcheck.sequence_query(disc, node.word, shell, True)
             assert query.holds(witness), key
-    kinds = {(shell, terminal) for _, _, shell, terminal, _, _ in decided}
-    assert kinds == {(satcheck.SUBLEVEL, False), (satcheck.SUBLEVEL, True),
-                     (satcheck.UNIT_LEVEL, True)}
-    assert {status for *_, status, _ in decided} == {"sat", "unsat"}
-    refs = [oracle_models(disc, n, lambda d, w, shell, terminal:
-                          full[w, shell, terminal])]
-    if per_word:
-        refs.append(oracle_models(disc, n, lambda d, w, shell, terminal:
-                                  oracle[w, shell, terminal]))
-    for o_bisim, o_sim in refs:
+    assert {shell for _, shell, _, _ in decided} == {
+        satcheck.SUBLEVEL, satcheck.UNIT_LEVEL}
+    assert {status for _, _, status, _ in decided} == {"sat", "unsat"}
+    for check in checks:
+        o_bisim, o_sim = oracle_models(disc, n, check)
         for model, ref in ((bisim, o_bisim), (sim, o_sim)):
             assert model.states == ref.states
             assert model.edges == ref.edges
             assert model.assumed == ref.assumed == frozenset()
-    o_bisim, o_sim = refs[0]
-    assert sim.witnesses == o_sim.witnesses
-    assert bisim.witnesses == {abstraction.EPSILON: (F(0),) * disc.n_x,
-                               **o_bisim.witnesses}
+        if check is full:
+            assert sim.witnesses == o_sim.witnesses
+            assert bisim.witnesses == {
+                abstraction.EPSILON: (F(0),) * disc.n_x, **o_bisim.witnesses}
 
 
 @pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
 def test_sublevel_terminal_atoms_cut_no_arc(case, request):
-    # at every live node of the bisimilar build, the atoms v_m < v_i that
-    # decide leaves out neither cut nor drop a prefix arc
+    # at every node of the bisimilar build with feasible arcs, the atoms
+    # v_m < v_i that decide leaves out neither cut nor drop an arc
     disc, n = _case(case, request)
     engine = abstraction.build_mpetc_bisim(disc, n).tree
     nodes, live = [engine.root], 0
     while nodes:
         node = nodes.pop()
         nodes.extend(node.children.values())
-        if node is engine.root or engine.prefix_status(node) == "unsat":
+        if node is engine.root or not node.arcs:
             continue
         live += 1
         atoms = sublevel_terminal_atoms(node)
         assert qfnra.refine_arcs(node.arcs, atoms) == node.arcs, node.word
     assert live > 0
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
+def test_children_split_by_kappa(case, request):
+    # at every expanded node of the bisimilar build, every arc of child k
+    # has kappa = k at its sample, and v_m > r v_0 there for a non-empty
+    # word: semantics.kappa and disc.V at Phi u for a rational direction
+    # u, exact signs of the Fraction trigger forms N(j) o Phi at a root
+    disc, n = _case(case, request)
+    assert disc.k_lo == 1
+    engine = abstraction.build_mpetc_bisim(disc, n).tree
+    nodes, arcs, roots = [engine.root], 0, 0
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children.values())
+        phi = [[F(v, node.scale) for v in row] for row in node.phi]
+        triggers = []
+        for j in range(1, disc.k_bar):
+            f = ratlin.congruence(disc.N[j], phi)
+            triggers.append((f[1][1], f[0][1] + f[1][0], f[0][0]))
+        for k, child in node.children.items():
+            for direction, _, _ in child.arcs:
+                arcs += 1
+                if isinstance(direction, qfnra.Root):
+                    roots += 1
+                    kappa = next((j for j, f in enumerate(triggers, 1)
+                                  if qfnra.sign(f, direction) > 0),
+                                 disc.k_bar)
+                    assert kappa == k, (node.word, k, direction)
+                    continue
+                u = ((F(0), F(1)) if direction is qfnra.VERTICAL
+                     else (F(1), direction))
+                x = ratlin.mat_vec(phi, u)
+                assert semantics.kappa(disc, x) == k, (node.word, k, u)
+                if node.word:
+                    assert disc.V(x) > disc.r * disc.V(u), (node.word, u)
+    assert arcs > 0 and roots > 0
 
 
 def test_pipeline_builds_one_word_tree(monkeypatch):
