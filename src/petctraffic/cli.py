@@ -70,6 +70,15 @@ _REQUIRED = ("A", "B", "K", "P_lyap", "h", "k_bar", "r")
 _RANGES = {"a_tol": (0, 1), "hP_resolution": (0, None), "h_P": (0, None)}
 
 
+def _double(x: Fraction) -> float:
+    """float(x), which the float stages read; a nonzero x that it would
+    round to 0.0 raises FloatingPointError."""
+    f = float(x)
+    if x and not f:
+        raise FloatingPointError(f"{x} rounds to 0.0")
+    return f
+
+
 def _validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -78,9 +87,12 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(f"missing config field {key!r}")
     for key, value in cfg.items():
         try:  # float() of every number in the field, nested ones too
-            json.dumps(value, default=float)
+            json.dumps(value, default=_double)
         except OverflowError as exc:
             raise ConfigError(f"{key} has a number beyond a double") from exc
+        except FloatingPointError as exc:
+            raise ConfigError(f"{key} has a number below the range of a "
+                              f"double") from exc
     k_bar, seed = cfg["k_bar"], cfg.get("seed", Fraction(0))
     if not (isinstance(k_bar, Fraction) and k_bar.denominator == 1
             and k_bar >= 1):

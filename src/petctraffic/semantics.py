@@ -5,9 +5,10 @@ trace simulation — all evaluated in exact rational arithmetic over the
 frozen discretization, so these routines double as the brute-force
 oracle for the abstract models.  ``IntegerStepper`` runs the pure
 event-triggered law on integer vectors kept up to a positive scale,
-which is exact too: both checks of ``verify`` run on its orbits, and
-``IntegerStepper.entry_run`` gives the word that ``concrete_sequence``
-gives.
+exactly too: it decides each sign and comparison on the top bits of the
+state, and on the whole integers where those cannot decide.  Both
+checks of ``verify`` run on its orbits, and ``IntegerStepper.entry_run``
+gives the word that ``concrete_sequence`` gives.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
     return tuple(word)
 
 
+# Width in bits of the top part of an orbit state on which the signs and
+# comparisons of ``IntegerStepper`` are decided.  Any width of a few
+# dozen bits leaves the exact fallback rare; 62 keeps each product of
+# top parts and form coefficients small.
+WIDTH = 62
+
+
 def _integer_matrix(m) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(d m, d) for the common denominator d of the entries of m."""
     d = math.lcm(*(e.denominator for row in m for e in row))
@@ -117,21 +125,72 @@ def _dot(coeffs: tuple[int, ...], mono: tuple[int, ...]) -> int:
     return sum(map(mul, coeffs, mono))
 
 
+def _tolerance(f: tuple[int, ...]) -> int:
+    """sum |f_ij| (2^(WIDTH+1) + 1): a bound on |f(y) / 4^s - f(y >> s)|
+    whenever y has more than WIDTH bits and s = bitlen(y) - WIDTH."""
+    return sum(map(abs, f)) * ((2 << WIDTH) + 1)
+
+
+def _positive(f: tuple[int, ...], tol: int, mono: tuple[int, ...],
+              y: tuple[int, ...]) -> bool:
+    """Whether f(y) > 0, given the monomials of the top part m of y and
+    the tolerance of f at its shift (0 when m = y): decided on f(m) when
+    |f(m)| exceeds tol, and exactly otherwise."""
+    fm = _dot(f, mono)
+    if fm > tol:
+        return True
+    if fm < -tol:
+        return False
+    return _dot(f, _monomials(y)) > 0
+
+
+def _greater(x: tuple[int, int, int], y: tuple[int, int, int],
+             exact) -> bool:
+    """Whether X > Y, for lo 2^e <= X <= hi 2^e with (lo, hi, e) = x, and
+    Y within y alike; exact() decides when the two ranges overlap."""
+    (xl, xh, xe), (yl, yh, ye) = x, y
+    if xe > ye:
+        xl, xh = xl << xe - ye, xh << xe - ye
+    else:
+        yl, yh = yl << ye - xe, yh << ye - xe
+    if xl > yh:
+        return True
+    if xh <= yl:
+        return False
+    return exact()
+
+
 class OrbitPoint(NamedTuple):
     """Step j of an integer orbit: the state x_j = y / c, its inter-event
     index k = kappa(x_j), the common denominator d of M(k), so that the
-    next scale is c d, and v = y'P_int y, which is V(x_j) times d_P c^2
-    (see ``IntegerStepper``)."""
+    next scale is c d, and the range (lo, hi, e) of v = y'P_int y, which
+    is V(x_j) times d_P c^2: lo 2^e <= v <= hi 2^e, with lo = hi = v
+    and e = 0 when y has at most WIDTH bits (see ``IntegerStepper``).
+    ``lyapunov`` holds the coefficients of P_int, by which v itself is
+    computed on demand."""
 
     k: int
     d: int
-    v: int
     y: tuple[int, ...]
     c: int
+    span: tuple[int, int, int]
+    lyapunov: tuple[int, ...]
+
+    @property
+    def v(self) -> int:
+        """y'P_int y, exactly."""
+        return _dot(self.lyapunov, _monomials(self.y))
 
     def state(self) -> ConcreteState:
         """The exact rational state x_j."""
         return tuple(Fraction(e, self.c) for e in self.y)
+
+
+def level_greater(a: OrbitPoint, p: int, b: OrbitPoint, q: int) -> bool:
+    """Whether p v_a > q v_b, exactly, for integers p, q >= 0."""
+    (al, ah, ae), (bl, bh, be) = a.span, b.span
+    return _greater((p * al, p * ah, ae), (q * bl, q * bh, be),
+                    lambda: p * a.v > q * b.v)
 
 
 class IntegerStepper:
@@ -141,51 +200,86 @@ class IntegerStepper:
     split as M_int(k) / d_k over the common denominator of its entries,
     so y' = M_int(k) y and c' = c d_k.  N(k) and P are scaled to integer
     forms: the sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no
-    scale at all.  No gcd is taken, and comparisons of V across steps
-    carry the product of the d_k explicitly.
+    scale at all.  P_int = d_P P over the common denominator d_P of P,
+    so the integer value v = y'P_int y is d_P c^2 V(x), and a bound
+    V(x) <= t reads v <= d_P t c^2, in integers.
 
-    P_int = d_P P over the common denominator d_P of P, so the integer
-    value v = y'P_int y is d_P c^2 V(x), and a bound V(x) <= t reads
-    v <= d_P t c^2, in integers.
+    No gcd is taken, so y and c grow by the bits of d_k at every step,
+    and every sign and comparison is decided on their top bits.  Let
+    s = bitlen(y) - WIDTH where that is positive, with bitlen(y) the
+    largest bit length of a coordinate, and m = y >> s, so
+    that y_i = 2^s (m_i + e_i) with 0 <= e_i < 1 and |m_i| <= 2^WIDTH.
+    For an integer form f with coefficients f_ij,
+
+        |f(y) - 4^s f(m)| <= 4^s sum |f_ij| (|m_i| + |m_j| + 1)
+                          <= 4^s sum |f_ij| (2^(WIDTH+1) + 1),
+
+    the tolerance of f.  So f(m) beyond the tolerance of f gives the
+    sign of f(y), and v lies in [v(m) - tol, v(m) + tol] 4^s; c is
+    bounded alike by its top bits.  Each test compares such integer
+    ranges and takes the exact value, y'Fy or c^2, only when they
+    overlap, so every decision is the exact one.  The state itself is
+    never rounded.  A state of at most WIDTH bits is its own top part,
+    with zero tolerance.
     """
 
     def __init__(self, disc: DiscretizedPetc):
         self._k_bar = disc.k_bar
-        self._trigger = [_integer_form(disc.N[k])
-                         for k in range(1, disc.k_bar)]
+        forms = [_integer_form(disc.N[k]) for k in range(1, disc.k_bar)]
+        self._exact = [(f, 0) for f in forms]
+        self._trigger = [(f, _tolerance(f)) for f in forms]
         self._lyapunov = _integer_form(disc.P_rat)
+        self._tol_p = _tolerance(self._lyapunov)
         self._maps = {k: _integer_matrix(m) for k, m in disc.M.items()}
         self._d_p = _integer_matrix(disc.P_rat)[1]
         self._v0 = self._d_p * disc.V0
         self._rv0 = self._d_p * disc.r * disc.V0
 
-    def lyapunov(self, y: tuple[int, ...]) -> int:
-        """y'P_int y: V(y / c) times d_P c^2."""
-        return _dot(self._lyapunov, _monomials(y))
+    def level(self, y: tuple[int, ...], c: int) -> Fraction:
+        """V(x), exactly, for the state x = y / c."""
+        return Fraction(_dot(self._lyapunov, _monomials(y)),
+                        self._d_p * c * c)
 
-    def level(self, v: int, c: int) -> Fraction:
-        """V(x), exactly, for the state x = y / c with v = lyapunov(y)."""
-        return Fraction(v, self._d_p * c * c)
+    def _point(self, y: tuple[int, ...], c: int) -> OrbitPoint:
+        """The orbit point of the state y / c."""
+        s = max(map(int.bit_length, y)) - WIDTH
+        if s > 0:
+            m = tuple([e >> s for e in y])
+            trigger, tol = self._trigger, self._tol_p
+        else:
+            s, m, trigger, tol = 0, y, self._exact, 0
+        mono = _monomials(m)
+        k = next((i for i, (f, t) in enumerate(trigger, 1)
+                  if _positive(f, t, mono, y)), self._k_bar)
+        v = _dot(self._lyapunov, mono)
+        return OrbitPoint(k, self._maps[k][1], y, c,
+                          (v - tol, v + tol, 2 * s), self._lyapunov)
 
-    def outside(self, v: int, c: int) -> bool:
-        """Whether V(x) > V0, for the state x = y / c with
-        v = lyapunov(y): x lies outside the initial set."""
-        return self._v0.denominator * v > self._v0.numerator * c * c
+    def _above(self, pt: OrbitPoint, bound: Fraction) -> bool:
+        """Whether v > bound c^2 at pt, that is V(x) > bound / d_P."""
+        num, den = bound.numerator, bound.denominator
+        lo, hi, e = pt.span
+        t = max(pt.c.bit_length() - WIDTH, 0)
+        n = pt.c >> t  # n 2^t <= c < (n + 1) 2^t, and c = n 2^t if t = 0
+        n1 = n + 1 if t else n
+        return _greater((den * lo, den * hi, e),
+                        (num * n * n, num * n1 * n1, 2 * t),
+                        lambda: den * pt.v > num * pt.c * pt.c)
+
+    def outside(self, pt: OrbitPoint) -> bool:
+        """Whether V(x) > V0 at pt: x lies outside the initial set."""
+        return self._above(pt, self._v0)
 
     def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
         """The points x_0, x_1, ... of the run from x0, without end."""
         c = math.lcm(*(Fraction(e).denominator for e in x0))
         y = tuple(int(Fraction(e) * c) for e in x0)
-        trigger, lyapunov = self._trigger, self._lyapunov
-        maps, k_bar = self._maps, self._k_bar
+        maps = self._maps
         while True:
-            mono = _monomials(y)
-            k = next((i for i, f in enumerate(trigger, 1)
-                      if sum(map(mul, f, mono)) > 0), k_bar)
-            m, d = maps[k]
-            yield OrbitPoint(k, d, sum(map(mul, lyapunov, mono)), y, c)
-            y = tuple([sum(map(mul, row, y)) for row in m])
-            c *= d
+            pt = self._point(y, c)
+            yield pt
+            y = tuple([sum(map(mul, row, y)) for row in maps[pt.k][0]])
+            c *= pt.d
 
     def entry_run(self, x0: ConcreteState,
                   max_len: int) -> list[OrbitPoint]:
@@ -196,13 +290,12 @@ class IntegerStepper:
         ValueError when x0 lies outside the initial set, and past
         max_len letters a HorizonExceededError with the state reached
         and the prefix."""
-        num, den = self._rv0.numerator, self._rv0.denominator
         orbit = self.orbit(x0)
         pt = next(orbit)
-        if self.outside(pt.v, pt.c):
+        if self.outside(pt):
             raise ValueError("initial state outside the initial sublevel set")
         run: list[OrbitPoint] = []
-        while den * pt.v > num * pt.c * pt.c:
+        while self._above(pt, self._rv0):
             if len(run) >= max_len:
                 raise HorizonExceededError(pt.state(),
                                            tuple(p.k for p in run))

@@ -9,7 +9,12 @@ sampling is seeded and exact: random dyadic points, integer membership
 tests.
 Both checks run on integer orbits of ``semantics.IntegerStepper``: each
 sampled run or witness replay is stepped once, and its words, states
-and Lyapunov tests are read off that orbit in integers.
+and Lyapunov tests are read off that orbit in integers.  The state is
+never reduced, so it grows by the bits of the denominator of M(k) at
+each step (52-57 on the bundled loop).  Each inter-event sign and each
+Lyapunov comparison is decided on its top ``semantics.WIDTH`` bits, and
+in full only when those cannot decide, so a step takes time about
+linear in the bits of the state and no longer squares it.
 """
 
 from __future__ import annotations
@@ -79,10 +84,9 @@ def _sublevel_points(disc: DiscretizedPetc, seed: int,
     common = scale * den
     while True:
         y = tuple([rng.randint(-scale, scale) * w for w in weights])
-        v = stepper.lyapunov(y)
-        if not stepper.outside(v, common):
-            yield (tuple([Fraction(e, common) for e in y]),
-                   stepper.level(v, common))
+        v = stepper.level(y, common)
+        if v <= disc.V0:
+            yield tuple([Fraction(e, common) for e in y]), v
 
 
 def sample_states(disc: DiscretizedPetc, n: int, seed: int,
@@ -140,7 +144,7 @@ def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
         # state before entry must lie in the initial set
         for j, pt in enumerate(run):
             w = word[j:]
-            if (stepper.outside(pt.v, pt.c)
+            if (stepper.outside(pt)
                     or disc.h * pt.k != model.output[w]
                     or (w, w[1:]) not in model.edges):
                 rep.add_failure(direction="forward-trace", sample=i, x0=x0,
@@ -177,22 +181,23 @@ def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
 
     The word of x_s is k_s ... k_{e-1}, where e is the first index > s
     with V(x_e) <= r V(x_s).  Since c_e = c_s d_s ... d_{e-1}, that is
-    q v_e <= p v_s (d_s ... d_{e-1})^2 for r = p/q, in integers.  Only
-    the points from s to e are kept.
+    q v_e <= p v_s (d_s ... d_{e-1})^2 for r = p/q, in integers, which
+    ``semantics.level_greater`` decides on the top bits of y_e and y_s.
+    Only the points from s to e are kept.
     """
     p, q = r.numerator, r.denominator
     orbit = stepper.orbit(x0)
     window = deque([next(orbit)])
     while True:
         start = window[0]
-        if start.v <= 0:
+        if not semantics.level_greater(start, 1, start, 0):
             raise ValueError("needs a state with positive Lyapunov value")
-        bound, growth, e = p * start.v, 1, 0
-        while e == 0 or q * window[e].v > bound * growth:
+        bound, e = p, 0
+        while e == 0 or semantics.level_greater(window[e], q, start, bound):
             if e >= max_len:
                 raise semantics.HorizonExceededError(
                     window[e].state(), tuple(pt.k for pt in islice(window, e)))
-            growth *= window[e].d ** 2
+            bound *= window[e].d ** 2
             e += 1
             if e == len(window):
                 window.append(next(orbit))

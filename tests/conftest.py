@@ -6,10 +6,11 @@ per-word solver queries that the word-tree engine of abstraction
 replaced, the Fraction root isolation and float conic search that the
 integer kernel of qfnra replaced, the t-scale decision procedure that
 the sign-test decide of qfnra replaced, the pairwise domino edges that
-the prefix index of abstraction replaced, and the full-sample word
+the prefix index of abstraction replaced, the full-sample word
 queries, with the sublevel terminal atoms, that the feasible arcs of
-wordtree replaced, and the three-phase search for the contraction factor
-that the grid bisection of contraction replaced."""
+wordtree replaced, the three-phase search for the contraction factor
+that the grid bisection of contraction replaced, and the integer orbits
+evaluated in full that the top-bits filter of semantics replaced."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -188,6 +190,81 @@ def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
             failures.append(dict(kind="backward", word=w, replay=replay,
                                  witness=x))
     return n_checked, failures
+
+
+class ExactStepper(semantics.IntegerStepper):
+    """semantics.IntegerStepper with every orbit point evaluated in full:
+    the monomials of y, each trigger sign, v = y'P_int y and each V test
+    are taken on the whole integers, with no top-bits filter.  Each point
+    carries the exact range (v, v, 0), on which
+    ``semantics.level_greater`` decides q v_e > p v_s g exactly."""
+
+    def __init__(self, disc):
+        super().__init__(disc)
+        self.forms = [semantics._integer_form(disc.N[k])
+                      for k in range(1, disc.k_bar)]
+        self.p_form = semantics._integer_form(disc.P_rat)
+        self.maps = {k: semantics._integer_matrix(m)
+                     for k, m in disc.M.items()}
+        d_p = semantics._integer_matrix(disc.P_rat)[1]
+        self.v0, self.rv0 = d_p * disc.V0, d_p * disc.r * disc.V0
+        self.k_bar = disc.k_bar
+
+    def orbit(self, x0):
+        c = math.lcm(*(Fraction(e).denominator for e in x0))
+        y = tuple(int(Fraction(e) * c) for e in x0)
+        while True:
+            mono = semantics._monomials(y)
+            k = next((i for i, f in enumerate(self.forms, 1)
+                      if sum(map(mul, f, mono)) > 0), self.k_bar)
+            m, d = self.maps[k]
+            v = sum(map(mul, self.p_form, mono))
+            yield semantics.OrbitPoint(k, d, y, c, (v, v, 0), self.p_form)
+            y = tuple([sum(map(mul, row, y)) for row in m])
+            c *= d
+
+    def outside(self, pt):
+        v = pt.span[0]
+        return self.v0.denominator * v > self.v0.numerator * pt.c * pt.c
+
+    def entry_run(self, x0, max_len):
+        num, den = self.rv0.numerator, self.rv0.denominator
+        orbit = self.orbit(x0)
+        pt = next(orbit)
+        if self.outside(pt):
+            raise ValueError("initial state outside the initial sublevel set")
+        run = []
+        while den * pt.span[0] > num * pt.c * pt.c:
+            if len(run) >= max_len:
+                raise semantics.HorizonExceededError(
+                    pt.state(), tuple(p.k for p in run))
+            run.append(pt)
+            pt = next(orbit)
+        return run
+
+
+def recorded_checks(monkeypatch, stepper, checks):
+    """Run checks() with every semantics.IntegerStepper made as stepper,
+    recording each orbit point as (k, d, v, y, c): (result of checks(),
+    the points of each orbit made, in order).  v = y'P_int y in full
+    must lie in the range the point carries."""
+    orbits = []
+
+    class Recording(stepper):
+        def orbit(self, x0):
+            points = []
+            orbits.append(points)
+            for pt in super().orbit(x0):
+                lo, hi, e = pt.span
+                v = pt.v
+                assert lo << e <= v <= hi << e
+                points.append((pt.k, pt.d, v, pt.y, pt.c))
+                yield pt
+
+    with monkeypatch.context() as m:
+        m.setattr(semantics, "IntegerStepper", Recording)
+        result = checks()
+    return result, orbits
 
 
 def fraction_simplest_between(lo: Fraction, hi: Fraction) -> Fraction:

@@ -131,6 +131,29 @@ def test_exit_code_config_number_beyond_a_double(key, tmp_path, capsys,
         assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key", ["h", "A"])
+def test_exit_code_config_number_below_a_double(key, tmp_path, capsys,
+                                                monkeypatch):
+    # a nonzero number that float() rounds to 0.0, in a scalar field or a
+    # matrix entry: one line naming the field, before any stage reads it
+    # as 0
+    monkeypatch.setattr(cli, "run_pipeline",
+                        lambda *a, **kw: pytest.fail("built"))
+    base = json.loads(open_default())
+    if isinstance(base.get(key), list):
+        base[key][1][0] = 0.125
+    else:
+        base[key] = 0.125
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(base).replace("0.125", "1e-400"))
+    for argv in (["contraction"], ["casestudy", "--out", str(tmp_path)]):
+        assert main(argv + ["--config", str(p)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "below the range of a double" in err
+        assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", ["casestudy", "analyze", "abstract",
                                      "abstract --trivial"])
 def test_exit_code_out_below_a_file(command, tmp_path, capsys, monkeypatch):

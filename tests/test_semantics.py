@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from petctraffic import ratlin, satcheck, semantics, verify
 from petctraffic.semantics import (HorizonExceededError, IntegerStepper,
@@ -134,6 +136,84 @@ def test_integer_orbit_matches_petc_step(ci_disc):
             x, k = petc_step(ci_disc, x)
             assert pt.k == k
         assert len(factors) == 1
+
+
+def _top(y):
+    """The top part of y by the rule of IntegerStepper: (s, y >> s)."""
+    s = max(0, max(e.bit_length() for e in y) - semantics.WIDTH)
+    return s, tuple(e >> s for e in y)
+
+
+def test_filtered_sign_near_trigger_roots(ci_disc):
+    # y of 100-10,000 bits at and near a root direction of each N(k),
+    # where the top part alone cannot decide: the filtered sign, and
+    # kappa, are the exact ones, and the fallback is taken
+    forms = [semantics._integer_form(ci_disc.N[k])
+             for k in range(1, ci_disc.k_bar)]
+    stepper = IntegerStepper(ci_disc)
+    fallbacks = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def check(data):
+        f0, f1, f2 = f = data.draw(st.sampled_from(forms))
+        bits = data.draw(st.integers(100, 10_000))
+        q = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        # the roots of f(q, p) = 0 in p, to within one, from isqrt
+        root = math.isqrt((f1 * f1 - 4 * f0 * f2) * q * q)
+        side = data.draw(st.sampled_from((-1, 1)))
+        p = (-f1 * q + side * root) // (2 * f2)
+        off = data.draw(st.integers(0, bits))
+        p += data.draw(st.integers(-(1 << off), 1 << off))
+        y = tuple(data.draw(st.sampled_from((-1, 1))) * e for e in (q, p))
+        s, m = _top(y)
+        assert s > 0
+        tol = semantics._tolerance(f)
+        mono = semantics._monomials(m)
+        fallbacks.append(abs(semantics._dot(f, mono)) <= tol)
+        exact = semantics._dot(f, semantics._monomials(y)) > 0
+        assert semantics._positive(f, tol, mono, y) == exact
+        assert next(stepper.orbit(y)).k == kappa(ci_disc, y)
+
+    check()
+    assert any(fallbacks)
+
+
+@pytest.mark.parametrize("r", [F(4, 5), F(1, 2), F(1, 10)])
+def test_level_comparisons_at_equality(r, ci_disc, ci_sim):
+    # q v_a == p g v_b exactly, on states of 100-10,000 bits: the
+    # filtered comparison takes <=, as the window test needs, and one
+    # unit less on the right is >.  A witness on V = V0, kept over a
+    # scale of up to 10,000 more bits, is not outside the initial set,
+    # and the witness times 1 + 2^-shift is
+    stepper = IntegerStepper(ci_disc)
+    p, q = r.numerator, r.denominator
+    shell = [ci_sim.witnesses[w] for w in ci_sim.sorted_states()]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(100, 10_000), st.data())
+    def check(bits, data):
+        y = tuple(data.draw(st.integers(-(1 << bits), 1 << bits))
+                  for _ in range(2))
+        if not any(y):
+            return
+        mu = data.draw(st.integers(1, 1 << 64))
+        b = stepper._point(y, 1)
+        a = stepper._point(tuple(p * mu * e for e in y), 1)
+        g = q * p * mu * mu  # q v_a = q p^2 mu^2 v_b = p g v_b
+        assert not semantics.level_greater(a, q, b, p * g)
+        assert semantics.level_greater(a, q, b, p * g - 1)
+        x = data.draw(st.sampled_from(shell))
+        assert ci_disc.V(x) == ci_disc.V0
+        shift = data.draw(st.integers(0, bits))
+        c = math.lcm(*(e.denominator for e in x))
+        y = tuple(int(e * c) for e in x)
+        on = tuple(e << shift for e in y)
+        assert not stepper.outside(stepper._point(on, c << shift))
+        up = tuple(e * ((1 << shift) + 1) for e in y)
+        assert stepper.outside(stepper._point(up, c << shift))
+
+    check()
 
 
 def test_trace_validation():

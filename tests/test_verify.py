@@ -11,9 +11,10 @@ import pytest
 from petctraffic import cli, semantics, verify
 from petctraffic.abstraction import EPSILON, MPETC_BISIM, PETC_SIM
 from petctraffic.sysmodel import DiscretizedPetc
-from conftest import (fraction_bisim_check, fraction_normalized_word,
-                      fraction_sample_shell_states, fraction_sample_states,
-                      fraction_sim_check)
+from conftest import (ExactStepper, fraction_bisim_check,
+                      fraction_normalized_word, fraction_sample_shell_states,
+                      fraction_sample_states, fraction_sim_check,
+                      recorded_checks)
 
 F = Fraction
 
@@ -81,7 +82,7 @@ def test_entry_run_matches_concrete_sequence(built):
         for _ in word[1:]:
             states.append(semantics.petc_step(disc, states[-1])[0])
         assert [pt.state() for pt in run] == (states if word else [])
-        assert not any(stepper.outside(pt.v, pt.c) for pt in run)
+        assert not any(stepper.outside(pt) for pt in run)
         if len(word) > 2:
             # past the cap: the same state and prefix
             n_long += 1
@@ -105,6 +106,45 @@ def test_bisim_check_matches_fraction_replay(built):
     assert rep.passed, rep.render()
     assert (rep.n_checked, rep.failures) == fraction_bisim_check(
         disc, bisim, 60, seed=11)
+
+
+def test_checks_match_unfiltered_orbits(built, monkeypatch):
+    # the validation of casestudy (100 samples, 20 steps, its seed): the
+    # same reports, and the same orbit points, of every sampled run and
+    # every witness replay, as with orbits evaluated in full
+    disc, bisim, sim = built
+
+    def checks():
+        reps = (verify.check_bisim_sample(disc, bisim, 100, seed=2024),
+                verify.check_sim_petc(disc, sim, 100, 20, seed=2025))
+        return [(rep.n_checked, rep.failures) for rep in reps]
+
+    filtered = recorded_checks(monkeypatch, semantics.IntegerStepper, checks)
+    assert filtered == recorded_checks(monkeypatch, ExactStepper, checks)
+    reports, orbits = filtered
+    assert reports[0][0] == 100 + len(bisim.witnesses)
+    assert len(orbits) == 100 + len(bisim.witnesses) + 100 + len(sim.witnesses)
+
+
+def test_long_runs_match_unfiltered_orbits(monkeypatch):
+    # 20 runs of 300 steps at the benchmark's r = 4/5, where the states
+    # grow past 10,000 bits: the same words and orbit points
+    cfg = cli.load_config(None)
+    cfg["r"] = F(4, 5)
+    disc = cli.make_disc(cfg)
+
+    def checks():
+        model = SimpleNamespace(kind=PETC_SIM, states=_EveryWord(),
+                                edges=_EveryWord(), witnesses={})
+        rep = verify.check_sim_petc(disc, model, 20, 300, seed=9)
+        return rep.n_checked, rep.failures, model.states.seen
+
+    filtered = recorded_checks(monkeypatch, semantics.IntegerStepper, checks)
+    assert filtered == recorded_checks(monkeypatch, ExactStepper, checks)
+    (n_checked, _, _), orbits = filtered
+    assert n_checked == 20 * 300
+    assert max(max(e.bit_length() for e in pt[3])
+               for run in orbits for pt in run) > 10_000
 
 
 def test_normalized_word_homogeneous(ci_disc):
