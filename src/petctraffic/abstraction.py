@@ -84,9 +84,6 @@ class TrafficModel:
             n -= 1
         return n
 
-    def successors(self, w: Word) -> list[Word]:
-        return sorted((t for s, t in self.edges if s == w), key=word_key)
-
     def sorted_states(self) -> list[Word]:
         return sorted(self.states, key=word_key)
 

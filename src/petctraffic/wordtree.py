@@ -16,28 +16,34 @@ of arcs: open regions between consecutive roots of its forms, and root
 points, with the vertical direction (0, 1) apart.
 
 A node of the word tree holds the integer Phi of its word over a common
-denominator, the integer V forms of its prefix and the feasible arcs of
-its prefix query, each with its sample (direction, region) and, for an
-open arc, the enclosed roots that bound it.  The root starts from
-``qfnra.line_arcs``, as every contraction query does.  The letters
-k_lo..k_bar partition the directions by kappa, so a node makes all its
-children by one cut of its arcs, at the roots of its entry form
-q v_m - p d_m^2 v_0 (r = p/q) and its trigger forms N(j) o Phi,
-k_lo <= j < k_bar.  It drops the pieces where v_m > r v_0 fails and
-gives every other one to kappa at its sample: the first j >= k_lo with
-N(j) o Phi > 0 there, else k_bar.  Older atoms keep their signs on the
-pieces of a parent arc, so a child's arcs are those of cutting
-``line_arcs`` once at every root of the entry and trigger forms of its
-proper prefixes, where its prefix atoms hold; its siblings' roots make
-them finer than its query needs.  Both builds share one tree.
+denominator, the integer V forms of its word and of its parent, and the
+feasible arcs of its prefix query, each with its sample (direction,
+region) and, for an open arc, the enclosed roots that bound it.  The
+root starts from ``qfnra.line_arcs``, as every contraction query does.
+The letters k_lo..k_bar partition the directions by kappa, so a node
+makes all its children by one cut of its arcs, at the roots of its
+entry form q v_m - p d_m^2 v_0 (r = p/q) and its trigger forms
+N(j) o Phi, k_lo <= j < k_bar.  It keeps the pieces where v_m > r v_0
+fails as its unit-shell arcs and gives every other one to kappa at its
+sample: the first j >= k_lo with N(j) o Phi > 0 there, else k_bar.
+Older atoms keep their signs on the pieces of a parent arc, so a
+child's arcs are those of cutting ``line_arcs`` once at every root of
+the entry and trigger forms of its proper prefixes, where its prefix
+atoms hold; its siblings' roots make them finer than its query needs.
+A child that keeps no arc gets no Phi and no V form, since nothing
+expands it; most children are such.  Both builds share one tree.
 
 Each node answers two queries.  The full sublevel query is decided on
 the prefix arcs: each puts Phi_{i-1} u in the cone of k_i, where the
 contraction certificate gives V(M(k) y) <= a V(y) with a < 1, so
 v_0 > v_1 > ... > v_m there and the atoms v_m < v_i cut nothing.  So it
 is unsat exactly when the node keeps no arc, and then so is every
-extension.  The unit-shell query cuts the arcs at its one terminal
-atom.  A sat query's rational witness is x = s u at the first feasible
+extension.  The unit-shell query adds the one terminal atom
+v_m <= r v_0, the negated entry atom, so its arcs are the pieces the
+split keeps as unit-shell arcs; a node not yet split, such as a word of
+the horizon's length N, is split on demand, and as every arc of such a
+word has entered the sublevel set, its children keep no arc.  A sat
+query's rational witness is x = s u at the first feasible
 rational direction u, with the V forms evaluated there in integers.
 From the sublevel set, s^2 lies strictly between the bounds that
 V <= V0, the word and the entry into the periodic set put on it, and s
@@ -77,12 +83,10 @@ def _pullback(form, g) -> tuple[int, int, int]:
             s00 * g00 * g00 + s01 * g00 * g10 + s11 * g10 * g10)
 
 
-def _atom(coeffs, strict: bool):
-    """f > 0 (strict) or f >= 0, with f scaled to a primitive triple."""
+def _primitive(coeffs) -> tuple[int, int, int]:
+    """The integer form coeffs divided by the gcd of its coefficients."""
     g = gcd(*coeffs)
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-    return tuple(coeffs), strict
+    return tuple(c // g for c in coeffs) if g > 1 else tuple(coeffs)
 
 
 def _padded(f):
@@ -94,16 +98,19 @@ def _padded(f):
 
 @dataclass(eq=False, slots=True)
 class Node:
-    """A word of the tree: Phi = phi / scale, the V forms (q_i, scale_i)
-    with q_i(u) = c scale_i^2 V(Phi_i u) for i = 0..m and a fixed c > 0,
-    and the feasible arcs of the word's prefix query (None when their
-    roots did not separate)."""
+    """A word of the tree of length m: Phi = phi / d, with the V forms
+    (q, d) of the word and of its parent, q(u) = c d^2 V(Phi u) for a
+    fixed c > 0, and the feasible arcs of the word's prefix query (None
+    when their roots did not separate).  A node that keeps no arc has
+    no phi and no forms: nothing expands it.  Once split, shell holds
+    the arcs of its unit-shell query."""
 
     word: tuple[int, ...]
-    phi: tuple
-    scale: int
-    forms: tuple
+    phi: tuple | None
+    form: tuple | None
+    parent_form: tuple | None
     arcs: list | None
+    shell: list | None = None
     children: dict = field(default_factory=dict)  # every letter, once split
 
 
@@ -122,7 +129,7 @@ class WordEngine:
         self._p_scale = _integer_matrix(disc.P_rat)[1]
         self._stepper = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
-        self.root = Node((), one, 1, ((_pullback(self._lyapunov, one), 1),),
+        self.root = Node((), one, (_pullback(self._lyapunov, one), 1), None,
                          qfnra.line_arcs(disc.n_x))
 
     def node(self, word) -> Node:
@@ -139,46 +146,53 @@ class WordEngine:
 
     def _split(self, node: Node) -> None:
         """Every child of node, with the pieces of node.arcs at which
-        v_m > r v_0 holds, each given to kappa at its sample."""
+        v_m > r v_0 holds, each given to kappa at its sample, and
+        node.shell, the pieces at which it fails."""
         disc = self.disc
-        entry = [_atom(self._entry(node), True)] if node.word else []
-        triggers = [_atom(_pullback(f, node.phi), True)
-                    for f in self._trigger[disc.k_lo - 1:]]
-        cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(
-            f for f, _ in entry + triggers))
+        entry, cut = None, node.arcs
+        if node.arcs:
+            if node.word:
+                entry = _primitive(self._entry(node))
+            triggers = [_primitive(_pullback(f, node.phi))
+                        for f in self._trigger[disc.k_lo - 1:]]
+            cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(
+                triggers if entry is None else [entry] + triggers))
         arcs = (dict.fromkeys(disc.K_range) if cut is None
                 else {k: [] for k in disc.K_range})
-        for piece in qfnra.feasible(entry, cut or ()):
-            kappa = next((j for j, (f, _) in enumerate(triggers, disc.k_lo)
+        node.shell = None if cut is None else []
+        for piece in cut or ():
+            if entry is not None and qfnra.sign(entry, piece[0]) <= 0:
+                node.shell.append(piece)
+                continue
+            kappa = next((j for j, f in enumerate(triggers, disc.k_lo)
                           if qfnra.sign(f, piece[0]) > 0), disc.k_bar)
             arcs[kappa].append(piece)
-        (f, g), (h, i) = node.phi
         for k in disc.K_range:
+            word = node.word + (k,)
+            if arcs[k] == []:
+                node.children[k] = Node(word, None, None, None, [])
+                continue
+            (f, g), (h, i) = node.phi
             ((a, b), (c, e)), d = self._maps[k]
             phi = ((a * f + b * h, a * g + b * i),
                    (c * f + e * h, c * g + e * i))
-            form = (_pullback(self._lyapunov, phi), node.scale * d)
-            node.children[k] = Node(node.word + (k,), phi, node.scale * d,
-                                    node.forms + (form,), arcs[k])
+            form = (_pullback(self._lyapunov, phi), node.form[1] * d)
+            node.children[k] = Node(word, phi, form, node.form, arcs[k])
 
     def _entry(self, node: Node) -> list:
         """q v_m - p d_m^2 v_0 with r = p/q, at the length m of node.word:
         positive where the word has not entered the periodic set."""
         p, q = self.disc.r.numerator, self.disc.r.denominator
-        (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
+        (q0, _), (qm, dm) = self.root.form, node.form
         return [q * a - p * dm * dm * b for a, b in zip(qm, q0)]
-
-    def _terminal(self, node: Node) -> list:
-        """The unit-shell terminal atom v_m <= r v_0, the negated entry
-        form, by which decide refines the prefix arcs."""
-        return [_atom([-c for c in self._entry(node)], False)]
 
     def decide(self, node: Node, shell: str) -> SatResult:
         """The full query of node.word from the sublevel set (on the prefix
         arcs) or from the unit shell, with a re-verified witness when
         sat."""
-        arcs = (node.arcs if shell == SUBLEVEL
-                else qfnra.refine_arcs(node.arcs, self._terminal(node)))
+        if shell == UNIT_LEVEL and not node.children:
+            self._split(node)
+        arcs = node.arcs if shell == SUBLEVEL else node.shell
         if arcs is None:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
@@ -225,7 +239,8 @@ class WordEngine:
         vertical = direction is qfnra.VERTICAL
         u0, u1 = ((0, 1) if vertical
                   else (direction.denominator, direction.numerator))
-        (f0, _), (fp, dp), (fm, dm) = node.forms[0], *node.forms[-2:]
+        (f0, _), (fp, dp), (fm, dm) = (self.root.form, node.parent_form,
+                                       node.form)
         w0, wp, wm = ((a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0
                       for a2, a1, a0 in (f0, fp, fm))
         vd = disc.V0.denominator

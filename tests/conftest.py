@@ -8,9 +8,11 @@ integer kernel of qfnra replaced, the t-scale decision procedure that
 the sign-test decide of qfnra replaced, the pairwise domino edges that
 the prefix index of abstraction replaced, the full-sample word
 queries, with the sublevel terminal atoms, that the feasible arcs of
-wordtree replaced, the three-phase search for the contraction factor
-that the grid bisection of contraction replaced, and the integer orbits
-evaluated in full that the top-bits filter of semantics replaced."""
+wordtree replaced, the refinement of a node's arcs at its unit-shell
+atom that the pieces its split drops replaced, the three-phase search
+for the contraction factor that the grid bisection of contraction
+replaced, and the integer orbits evaluated in full that the top-bits
+filter of semantics replaced."""
 
 from __future__ import annotations
 
@@ -866,44 +868,63 @@ def pairwise_domino_edges(states) -> set:
 # against the query satcheck.sequence_query writes
 
 
-def letter_atoms(engine, node, k) -> list:
-    """The atoms that the letter k adds to the prefix query of
-    node.word: the cone of k on Phi and, for a non-empty node.word,
+def atom(coeffs, strict: bool):
+    """f > 0 (strict) or f >= 0, with f scaled to a primitive triple."""
+    return wordtree._primitive(coeffs), strict
+
+
+def word_maps(engine, word) -> list:
+    """(phi_i, (q_i, d_i)) for the prefixes of word, i = 0..m: the
+    integer Phi_i = phi_i / d_i and its V form, rebuilt along the word
+    as WordEngine._split builds them one node at a time."""
+    phi, d = ((1, 0), (0, 1)), 1
+    maps = [(phi, (wordtree._pullback(engine._lyapunov, phi), d))]
+    for k in word:
+        ((a, b), (c, e)), dk = engine._maps[k]
+        (f, g), (h, i) = phi
+        phi = ((a * f + b * h, a * g + b * i), (c * f + e * h, c * g + e * i))
+        d *= dk
+        maps.append((phi, (wordtree._pullback(engine._lyapunov, phi), d)))
+    return maps
+
+
+def entry_form(engine, maps) -> list:
+    """q v_m - p d_m^2 v_0 with r = p/q at the last of the word_maps."""
+    p, q = engine.disc.r.numerator, engine.disc.r.denominator
+    (q0, _), (qm, dm) = maps[0][1], maps[-1][1]
+    return [q * a - p * dm * dm * b for a, b in zip(qm, q0)]
+
+
+def letter_atoms(engine, maps, k) -> list:
+    """The atoms that the letter k adds to the prefix query of the word
+    of the word_maps: the cone of k on Phi and, for a non-empty word,
     v_m > r v_0 at its length m."""
     disc = engine.disc
-    cone = [wordtree._pullback(f, node.phi) for f in engine._trigger]
+    cone = [wordtree._pullback(f, maps[-1][0]) for f in engine._trigger]
     atoms = []
     for j in range(disc.k_lo, min(k, disc.k_bar)):
-        atoms.append(wordtree._atom([-c for c in cone[j - 1]], False))
+        atoms.append(atom([-c for c in cone[j - 1]], False))
     if k < disc.k_bar:
-        atoms.append(wordtree._atom(cone[k - 1], True))
-    if node.word:
-        p, q = disc.r.numerator, disc.r.denominator
-        (q0, _), (qm, dm) = node.forms[0], node.forms[-1]
-        atoms.append(wordtree._atom([q * a - p * dm * dm * b
-                                     for a, b in zip(qm, q0)], True))
+        atoms.append(atom(cone[k - 1], True))
+    if len(maps) > 1:
+        atoms.append(atom(entry_form(engine, maps), True))
     return atoms
 
 
 def prefix_atoms(engine, word) -> list:
     """The atoms of the prefix query of word, letter by letter."""
-    node, atoms = engine.root, []
-    for k in word:
-        atoms += letter_atoms(engine, node, k)
-        node = engine.child(node, k)
-    return atoms
+    maps = word_maps(engine, word)
+    return [a for i, k in enumerate(word)
+            for a in letter_atoms(engine, maps[:i + 1], k)]
 
 
 def split_forms(engine, word) -> list:
     """The trigger forms N(j) o Phi_i, k_lo <= j < k_bar, of every proper
     prefix of word, by which the word tree splits a node among its
     children, as primitive integer triples."""
-    node, forms = engine.root, []
-    for k in word:
-        forms += [wordtree._atom(wordtree._pullback(f, node.phi), True)[0]
-                  for f in engine._trigger[engine.disc.k_lo - 1:]]
-        node = engine.child(node, k)
-    return forms
+    return [wordtree._primitive(wordtree._pullback(f, phi))
+            for phi, _ in word_maps(engine, word)[:-1]
+            for f in engine._trigger[engine.disc.k_lo - 1:]]
 
 
 def line_cut(forms, n):
@@ -911,36 +932,57 @@ def line_cut(forms, n):
     return qfnra.cut_arcs(qfnra.line_arcs(n), qfnra.enclosed_roots(forms))
 
 
-def sublevel_terminal_atoms(node) -> list:
+def refine_arcs(arcs, atoms):
+    """The feasible arcs of a query with the atoms (f, strict) added,
+    from the query's feasible arcs: those arcs cut at the new atoms'
+    roots, and of the pieces the ones at which every new atom holds.
+    The query's own atoms keep their signs on each of its arcs, so only
+    the new atoms are tested.  None when arcs is None or two
+    neighbouring roots do not separate."""
+    if arcs is None:
+        return None
+    cut = qfnra.cut_arcs(arcs, qfnra.enclosed_roots(f for f, _ in atoms))
+    return None if cut is None else list(qfnra.feasible(atoms, cut))
+
+
+def sublevel_terminal_atoms(engine, word) -> list:
     """The terminal atoms v_m < v_i, for every i < m, of the full sublevel
-    query of node.word; the certified decrease implies them on its
-    prefix arcs, so WordEngine.decide leaves them out."""
-    qm, dm = node.forms[-1]
-    return [wordtree._atom([dm * dm * a - di * di * b
-                            for a, b in zip(qi, qm)], True)
-            for qi, di in node.forms[:-1]]
+    query of word; the certified decrease implies them on its prefix
+    arcs, so WordEngine.decide leaves them out."""
+    forms = [form for _, form in word_maps(engine, word)]
+    qm, dm = forms[-1]
+    return [atom([dm * dm * a - di * di * b for a, b in zip(qi, qm)], True)
+            for qi, di in forms[:-1]]
 
 
-def full_sample_prefix(engine, node) -> qfnra.Decided:
-    """The prefix query of node.word on every root of its atoms, with the
+def unit_terminal_atoms(engine, word) -> list:
+    """The unit-shell terminal atom v_m <= r v_0, the negated entry form,
+    of word."""
+    return [atom([-c for c in entry_form(engine, word_maps(engine, word))],
+                  False)]
+
+
+def full_sample_prefix(engine, word) -> qfnra.Decided:
+    """The prefix query of word on every root of its atoms, with the
     first feasible rational direction as the witness."""
-    return qfnra.decide_forms(prefix_atoms(engine, node.word),
-                              engine.disc.n_x)
+    return qfnra.decide_forms(prefix_atoms(engine, word), engine.disc.n_x)
 
 
-def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
+def full_sample_decide(engine, word, shell) -> satcheck.SatResult:
     """WordEngine.decide on every root of the query's atoms and of the
-    split_forms of its word, with the witness re-verified by
-    satcheck.sequence_query(...).holds.  Those roots cut qfnra.line_arcs
-    once (line_cut), and the pieces at which every atom holds are the
-    feasible arcs; like WordEngine.decide it needs the region of each
-    for a conic witness, and moves on past a direction without a
-    witness, so it walks every feasible arc."""
-    atoms = prefix_atoms(engine, node.word) + (
-        sublevel_terminal_atoms(node) if shell == satcheck.SUBLEVEL
-        else engine._terminal(node))
+    split_forms of its word (for a unit-shell query, also the word's own
+    trigger forms, at which its node is split), with the witness
+    re-verified by satcheck.sequence_query(...).holds.  Those roots cut
+    qfnra.line_arcs once (line_cut), and the pieces at which every atom
+    holds are the feasible arcs; like WordEngine.decide it needs the
+    region of each for a conic witness, and moves on past a direction
+    without a witness, so it walks every feasible arc."""
+    unit = shell == satcheck.UNIT_LEVEL
+    atoms = prefix_atoms(engine, word) + (
+        unit_terminal_atoms(engine, word) if unit
+        else sublevel_terminal_atoms(engine, word))
     # each cone atom's form is a split form, or its negation
-    forms = split_forms(engine, node.word)
+    forms = split_forms(engine, word + (engine.disc.k_lo,) if unit else word)
     known = set(forms) | {tuple(-c for c in f) for f in forms}
     cut = line_cut(forms + [f for f, _ in atoms if f not in known],
                    engine.disc.n_x)
@@ -951,11 +993,11 @@ def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
     for direction, region, _ in arcs:
         if isinstance(direction, qfnra.Root):
             continue
-        x = _full_sample_witness(engine, node, shell, atoms, direction,
+        x = _full_sample_witness(engine, word, shell, atoms, direction,
                                  region)
         if x is None:
             continue
-        query = satcheck.sequence_query(engine.disc, node.word, shell, True)
+        query = satcheck.sequence_query(engine.disc, word, shell, True)
         if query.holds(x):
             return satcheck.SatResult("sat", witness=x)
         return satcheck.SatResult("unknown", reason="witness failed exact "
@@ -966,13 +1008,14 @@ def full_sample_decide(engine, node, shell) -> satcheck.SatResult:
     return satcheck.SatResult("unsat")
 
 
-def _full_sample_witness(engine, node, shell, atoms, direction, region):
+def _full_sample_witness(engine, word, shell, atoms, direction, region):
     """WordEngine._witness with every atom checked on the conic."""
     disc = engine.disc
     u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
          else (Fraction(1), direction))
     v = [(a2 * u[1] * u[1] + a1 * u[0] * u[1] + a0 * u[0] * u[0])
-         / (engine._p_scale * d * d) for (a2, a1, a0), d in node.forms]
+         / (engine._p_scale * d * d)
+         for _, ((a2, a1, a0), d) in word_maps(engine, word)]
     if shell == satcheck.SUBLEVEL:
         rv0 = disc.r * disc.V0
         lo = max(rv0 / vi for vi in v[:-1])

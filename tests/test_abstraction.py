@@ -27,7 +27,7 @@ def test_trivial_counts_and_structure():
     # every non-empty state drains into its tail; eps self-loops
     assert (EPSILON, EPSILON) in m.edges
     assert ((5, 1), (1,)) in m.edges
-    assert m.successors((5, 1)) == [(1,)]
+    assert [t for s, t in m.edges if s == (5, 1)] == [(1,)]
     assert m.is_exact
 
 
@@ -59,8 +59,8 @@ def test_bisim_suffix_closure_and_tree(ci_bisim):
     for w in states:
         if w != EPSILON:
             assert w[1:] in states  # suffix closure
-            assert ci_bisim.successors(w) == [w[1:]]  # out-degree exactly 1
-    assert ci_bisim.successors(EPSILON) == [EPSILON]
+    # out-degree exactly 1: each word drains into its tail
+    assert ci_bisim.edges == {(w, w[1:]) for w in states}
     assert ci_bisim.is_exact
     # every non-eps state carries a witness that replays to its word
     assert set(ci_bisim.witnesses) == states
@@ -79,8 +79,8 @@ def test_sim_is_subset_with_domino_edges(ci_disc, ci_sim, ci_bisim):
     # domino law: k sigma -> tau iff tau extends sigma
     for s, t in ci_sim.edges:
         assert t[:len(s) - 1] == s[1:]
+    assert not ci_sim.states - {s for s, _ in ci_sim.edges}  # no blocking
     for w in ci_sim.states:
-        assert ci_sim.successors(w), f"blocking state {w}"
         # unit-shell witnesses
         x = ci_sim.witnesses[w]
         assert ci_disc.V(x) == ci_disc.V0

@@ -281,9 +281,8 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
     engine = wordtree.WordEngine(disc)
 
     def full_sample(d, word, shell, terminal):
-        node = engine.node(word)
-        return (full_sample_decide(engine, node, shell) if terminal
-                else full_sample_prefix(engine, node))
+        return (full_sample_decide(engine, word, shell) if terminal
+                else full_sample_prefix(engine, word))
 
     oracle_models(disc, n, full_sample)
     assert cuts

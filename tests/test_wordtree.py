@@ -11,22 +11,25 @@ import pytest
 from petctraffic import (abstraction, cli, qfnra, ratlin, satcheck,
                          semantics, wordtree)
 from conftest import (bundled, full_sample_decide, full_sample_prefix,
-                      oracle_check, oracle_models, simplest_sqrt_in,
-                      sublevel_terminal_atoms)
+                      oracle_check, oracle_models, refine_arcs,
+                      simplest_sqrt_in, sublevel_terminal_atoms,
+                      unit_terminal_atoms, word_maps)
 
 F = Fraction
 
 
 def test_pullback_matches_congruence(ci_disc):
-    # the integer V form of a node is V(Phi u) up to a positive factor
+    # the integer V form of a node that keeps an arc is V(Phi u) up to a
+    # positive factor
     engine = wordtree.WordEngine(ci_disc)
-    node = engine.node((3, 1, 2))
+    node = engine.node((3, 1, 1))
+    assert node.arcs
     phi = ratlin.identity(2)
     for k in node.word:
         phi = ratlin.mat_mul(ci_disc.M[k], phi)
     f = ratlin.congruence(ci_disc.P_rat, phi)
     exact = (f[1][1], f[0][1] + f[1][0], f[0][0])
-    form, scale = node.forms[-1]
+    form, scale = node.form
     ratio = {F(a) / b for a, b in zip(form, exact)}
     assert len(ratio) == 1 and ratio.pop() > 0
     assert node.phi == tuple(tuple(e * scale for e in row) for row in phi)
@@ -87,9 +90,8 @@ def test_engine_matches_per_word_oracle(case, request, monkeypatch):
     engine = bisim.tree
 
     def full_sample(word, shell, terminal):
-        node = engine.node(word)
-        return (full_sample_decide(engine, node, shell) if terminal
-                else full_sample_prefix(engine, node))
+        return (full_sample_decide(engine, word, shell) if terminal
+                else full_sample_prefix(engine, word))
 
     full = _memo({}, full_sample)
     checks = [full]
@@ -135,9 +137,61 @@ def test_sublevel_terminal_atoms_cut_no_arc(case, request):
         if node is engine.root or not node.arcs:
             continue
         live += 1
-        atoms = sublevel_terminal_atoms(node)
-        assert qfnra.refine_arcs(node.arcs, atoms) == node.arcs, node.word
+        atoms = sublevel_terminal_atoms(engine, node.word)
+        assert refine_arcs(node.arcs, atoms) == node.arcs, node.word
     assert live > 0
+
+
+def _root_key(root):
+    return root.value if root.is_rational else (root.a, root.b, root.disc,
+                                                root.eps)
+
+
+def _arc_key(arc):
+    """An arc (direction, region, bounds) with each qfnra.Root replaced by
+    its defining integers, so that equal arcs made by two cuts compare
+    equal."""
+    direction, region, bounds = arc
+    if isinstance(direction, qfnra.Root):
+        direction = _root_key(direction)
+    if bounds is not None:
+        bounds = tuple(None if b is None else (_root_key(b[0]), b[1])
+                       for b in bounds)
+    return direction, region, bounds
+
+
+@pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
+def test_shell_is_the_dropped_pieces(case, request):
+    # at every split node of both builds, node.shell is the node's arcs
+    # cut at its own trigger forms and refined by its unit-shell terminal
+    # atom v_m <= r v_0; a node of the horizon's length N keeps every arc
+    # in its shell, so its children keep none
+    disc, n = _case(case, request)
+    bisim = abstraction.build_mpetc_bisim(disc, n)
+    engine = bisim.tree
+    abstraction.build_petc_sim(disc, bisim)
+    nodes, split, shells = [engine.root], 0, 0
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children.values())
+        if not node.children:
+            continue
+        split += 1
+        phi = word_maps(engine, node.word)[-1][0]
+        triggers = [wordtree._primitive(wordtree._pullback(f, phi))
+                    for f in engine._trigger[disc.k_lo - 1:]]
+        cut = (None if node.arcs is None else
+               qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(triggers)))
+        ref = refine_arcs(cut, unit_terminal_atoms(engine, node.word))
+        if ref is None:
+            assert node.shell is None, node.word
+            continue
+        assert [_arc_key(a) for a in node.shell] == \
+            [_arc_key(a) for a in ref], node.word
+        shells += bool(node.shell)
+        if len(node.word) == n:
+            assert all(child.arcs == [] for child in node.children.values())
+    assert split > 0 and shells > 0
 
 
 @pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
@@ -153,7 +207,12 @@ def test_children_split_by_kappa(case, request):
     while nodes:
         node = nodes.pop()
         nodes.extend(node.children.values())
-        phi = [[F(v, node.scale) for v in row] for row in node.phi]
+        if node.arcs == []:
+            # nothing expands a node that keeps no arc
+            assert node.phi is node.form is node.parent_form is None
+            assert not node.children
+            continue
+        phi = [[F(v, node.form[1]) for v in row] for row in node.phi]
         triggers = []
         for j in range(1, disc.k_bar):
             f = ratlin.congruence(disc.N[j], phi)
