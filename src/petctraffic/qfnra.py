@@ -3,26 +3,31 @@ constraints in one or two variables, by sign tests on integer forms.
 
 An atom x'Fx rel 0 in two variables is the sign of a binary quadratic
 form, kept as a primitive integer triple (a2, a1, a0) with a strict
-flag.  On the directions u = (1, m) each form is an integer quadratic in
-m, sign-invariant between its real roots.  Every query takes one path:
+flag.  A direction is an integer pair u = (u0, u1).  On the line of
+directions u = (1, m) each form is an integer quadratic in m,
+sign-invariant between its real roots, and every root is one ``Root``:
+the surd (-b + eps sqrt(D)) / (2a) with D >= 0 (a linear root has
+D = 0), with its 64-bit integer enclosure.  Every query takes one path:
 it starts from ``line_arcs``, the whole line of m and the vertical
 direction (0, 1), ``cut_arcs`` cuts those arcs at the roots of its forms,
-isolated exactly on integers (``enclosed_roots``, ordered by
-``between``), and ``feasible`` tests the signs at each piece's sample:
-one simplest rational direction per open region, each rational root
-exactly, each irrational root in Z[sqrt(D)].  The atoms are homogeneous,
-so a feasible rational direction is itself a witness, and feasible
-irrational directions alone leave the query `unknown`.  ``decide``
-answers the contraction queries of ``satcheck.check`` by cutting
-``line_arcs`` once (``decide_forms``); ``wordtree`` keeps the feasible
-arcs of each word and cuts them once, for all its letters and its
-unit-shell atom together.
+isolated exactly on integers (ordered by ``between``), into arcs
+(direction, bounds), and ``feasible`` tests the signs at each arc's
+direction.  An open arc, between its bounding roots, has the direction
+(q, p) of one simplest rational m = p/q; a root point has the direction
+(2a, eps sqrt(D) - b) when D is a square, else it is its Root, and its
+signs are taken in Z[sqrt(D)].  The atoms are homogeneous, so a
+feasible integer direction is itself a witness, and feasible irrational
+directions alone leave the query `unknown`.  ``decide`` answers the
+contraction queries of ``satcheck.check`` by cutting ``line_arcs`` once
+(``decide_forms``); ``wordtree`` keeps the feasible arcs of each word
+and cuts them once, for all its letters and its unit-shell atom
+together.
 
 A rational is chosen by one rule: the simplest rational strictly between
 integer enclosures over 2^prec, at the first precision (64, 128, ...
-bits) at which they leave a gap.  The sample direction of a region
-between two roots lies between their enclosures (``_region_sample``),
-and a witness scale s with lo < s^2 < hi between those of sqrt(lo) and
+bits) at which they leave a gap.  The direction of an open arc lies
+between the enclosures of its bounding roots (``_arc_direction``), and
+a witness scale s with lo < s^2 < hi between those of sqrt(lo) and
 sqrt(hi) (``simplest_sqrt_between``).
 
 ``run_script`` is an SMT-LIB2 command interpreter around ``decide`` for
@@ -219,8 +224,8 @@ def _sgn(v):
 
 
 def _sign_pair(p, q, d):
-    """sign of p + q*sqrt(d) with integer p, q and non-square d > 0."""
-    if q == 0:
+    """sign of p + q*sqrt(d) with integer p, q and d >= 0."""
+    if q == 0 or d == 0:
         return _sgn(p)
     if p == 0:
         return _sgn(q)
@@ -238,78 +243,61 @@ def _sign_pair(p, q, d):
 
 
 class Root:
-    """A real root of an integer polynomial of degree <= 2.
+    """The real root (-b + eps*sqrt(disc)) / (2a) of an integer polynomial
+    of degree <= 2, with a > 0, disc >= 0 and eps = +-1: rational exactly
+    when disc is a square.  enc is its enclosure at 64 bits."""
 
-    Either rational (value set) or the surd (-b + eps*sqrt(disc)) / (2a)
-    with a > 0 and non-square disc.
-    """
+    __slots__ = ("a", "b", "disc", "eps", "enc")
 
-    __slots__ = ("value", "a", "b", "disc", "eps")
-
-    def __init__(self, value=None, a=None, b=None, disc=None, eps=None):
-        self.value = value
+    def __init__(self, a, b, disc, eps):
         self.a = a
         self.b = b
         self.disc = disc
         self.eps = eps
-
-    @property
-    def is_rational(self):
-        return self.value is not None
+        self.enc = self.bounds(64)
 
     def bounds(self, prec):
-        """(lo, hi, den): integers with lo/den <= root <= hi/den, den > 0;
-        for an irrational root den = 2a 2^prec and hi = lo + 1."""
-        if self.is_rational:
-            v = self.value
-            return v.numerator, v.numerator, v.denominator
-        s = math.isqrt(self.disc << (2 * prec))
+        """(lo, hi, den): integers with lo/den <= root <= hi/den and
+        den = 2a 2^prec; hi = lo when the root is rational, else
+        hi = lo + 1."""
+        t = self.disc << (2 * prec)
+        s = math.isqrt(t)
+        gap = s * s != t
         base = -self.b << prec
-        lo = base + s if self.eps > 0 else base - s - 1
-        return lo, lo + 1, (2 * self.a) << prec
+        den = (2 * self.a) << prec
+        if self.eps > 0:
+            return base + s, base + s + gap, den
+        return base - s - gap, base - s, den
 
 
 def roots_of_quadratic(a, b, c):
+    """The real roots of a m^2 + b m + c, each once: -c/b when a = 0."""
     if a == 0:
-        if b == 0:
-            return []
-        return [Root(value=Fraction(-c, b))]
+        return [Root(abs(b), 2 * c if b > 0 else -2 * c, 0, 1)] if b else []
     if a < 0:
         a, b, c = -a, -b, -c
     disc = b * b - 4 * a * c
     if disc < 0:
         return []
     if disc == 0:
-        return [Root(value=Fraction(-b, 2 * a))]
-    s = math.isqrt(disc)
-    if s * s == disc:
-        return [Root(value=Fraction(-b - s, 2 * a)),
-                Root(value=Fraction(-b + s, 2 * a))]
-    return [Root(a=a, b=b, disc=disc, eps=-1),
-            Root(a=a, b=b, disc=disc, eps=+1)]
+        return [Root(a, b, 0, 1)]
+    return [Root(a, b, disc, -1), Root(a, b, disc, +1)]
 
 
 def root_cmp(r1, r2):
     """The exact sign of r1 - r2."""
-    if r1.is_rational and r2.is_rational:
-        return _sgn(r1.value - r2.value)
-    if r2.is_rational:
-        # (-b q - 2a p + eps q sqrt(D)) / (2a q) with r2 = p/q
-        p, q = r2.value.numerator, r2.value.denominator
-        return _sign_pair(-r1.b * q - 2 * r1.a * p, r1.eps * q, r1.disc)
-    if r1.is_rational:
-        return -root_cmp(r2, r1)
     # times 4 a1 a2 > 0: c + s1 sqrt(D1) - s2 sqrt(D2)
     c = 2 * (r1.a * r2.b - r2.a * r1.b)
     s1, s2 = 2 * r2.a * r1.eps, 2 * r1.a * r2.eps
     if r1.disc == r2.disc:
         return _sign_pair(c, s1 - s2, r1.disc)
-    sa, sb = _sign_pair(c, s1, r1.disc), -r2.eps
+    sa, sb = _sign_pair(c, s1, r1.disc), -r2.eps if r2.disc else 0
     if sa == 0:
         return sb
     if sa == sb:
         return sa
-    # opposite signs: the larger of (c + s1 sqrt(D1))^2 and s2^2 D2 wins
+    # opposite signs, or sb = 0: the larger of (c + s1 sqrt(D1))^2 and
+    # s2^2 D2 wins
     t = _sign_pair(c * c + s1 * s1 * r1.disc - s2 * s2 * r2.disc,
                    2 * c * s1, r1.disc)
     return sa if t > 0 else sb if t < 0 else 0
@@ -352,7 +340,7 @@ def simplest_sqrt_between(ln, ld, hn, hd):
     At 64, 128, ... bits, sqrt(lo) and sqrt(hi) are enclosed from inside
     by the integers lo' = isqrt(lo 4^prec) + 1 and hi' = isqrt(hi 4^prec)
     over 2^prec; at the first precision with lo' < hi', s is the simplest
-    rational strictly between those two, as ``_region_sample`` takes
+    rational strictly between those two, as ``_arc_direction`` takes
     its directions."""
     prec = 64
     while True:
@@ -417,43 +405,37 @@ def _conic_base_point(f, c):
     return None
 
 
-def _conic_witness(eq_atom, atoms, m_target, region, base=None):
-    """Rational point on the conic x'Fx = c whose direction lies in region.
+def _conic_witness(f, m, bounds, base):
+    """A rational point of the conic x'Fx = x'Fb through the rational
+    point b = base whose direction lies strictly inside the open arc of
+    the direction m = (m0, m1) with the bounding roots bounds, or None.
+    A point arc (bounds None) holds no direction but m, and the conic
+    meets m in a rational point only where m itself gives a witness.
 
-    Directions are x1/x0; region is a pair of rational bounds (either may
-    be None for unbounded).  The chord through a rational base point b
-    with rational slope u meets the conic in a second rational point.
-    Its direction is m_target (known to lie strictly inside the region)
-    exactly when u is a root of
+    The chord through b with rational slope u meets the conic in a
+    second rational point.  Its direction is m exactly when u is a root
+    of
 
-        (d f11 - 2 g1) u^2 + (d (f01 + f10) - 2 g0 + 2 g1 m) u
-            + (d f00 + 2 g0 m),    g = F b,  d = b1 - m b0,
+        (d f11 - 2 m0 g1) u^2 + (d (f01 + f10) - 2 m0 g0 + 2 m1 g1) u
+            + (d f00 + 2 m1 g0),    g = F b,  d = m0 b1 - m1 b0,
 
     so each real root, in increasing order, is rounded to a dyadic
-    rational at 20, 30 and 44 bits and the chord's point is verified
-    exactly.  ``base`` is a rational point of the conic found earlier,
-    if any.
+    rational at 20, 30 and 44 bits, and the chord's point is taken when
+    its direction lies between the bounding roots, compared exactly.
     """
-    f, _, c = eq_atom
-    if base is None:
-        base = _conic_base_point(f, c)
-    if base is None:
+    if bounds is None:
         return None
-    lo, hi = region
+    lo, hi = bounds
 
-    def in_region(m):
-        if m is None:
+    def inside(x):
+        if x is None or x[0] == 0:
             return False
-        if lo is not None and not m > lo:
-            return False
-        if hi is not None and not m < hi:
-            return False
-        return True
+        t = x[1] / x[0]
+        return bool(between(roots_of_quadratic(0, t.denominator,
+                                               -t.numerator), lo, hi))
 
-    if in_region(base[1] / base[0] if base[0] != 0 else None) \
-            and verify_witness(atoms, base):
+    if inside(base):
         return base
-
     g0 = f[0][0] * base[0] + f[0][1] * base[1]
     g1 = f[1][0] * base[0] + f[1][1] * base[1]
 
@@ -464,29 +446,28 @@ def _conic_witness(eq_atom, atoms, m_target, region, base=None):
         lam = -2 * (g0 + u * g1) / vfv
         return (base[0] + lam, base[1] + lam * u)
 
-    m = m_target
-    d = base[1] - m * base[0]
-    slopes = _primitive([d * f[1][1] - 2 * g1,
-                         d * (f[0][1] + f[1][0]) - 2 * g0 + 2 * g1 * m,
-                         d * f[0][0] + 2 * g0 * m])
+    m0, m1 = m
+    d = m0 * base[1] - m1 * base[0]
+    slopes = _primitive([d * f[1][1] - 2 * m0 * g1,
+                         d * (f[0][1] + f[1][0]) - 2 * m0 * g0 + 2 * m1 * g1,
+                         d * f[0][0] + 2 * m1 * g0])
     for root in roots_of_quadratic(*slopes):
         for prec in (1 << 20, 1 << 30, 1 << 44):
             x = chord(Fraction(_round_root(root, prec), prec))
-            if x is None or x[0] == 0:
-                continue
-            if in_region(x[1] / x[0]) and verify_witness(atoms, x):
+            if inside(x):
                 return x
     return None
 
 
 def _round_root(root, prec):
-    """The integer nearest to root * prec, for an integer prec > 0."""
-    if root.is_rational:
-        return round(root.value * prec)
+    """The integer nearest to root * prec, the larger at a tie, for an
+    integer prec > 0."""
     # floor((-b prec + a + eps sqrt(D prec^2)) / (2a)): rounding
-    # eps sqrt(D prec^2) down to an integer keeps that floor, and an
-    # irrational root is never a tie
-    s = math.isqrt(root.disc * prec * prec) + (root.eps < 0)
+    # eps sqrt(D prec^2) down to an integer keeps that floor
+    t = root.disc * prec * prec
+    s = math.isqrt(t)
+    if root.eps < 0 and s * s != t:
+        s += 1
     return (-root.b * prec + root.a + root.eps * s) // (2 * root.a)
 
 
@@ -509,10 +490,10 @@ def _primitive(coeffs):
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _enclosed_cmp(x, y):
-    """root_cmp of (root, bounds) pairs, read off the bounds when they
-    are disjoint."""
-    (r1, (lo1, hi1, d1)), (r2, (lo2, hi2, d2)) = x, y
+def _enclosed_cmp(r1, r2):
+    """root_cmp, read off the enclosures when they are disjoint."""
+    lo1, hi1, d1 = r1.enc
+    lo2, hi2, d2 = r2.enc
     if hi1 * d2 < lo2 * d1:
         return -1
     if hi2 * d1 < lo1 * d2:
@@ -521,143 +502,124 @@ def _enclosed_cmp(x, y):
 
 
 def enclosed_roots(polys):
-    """The real roots of the integer quadratics polys = (a2, a1, a0), each
-    as a pair (root, its bounds at 64 bits), in no order."""
-    return [(r, r.bounds(64)) for a, b, c in polys
-            for r in roots_of_quadratic(a, b, c)]
+    """The real roots of the integer quadratics polys = (a2, a1, a0), in
+    no order."""
+    return [r for a, b, c in polys for r in roots_of_quadratic(a, b, c)]
 
 
-def between(pairs, lo=None, hi=None):
-    """The distinct roots of the (root, bounds) pairs that lie strictly
-    between the pairs lo and hi (None: unbounded), in increasing order.
-    Roots are compared by their bounds where these are disjoint, else by
-    root_cmp, so equal roots merge and distinct ones separate."""
-    pairs = sorted((p for p in pairs
-                    if (lo is None or _enclosed_cmp(lo, p) < 0)
-                    and (hi is None or _enclosed_cmp(p, hi) < 0)),
+def between(roots, lo=None, hi=None):
+    """The distinct roots that lie strictly between the roots lo and hi
+    (None: unbounded), in increasing order.  Roots are compared by their
+    enclosures where these are disjoint, else by root_cmp, so equal roots
+    merge and distinct ones separate."""
+    roots = sorted((r for r in roots
+                    if (lo is None or _enclosed_cmp(lo, r) < 0)
+                    and (hi is None or _enclosed_cmp(r, hi) < 0)),
                    key=cmp_to_key(_enclosed_cmp))
-    return [p for i, p in enumerate(pairs)
-            if i == 0 or _enclosed_cmp(pairs[i - 1], p)]
+    return [r for i, r in enumerate(roots)
+            if i == 0 or _enclosed_cmp(roots[i - 1], r)]
 
 
 _MAX_PREC = 1 << 16  # bits of the root enclosures before giving up
 
-# the one arc of the whole line of directions m, before any root: its
-# sample is 0 and both its bounding roots are absent
-WHOLE_LINE = (Fraction(0), (None, None), (None, None))
-VERTICAL = "vertical"
-
 
 def line_arcs(n):
     """The arcs of every direction in n = 1 or 2 variables, before any
-    root: the whole line of u = (1, m) and, for n = 2, the vertical
-    direction (0, 1), which no root cuts."""
-    arcs = [WHOLE_LINE]
-    if n == 2:
-        arcs.append((VERTICAL, (None, None), None))
-    return arcs
+    root: the whole line of u = (1, m), sampled at m = 0, and, for n = 2,
+    the vertical direction (0, 1), a point that no root cuts."""
+    return [((1, 0), (None, None)), ((0, 1), None)][:n]
 
 
-def _region_sample(lo, hi):
-    """(direction, region) for the open region between consecutive roots
-    lo < hi, given as pairs of ``enclosed_roots`` or None for an unbounded
-    side.
+def _arc_direction(lo, hi):
+    """The direction (q, p) of the open arc between consecutive roots
+    lo < hi (None: unbounded).
 
-    Between two roots the direction is the simplest rational strictly
-    between their bounds at the first precision (64, 128, ... bits) at
-    which the bounds are disjoint, and the region is those bounds; None
-    when that takes more than _MAX_PREC bits.  Below the lowest root the
-    direction is the floor of its lower bound minus one, above the
-    highest root the floor of its upper bound plus two, and with no root
-    at all it is 0."""
+    Between two roots m = p/q is the simplest rational strictly between
+    their enclosures at the first precision (64, 128, ... bits) at which
+    these are disjoint; None when that takes more than _MAX_PREC bits.
+    Below the lowest root m is the floor of its lower bound minus one,
+    above the highest root the floor of its upper bound plus two, and
+    with no root at all it is 0."""
     if lo is None:
         if hi is None:
-            return Fraction(0), (None, None)
-        ln, _, ld = hi[1]
-        return Fraction(ln // ld - 1), (None, Fraction(ln, ld))
+            return 1, 0
+        ln, _, ld = hi.enc
+        return 1, ln // ld - 1
     if hi is None:
-        _, hn, hd = lo[1]
-        return Fraction(hn // hd + 2), (Fraction(hn, hd), None)
-    (r1, (_, hn, hd)), (r2, (ln, _, ld)) = lo, hi
+        _, hn, hd = lo.enc
+        return 1, hn // hd + 2
+    (_, hn, hd), (ln, _, ld) = lo.enc, hi.enc
     prec = 64
     while not hn * ld < ln * hd:
         prec *= 2
         if prec > _MAX_PREC:
             return None
-        _, hn, hd = r1.bounds(prec)
-        ln, _, ld = r2.bounds(prec)
-    return (Fraction(*_simplest_between(hn, hd, ln, ld)),
-            (Fraction(hn, hd), Fraction(ln, ld)))
-
-
-def _point_sample(root):
-    """(direction, region) at a root pair of ``enclosed_roots``: a
-    rational root as a Fraction with region (root, root), an irrational
-    one as its Root with region None."""
-    r = root[0]
-    return (r.value, (r.value, r.value)) if r.is_rational else (r, None)
+        _, hn, hd = lo.bounds(prec)
+        ln, _, ld = hi.bounds(prec)
+    p, q = _simplest_between(hn, hd, ln, ld)
+    return q, p
 
 
 def cut_arcs(arcs, roots):
-    """The arcs (direction, region, bounds) with every open arc cut at the
-    roots, pairs of ``enclosed_roots``, that fall strictly inside it, in
-    order; None when two neighbouring roots do not separate.  An open
-    arc's bounds are its bounding root pairs (None: unbounded); a point
-    or the vertical direction has bounds None and is never cut.  Each
-    piece carries the ``_region_sample`` or ``_point_sample`` of its
-    region or root."""
+    """The arcs (direction, bounds) with every open arc cut at the roots
+    that fall strictly inside it, in order; None when two neighbouring
+    roots do not separate.  An open arc's bounds are its bounding roots
+    (None: unbounded), and its direction the ``_arc_direction`` between
+    them; a point has bounds None and is never cut.  The point at a root
+    has the direction (2a, eps sqrt(disc) - b) when the root is rational,
+    else the Root itself."""
     out = []
     for arc in arcs:
-        if arc[2] is None or not roots:
+        if arc[1] is None or not roots:
             out.append(arc)
             continue
-        lo, hi = arc[2]
+        lo, hi = arc[1]
         inside = between(roots, lo, hi)
         if not inside:
             out.append(arc)
             continue
         bounds = [lo, *inside, hi]
         for i in range(len(inside) + 1):
-            sample = _region_sample(bounds[i], bounds[i + 1])
-            if sample is None:
+            direction = _arc_direction(bounds[i], bounds[i + 1])
+            if direction is None:
                 return None
-            out.append((*sample, (bounds[i], bounds[i + 1])))
+            out.append((direction, (bounds[i], bounds[i + 1])))
             if i < len(inside):
-                out.append((*_point_sample(inside[i]), None))
+                r = inside[i]
+                s = math.isqrt(r.disc)
+                out.append(((2 * r.a, r.eps * s - r.b) if s * s == r.disc
+                            else r, None))
     return out
 
 
 def sign(f, direction) -> int:
     """The sign of the binary form f = (a2, a1, a0), that is
-    a2 u1^2 + a1 u0 u1 + a0 u0^2, at u = (1, m) for a Fraction or Root m,
-    or at u = (0, 1) for VERTICAL."""
+    a2 u1^2 + a1 u0 u1 + a0 u0^2, at the direction u = (u0, u1), or at
+    u = (1, m) for a Root m."""
     a2, a1, a0 = f
-    if direction is VERTICAL:
-        return _sgn(a2)
-    if isinstance(direction, Fraction):
-        p, q = direction.numerator, direction.denominator
-        return _sgn((a2 * p + a1 * q) * p + a0 * q * q)
-    # f at the root (-b + eps sqrt(D)) / (2a), times 4 a^2 > 0
-    a, b, d = direction.a, direction.b, direction.disc
-    return _sign_pair(a2 * (b * b + d) - 2 * a * b * a1 + 4 * a * a * a0,
-                      direction.eps * (2 * a * a1 - 2 * b * a2), d)
+    if isinstance(direction, Root):
+        # f at the root (-b + eps sqrt(D)) / (2a), times 4 a^2 > 0
+        a, b, d = direction.a, direction.b, direction.disc
+        return _sign_pair(a2 * (b * b + d) - 2 * a * b * a1 + 4 * a * a * a0,
+                          direction.eps * (2 * a * a1 - 2 * b * a2), d)
+    u0, u1 = direction
+    return _sgn((a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0)
 
 
-def feasible(atoms, samples):
-    """The samples (direction, region) at which every atom holds, in
-    order.  The atom that rejected the last sample is tested first at
-    the next one: neighbouring samples are mostly rejected by the same
-    atom."""
+def feasible(atoms, arcs):
+    """The arcs at which every atom holds, tested at their directions, in
+    order.  The atom that rejected the last arc is tested first at the
+    next one: neighbouring arcs are mostly rejected by the same atom."""
     atoms = list(atoms)
-    for sample in samples:
+    for arc in arcs:
         for i, (f, strict) in enumerate(atoms):
-            s = sign(f, sample[0])
+            s = sign(f, arc[0])
             if s < 0 or (s == 0 and strict):
                 if i:
                     atoms.insert(0, atoms.pop(i))
                 break
         else:
-            yield sample
+            yield arc
 
 
 def decide(n, atoms):
@@ -689,18 +651,20 @@ def decide(n, atoms):
 def decide_forms(atoms, n):
     """Decide the sign conditions atoms (f, strict) in n = 1 or 2
     variables on the ``line_arcs`` cut at the roots of their forms:
-    `sat` with the first feasible rational direction as the witness,
-    `unknown` when only irrational directions are feasible or the roots
+    `sat` with the first feasible integer direction, scaled to a first
+    nonzero coordinate of 1, as the witness, `unknown` when only irrational directions are feasible or the roots
     cannot be separated, else `unsat`."""
     arcs = cut_arcs(line_arcs(n), enclosed_roots(f for f, _ in atoms))
     if arcs is None:
         return Decided("unknown",
                        reason="root separation exceeded precision cap")
     status = Decided("unsat")
-    for direction, _, _ in feasible(atoms, arcs):
+    for direction, _ in feasible(atoms, arcs):
         if not isinstance(direction, Root):
-            u = (0, 1) if direction is VERTICAL else (1, direction)
-            return Decided("sat", witness=tuple(Fraction(v) for v in u[:n]))
+            u0, u1 = direction
+            g = u0 or u1
+            return Decided("sat", witness=(Fraction(u0, g),
+                                           Fraction(u1, g))[:n])
         status = Decided("unknown",
                          reason="feasible, but no rational witness was found")
     return status

@@ -80,11 +80,6 @@ def is_symmetric(f: RatMatrix) -> bool:
     return all(f[i][j] == f[j][i] for i in range(n) for j in range(n))
 
 
-def scale(f: RatMatrix, c) -> RatMatrix:
-    c = rat(c)
-    return tuple(tuple(c * e for e in row) for row in f)
-
-
 def from_float_matrix(m) -> RatMatrix:
     """Freeze a float array into the exact rationals its doubles represent."""
     return mat(m)

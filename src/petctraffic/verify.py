@@ -205,17 +205,6 @@ def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
         window.popleft()
 
 
-def normalized_word(disc: DiscretizedPetc, x: RatVector,
-                    max_len: int) -> tuple[int, ...]:
-    """Word of x under the event-triggered law until the (unnormalized)
-    Lyapunov value first drops to r V(x) — the word of x/sqrt(V(x)) by
-    homogeneity, without ever forming the square root.  It is the first
-    window of the orbit of x."""
-    word, _ = next(_windows(semantics.IntegerStepper(disc), x, disc.r,
-                            max_len))
-    return word
-
-
 def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,
                    n_samples: int, steps: int, seed: int = 0) -> CheckReport:
     """Thm.-2-style spot check: sampled pure event-triggered runs are

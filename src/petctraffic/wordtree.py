@@ -12,20 +12,21 @@ Phi_0 = I, eliminating t leaves for a word of length m:
 Every right-hand side is 0, so a direction is accepted or rejected by
 the signs of binary quadratic forms alone.  On the directions u = (1, m)
 those forms are quadratics in m, and a query's feasible set is a union
-of arcs: open regions between consecutive roots of its forms, and root
-points, with the vertical direction (0, 1) apart.
+of ``qfnra`` arcs (direction, bounds): open arcs between consecutive
+roots of its forms, and root points, with the vertical direction (0, 1)
+apart.  A direction is an integer pair, or the Root of an irrational
+root point; an open arc's bounds are its bounding roots.
 
 A node of the word tree holds the integer Phi of its word over a common
 denominator, the integer V forms of its word and of its parent, and the
-feasible arcs of its prefix query, each with its sample (direction,
-region) and, for an open arc, the enclosed roots that bound it.  The
-root starts from ``qfnra.line_arcs``, as every contraction query does.
+feasible arcs of its prefix query.  The root starts from
+``qfnra.line_arcs``, as every contraction query does.
 The letters k_lo..k_bar partition the directions by kappa, so a node
 makes all its children by one cut of its arcs, at the roots of its
 entry form q v_m - p d_m^2 v_0 (r = p/q) and its trigger forms
 N(j) o Phi, k_lo <= j < k_bar.  It keeps the pieces where v_m > r v_0
 fails as its unit-shell arcs and gives every other one to kappa at its
-sample: the first j >= k_lo with N(j) o Phi > 0 there, else k_bar.
+direction: the first j >= k_lo with N(j) o Phi > 0 there, else k_bar.
 Older atoms keep their signs on the pieces of a parent arc, so a
 child's arcs are those of cutting ``line_arcs`` once at every root of
 the entry and trigger forms of its proper prefixes, where its prefix
@@ -43,13 +44,15 @@ v_m <= r v_0, the negated entry atom, so its arcs are the pieces the
 split keeps as unit-shell arcs; a node not yet split, such as a word of
 the horizon's length N, is split on demand, and as every arc of such a
 word has entered the sublevel set, its children keep no arc.  A sat
-query's rational witness is x = s u at the first feasible
-rational direction u, with the V forms evaluated there in integers.
+query's rational witness is x = s u / u0 at the first feasible integer
+direction u = (u0, u1) (x = s u at the vertical), with the V forms
+evaluated at u in integers.
 From the sublevel set, s^2 lies strictly between the bounds that
 V <= V0, the word and the entry into the periodic set put on it, and s
 is the simplest rational by the rule of ``qfnra.simplest_sqrt_between``.
-On the unit shell s = sqrt(V0 / V(u)) when that is rational, else x is
-a rational point of the conic V = V0 in the arc.  x is re-verified by
+On the unit shell s = sqrt(V0 / V(u / u0)) when that is rational, else
+x is a rational point of the conic V = V0 with its direction strictly
+between the arc's bounding roots.  x is re-verified by
 ``holds``: x lies on the unit shell if the query asks for it, and its
 integer run (``semantics.IntegerStepper.entry_run``) enters the
 periodic set after exactly the word.  That uses neither the forms nor
@@ -196,10 +199,10 @@ class WordEngine:
         if arcs is None:
             return SatResult("unknown", reason="root separation exceeded "
                                                "precision cap")
-        for direction, region, _ in arcs:
+        for direction, bounds in arcs:
             if isinstance(direction, qfnra.Root):
                 continue
-            x = self._witness(node, shell, direction, region)
+            x = self._witness(node, shell, direction, bounds)
             if x is None:
                 continue
             if self.holds(node.word, shell, x):
@@ -227,26 +230,26 @@ class WordEngine:
             return False
         return tuple(pt.k for pt in run) == tuple(word)
 
-    def _witness(self, node, shell, direction, region):
-        """A rational x = s u on the feasible direction u = (1, m), or
-        u = (0, 1) for the vertical, or None.
+    def _witness(self, node, shell, direction, bounds):
+        """A rational x = s u / g on the feasible arc (direction, bounds)
+        with the integer direction u = (u0, u1) and g its first nonzero
+        coordinate, or None.
 
-        Each V form q_i is evaluated in integers at (q, p) for m = p/q,
-        or at (0, 1), as w_i, so that V(Phi_i u) = w_i / (c q^2 scale_i^2)
-        with q = 1 for the vertical: every bound on s^2 is a quotient of
-        integers, and the smaller of two is found by cross-multiplying."""
+        Each V form q_i is evaluated in integers at u as w_i, so that
+        V(Phi_i u / g) = w_i / (c g^2 scale_i^2): every bound on s^2 is a
+        quotient of integers, and the smaller of two is found by
+        cross-multiplying."""
         disc = self.disc
-        vertical = direction is qfnra.VERTICAL
-        u0, u1 = ((0, 1) if vertical
-                  else (direction.denominator, direction.numerator))
+        u0, u1 = direction
+        g = u0 or u1
         (f0, _), (fp, dp), (fm, dm) = (self.root.form, node.parent_form,
                                        node.form)
         w0, wp, wm = ((a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0
                       for a2, a1, a0 in (f0, fp, fm))
         vd = disc.V0.denominator
         rn, rd = disc.r.numerator, disc.r.denominator
-        # V0 / V(Phi_i u) = top scale_i^2 / (vd w_i)
-        top = disc.V0.numerator * self._p_scale * (u0 or 1) ** 2
+        # V0 / V(Phi_i u / g) = top scale_i^2 / (vd w_i)
+        top = disc.V0.numerator * self._p_scale * g * g
         if shell == SUBLEVEL:
             # v_0 > ... > v_m on the prefix arcs: s^2 in
             # (r V0 / v_{m-1}, min(V0 / v_0, r V0 / v_m)), with scale_0 = 1
@@ -262,15 +265,13 @@ class WordEngine:
             root = isqrt(t) if t > 0 else -1
             s = Fraction(root, vd * w0) if root * root == t else None
         if s is not None:
-            return ((Fraction(0), s) if vertical
-                    else (s, s * direction))[:disc.n_x]
-        if vertical or disc.n_x == 1 or self._conic_base is None:
+            return (s * u0 / g, s * u1 / g)[:disc.n_x]
+        if disc.n_x == 1 or self._conic_base is None:
             return None
-        # every atom is homogeneous and keeps its sign on the region, so a
+        # every atom is homogeneous and keeps its sign on the arc, so a
         # point of the conic in a direction inside it satisfies them all
-        eq = (disc.P_rat, "=", disc.V0)
-        return qfnra._conic_witness(eq, [eq], direction, region,
-                                    base=self._conic_base)
+        return qfnra._conic_witness(disc.P_rat, direction, bounds,
+                                    self._conic_base)
 
     @cached_property
     def _conic_base(self):

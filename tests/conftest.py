@@ -293,11 +293,30 @@ def simplest_sqrt_in(lo, hi):
         lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
 
+def fraction_root_value(r):
+    """The value of a qfnra.Root as a Fraction, or None when it is
+    irrational (its discriminant is not a square)."""
+    s = math.isqrt(r.disc)
+    return Fraction(r.eps * s - r.b, 2 * r.a) if s * s == r.disc else None
+
+
+def fraction_cmp_root(t, r):
+    """The sign of t - r for a Fraction t and a qfnra.Root r, in Fraction:
+    that of y - eps sqrt(D) with y = 2a t + b."""
+    y = 2 * r.a * t + r.b
+    if r.disc == 0:
+        return (y > 0) - (y < 0)
+    if r.eps > 0:
+        return -1 if y <= 0 else (y * y > r.disc) - (y * y < r.disc)
+    return 1 if y >= 0 else (r.disc > y * y) - (r.disc < y * y)
+
+
 def fraction_enclosure(r, prec):
     """Rational bounds lo <= r <= hi of a qfnra.Root, within 2^-prec / a
     for an irrational root."""
-    if r.is_rational:
-        return r.value, r.value
+    v = fraction_root_value(r)
+    if v is not None:
+        return v, v
     s = math.isqrt(r.disc << (2 * prec))
     lo_s, hi_s = Fraction(s, 1 << prec), Fraction(s + 1, 1 << prec)
     if r.eps > 0:
@@ -317,10 +336,9 @@ def _float_key(r):
 
 
 def _fraction_roots_equal(r1, r2):
-    if r1.is_rational and r2.is_rational:
-        return r1.value == r2.value
-    if r1.is_rational or r2.is_rational:
-        return False  # roots with non-square discriminant are irrational
+    v1, v2 = fraction_root_value(r1), fraction_root_value(r2)
+    if v1 is not None or v2 is not None:
+        return v1 == v2  # roots with non-square discriminant are irrational
     u = -r1.b * 2 * r2.a + r2.b * 2 * r1.a
     v = r1.eps * 2 * r2.a
     w = r2.eps * 2 * r1.a
@@ -332,10 +350,13 @@ def _fraction_roots_equal(r1, r2):
 
 
 def fraction_critical_samples(polys):
-    """The (direction, region) samples of qfnra.cut_arcs on the whole line
-    at the roots of polys, on Fraction enclosures: roots ordered by a
-    40-bit float key, deduplicated among float-close neighbours, and
-    refined by doubling precision until neighbours separate."""
+    """The arcs (direction, bounds) of qfnra.cut_arcs on the whole line at
+    the roots of polys, on Fraction enclosures: roots ordered by a 40-bit
+    float key, deduplicated among float-close neighbours, and refined by
+    doubling precision until neighbours separate.  A direction is the
+    Fraction m of u = (1, m), or the Root of an irrational root point;
+    an open arc's bounds are its neighbouring roots (None: unbounded),
+    and a root point's bounds are None."""
     roots = []
     for a, b, c in polys:
         roots.extend(qfnra.roots_of_quadratic(a, b, c))
@@ -368,38 +389,37 @@ def fraction_critical_samples(polys):
         return [(Fraction(0), (None, None))]
     first_lo, last_hi = encl[0][0], encl[-1][1]
     floor_first = first_lo.numerator // first_lo.denominator
-    samples = [(Fraction(floor_first - 1), (None, first_lo))]
+    samples = [(Fraction(floor_first - 1), (None, unique[0]))]
     for i, r in enumerate(unique):
-        if r.is_rational:
-            samples.append((r.value, (r.value, r.value)))
-        else:
-            samples.append((r, None))
+        v = fraction_root_value(r)
+        samples.append((r if v is None else v, None))
         if i + 1 < len(unique):
             gap = (encl[i][1], encl[i + 1][0])
-            samples.append((fraction_simplest_between(*gap), gap))
+            samples.append((fraction_simplest_between(*gap),
+                            (r, unique[i + 1])))
     floor_last = last_hi.numerator // last_hi.denominator
-    samples.append((Fraction(floor_last + 2), (last_hi, None)))
+    samples.append((Fraction(floor_last + 2), (unique[-1], None)))
     return samples
 
 
-def float_conic_witness(eq_atom, atoms, m_target, region, base=None):
+def float_conic_witness(f, m, bounds, base):
     """qfnra._conic_witness with the chord slope found in floating point:
     a scan of 3,999 slopes for sign changes of the chord direction minus
-    m_target, 80 bisection steps on each, then rounding at 20, 30 and 44
-    bits and exact verification."""
-    f, _, c = eq_atom
-    if base is None:
-        base = qfnra._conic_base_point(f, c)
-    if base is None:
+    m1/m0, 80 bisection steps on each, then rounding at 20, 30 and 44
+    bits, and the chord point's direction tested against the bounding
+    roots in Fraction."""
+    if bounds is None:
         return None
-    lo, hi = region
+    lo, hi = bounds
 
-    def in_region(m):
-        return (m is not None and (lo is None or m > lo)
-                and (hi is None or m < hi))
+    def inside(x):
+        if x is None or x[0] == 0:
+            return False
+        t = x[1] / x[0]
+        return ((lo is None or fraction_cmp_root(t, lo) > 0)
+                and (hi is None or fraction_cmp_root(t, hi) < 0))
 
-    if in_region(base[1] / base[0] if base[0] != 0 else None) \
-            and qfnra.verify_witness(atoms, base):
+    if inside(base):
         return base
 
     def chord(u):
@@ -413,7 +433,7 @@ def float_conic_witness(eq_atom, atoms, m_target, region, base=None):
 
     bf = [[_to_float(e) for e in row] for row in f]
     b0, b1 = _to_float(base[0]), _to_float(base[1])
-    mt = _to_float(m_target)
+    mt = _to_float(Fraction(m[1], m[0]))
 
     def chord_dir_float(u):
         vfv = bf[0][0] + (bf[0][1] + bf[1][0]) * u + bf[1][1] * u * u
@@ -451,9 +471,7 @@ def float_conic_witness(eq_atom, atoms, m_target, region, base=None):
         best_u = 0.5 * (ulo + uhi)
         for prec in (1 << 20, 1 << 30, 1 << 44):
             x = chord(Fraction(round(best_u * prec), prec))
-            if x is None or x[0] == 0:
-                continue
-            if in_region(x[1] / x[0]) and qfnra.verify_witness(atoms, x):
+            if inside(x):
                 return x
     return None
 
@@ -585,9 +603,10 @@ def _exact_fraction(v):
     return Fraction(v)
 
 
-def _witness_at_direction(direction, verdict, data, atoms, region, eq_atoms):
+def _witness_at_direction(direction, verdict, data, atoms, bounds, eq_atoms):
     """Exact rational witness on the ray s*(1, direction), or s*(0, 1) for
-    direction "inf", or None; region bounds the conic search."""
+    direction "inf", or None; the bounding roots bounds bound the conic
+    search."""
     def embed(s):
         if direction == "inf":
             return (Fraction(0), s)
@@ -610,7 +629,12 @@ def _witness_at_direction(direction, verdict, data, atoms, region, eq_atoms):
         if qfnra.verify_witness(atoms, x):
             return x
     if eq_atoms and direction != "inf":
-        return qfnra._conic_witness(eq_atoms[0], atoms, direction, region)
+        f, _, c = eq_atoms[0]
+        base = qfnra._conic_base_point(f, c)
+        x = base and qfnra._conic_witness(
+            f, (direction.denominator, direction.numerator), bounds, base)
+        if x and qfnra.verify_witness(atoms, x):
+            return x
     return None
 
 
@@ -691,7 +715,7 @@ def oracle_decide(n, atoms):
         return qfnra.Decided("unknown",
                              reason="root separation exceeded precision cap")
     real_feasible = False
-    for direction, region in samples:
+    for direction, bounds in samples:
         if isinstance(direction, qfnra.Root):
             verdict, _ = t_verdict(items_at_root(direction))
             if verdict != INFEAS:
@@ -702,7 +726,7 @@ def oracle_decide(n, atoms):
                                            direction.denominator))
         if verdict == INFEAS:
             continue
-        x = _witness_at_direction(direction, verdict, data, atoms, region,
+        x = _witness_at_direction(direction, verdict, data, atoms, bounds,
                                   eq_atoms)
         if x is not None:
             return qfnra.Decided("sat", witness=x)
@@ -712,7 +736,7 @@ def oracle_decide(n, atoms):
     verdict, data = t_verdict([(co[0], rel, c)
                                for co, (_, rel, c) in zip(qpolys, atoms)])
     if verdict != INFEAS:
-        x = _witness_at_direction("inf", verdict, data, atoms, (None, None),
+        x = _witness_at_direction("inf", verdict, data, atoms, None,
                                   eq_atoms)
         if x is not None:
             return qfnra.Decided("sat", witness=x)
@@ -975,7 +999,7 @@ def full_sample_decide(engine, word, shell) -> satcheck.SatResult:
     re-verified by satcheck.sequence_query(...).holds.  Those roots cut
     qfnra.line_arcs once (line_cut), and the pieces at which every atom
     holds are the feasible arcs; like WordEngine.decide it needs the
-    region of each for a conic witness, and moves on past a direction
+    bounds of each for a conic witness, and moves on past a direction
     without a witness, so it walks every feasible arc."""
     unit = shell == satcheck.UNIT_LEVEL
     atoms = prefix_atoms(engine, word) + (
@@ -990,11 +1014,11 @@ def full_sample_decide(engine, word, shell) -> satcheck.SatResult:
     if arcs is None:
         return satcheck.SatResult("unknown", reason="root separation "
                                                     "exceeded precision cap")
-    for direction, region, _ in arcs:
+    for direction, bounds in arcs:
         if isinstance(direction, qfnra.Root):
             continue
         x = _full_sample_witness(engine, word, shell, atoms, direction,
-                                 region)
+                                 bounds)
         if x is None:
             continue
         query = satcheck.sequence_query(engine.disc, word, shell, True)
@@ -1008,11 +1032,12 @@ def full_sample_decide(engine, word, shell) -> satcheck.SatResult:
     return satcheck.SatResult("unsat")
 
 
-def _full_sample_witness(engine, word, shell, atoms, direction, region):
+def _full_sample_witness(engine, word, shell, atoms, direction, bounds):
     """WordEngine._witness with every atom checked on the conic."""
     disc = engine.disc
-    u = ((Fraction(0), Fraction(1)) if direction is qfnra.VERTICAL
-         else (Fraction(1), direction))
+    u0, u1 = direction
+    g = u0 or u1
+    u = (Fraction(u0, g), Fraction(u1, g))
     v = [(a2 * u[1] * u[1] + a1 * u[0] * u[1] + a0 * u[0] * u[0])
          / (engine._p_scale * d * d)
          for _, ((a2, a1, a0), d) in word_maps(engine, word)]
@@ -1027,14 +1052,16 @@ def _full_sample_witness(engine, word, shell, atoms, direction, region):
     s = qfnra.rational_square_root(disc.V0 / v[0])
     if s is not None:
         return (s * u[0], s * u[1])[:disc.n_x]
-    if (direction is qfnra.VERTICAL or disc.n_x == 1
-            or engine._conic_base is None):
+    if disc.n_x == 1 or engine._conic_base is None:
         return None
-    eq = (disc.P_rat, "=", disc.V0)
+    x = qfnra._conic_witness(disc.P_rat, direction, bounds,
+                             engine._conic_base)
     matrices = [(((a0, a1), (0, a2)), ">" if strict else ">=", 0)
                 for (a2, a1, a0), strict in atoms]
-    return qfnra._conic_witness(eq, matrices + [eq], direction, region,
-                                base=engine._conic_base)
+    if x and qfnra.verify_witness(matrices + [(disc.P_rat, "=", disc.V0)],
+                                  x):
+        return x
+    return None
 
 
 # changes to the bundled loop for the named test cases: r = 4/5; the

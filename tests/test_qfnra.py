@@ -17,9 +17,10 @@ from petctraffic.qfnra import (decide, format_rational, root_cmp,
                                roots_of_quadratic, run_script,
                                verify_witness)
 import conftest
-from conftest import (bundled, float_conic_witness,
+from conftest import (bundled, float_conic_witness, fraction_cmp_root,
                       fraction_critical_samples, fraction_enclosure,
-                      fraction_simplest_between, full_sample_decide,
+                      fraction_root_value, fraction_simplest_between,
+                      full_sample_decide,
                       full_sample_prefix, oracle_decide, oracle_kernel,
                       oracle_models, t_verdict)
 
@@ -51,13 +52,13 @@ def run(text: str) -> str:
 
 def test_roots_rational_and_irrational():
     rs = roots_of_quadratic(1, -3, 2)  # (x-1)(x-2)
-    assert [r.value for r in rs] == [F(1), F(2)]
+    assert [fraction_root_value(r) for r in rs] == [F(1), F(2)]
     rs = roots_of_quadratic(1, 0, -2)  # +-sqrt(2)
-    assert all(r.value is None for r in rs)
+    assert all(fraction_root_value(r) is None for r in rs)
     lo, hi = fraction_enclosure(rs[1], 30)
     assert lo < hi and abs(float(lo) - math.sqrt(2)) < 1e-8
     assert roots_of_quadratic(1, 0, 1) == []
-    assert roots_of_quadratic(0, 2, -3)[0].value == F(3, 2)
+    assert fraction_root_value(roots_of_quadratic(0, 2, -3)[0]) == F(3, 2)
 
 
 def test_roots_equal_across_fields():
@@ -104,6 +105,57 @@ def test_root_cmp_matches_enclosures(polys):
                 assert c == 1
             else:  # with coefficients this small: the same root
                 assert c == 0
+
+
+_FACTOR = st.tuples(st.integers(-30, 30).filter(bool), st.integers(-30, 30))
+_SCALE = st.integers(-3, 3).filter(bool)
+
+
+def _product(k, f1, f2):
+    """k (p1 m + q1)(p2 m + q2) as (a2, a1, a0), with its roots as the
+    sorted distinct Fractions -q1/p1 and -q2/p2."""
+    (p1, q1), (p2, q2) = f1, f2
+    return ((k * p1 * p2, k * (p1 * q2 + p2 * q1), k * q1 * q2),
+            sorted({F(-q1, p1), F(-q2, p2)}))
+
+
+# integer quadratics with rational roots, which random triples almost
+# never have: factorable ones, double roots, linear forms (a2 = 0) and
+# forms with a0 = 0
+_RATIONAL_POLYS = st.one_of(
+    st.builds(_product, _SCALE, _FACTOR, _FACTOR),
+    st.builds(lambda k, f: _product(k, f, f), _SCALE, _FACTOR),
+    st.builds(lambda k, f: ((0, k * f[0], k * f[1]), [F(-f[1], f[0])]),
+              _SCALE, _FACTOR),
+    st.builds(lambda k, f: _product(k, f, (1, 0)), _SCALE, _FACTOR))
+
+
+@given(st.lists(_RATIONAL_POLYS, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_rational_roots_match_fractions(cases):
+    # each root's value, its exact bounds at any precision, root_cmp
+    # across forms (linear against quadratic, equal roots of different
+    # forms) and the directions and bounding roots of cut_arcs, against
+    # Fraction arithmetic and conftest's Fraction sampler
+    polys = [poly for poly, _ in cases]
+    roots = []
+    for poly, values in cases:
+        rs = roots_of_quadratic(*poly)
+        assert [fraction_root_value(r) for r in rs] == values, poly
+        for r, v in zip(rs, values):
+            for prec in (64, 65, 200):
+                lo, hi, den = r.bounds(prec)
+                assert lo == hi and F(lo, den) == v
+            assert r.enc == r.bounds(64)
+        roots.extend(zip(rs, values))
+    for r1, v1 in roots:
+        for r2, v2 in roots:
+            assert root_cmp(r1, r2) == (v1 > v2) - (v1 < v2)
+    arcs = line_samples(polys)
+    assert _normal(arcs) == _normal(fraction_critical_samples(polys))
+    points = [d for d, bounds in arcs if bounds is None]
+    assert all(isinstance(d, tuple) for d in points)
+    assert [F(u1, u0) for u0, u1 in points] == sorted({v for _, v in roots})
 
 
 _ENDPOINTS = st.one_of(
@@ -165,25 +217,40 @@ def test_simplest_sqrt_between(lo, gap):
 
 
 def line_samples(polys):
-    """The (direction, region) samples of the whole line cut at the roots
-    of the integer quadratics polys, or None."""
-    arcs = qfnra.cut_arcs([qfnra.WHOLE_LINE], qfnra.enclosed_roots(polys))
-    return None if arcs is None else [(d, region) for d, region, _ in arcs]
+    """The arcs (direction, bounds) of the whole line cut at the roots of
+    the integer quadratics polys, or None."""
+    return qfnra.cut_arcs(qfnra.line_arcs(1), qfnra.enclosed_roots(polys))
 
 
-def _normal(samples):
-    """line_samples output with each Root as its defining integers."""
-    if samples is None:
+def _root_key(r):
+    """A root's value when it is rational, else its defining integers."""
+    v = fraction_root_value(r)
+    return (r.a, r.b, r.disc, r.eps) if v is None else v
+
+
+def _direction_key(d):
+    """A direction as its Fraction m = u1/u0, or a Root as _root_key."""
+    if isinstance(d, qfnra.Root):
+        return _root_key(d)
+    return F(d[1], d[0]) if isinstance(d, tuple) else d
+
+
+def _normal(arcs):
+    """Kernel or oracle arcs with every direction as _direction_key and
+    every bounding root as _root_key, so that both compare exactly."""
+    if arcs is None:
         return None
-    return [((d.a, d.b, d.disc, d.eps) if isinstance(d, qfnra.Root) else d,
-             region) for d, region in samples]
+    return [(_direction_key(d), None if bounds is None else
+             tuple(None if b is None else _root_key(b) for b in bounds))
+            for d, bounds in arcs]
 
 
 def _bounds(direction):
-    """Rational bounds of a sample direction."""
+    """Rational bounds of an arc's direction m."""
     if isinstance(direction, qfnra.Root):
         return fraction_enclosure(direction, 256)
-    return direction, direction
+    m = _direction_key(direction)
+    return m, m
 
 
 _TRIPLES = st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 3),
@@ -193,18 +260,20 @@ _TRIPLES = st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 3),
 @given(_TRIPLES)
 @settings(max_examples=300, deadline=None)
 def test_critical_samples_ordered(polys):
-    # strictly increasing directions, every open-region sample strictly
-    # inside its region, and the Fraction oracle's list wherever it has
-    # one
+    # strictly increasing directions, every open arc's direction strictly
+    # between its bounding roots, and the Fraction oracle's list wherever
+    # it has one
     polys = sorted(polys)
     samples = line_samples(polys)
     assert samples is not None
     for (d0, _), (d1, _) in zip(samples, samples[1:]):
         assert _bounds(d0)[1] < _bounds(d1)[0]
-    for d, region in samples:
-        if region is not None and region[0] != region[1]:
-            lo, hi = region
-            assert (lo is None or lo < d) and (hi is None or d < hi)
+    for d, bounds in samples:
+        if bounds is not None:
+            lo, hi = bounds
+            m = _direction_key(d)
+            assert lo is None or fraction_cmp_root(m, lo) > 0
+            assert hi is None or fraction_cmp_root(m, hi) < 0
     oracle = fraction_critical_samples(polys)
     if oracle is not None:
         assert _normal(samples) == _normal(oracle)

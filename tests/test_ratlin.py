@@ -84,7 +84,6 @@ def test_identity_transpose_scale():
     assert ratlin.transpose(i3) == i3
     a = ratlin.mat([[1, 2], [3, 4]])
     assert ratlin.transpose(ratlin.transpose(a)) == a
-    assert ratlin.scale(a, F(1, 2))[1][0] == F(3, 2)
     assert ratlin.mat_mul(a, ratlin.identity(2)) == a
 
 

@@ -19,6 +19,14 @@ from conftest import (ExactStepper, fraction_bisim_check,
 F = Fraction
 
 
+def first_window(disc, x, max_len):
+    """The word of x until V first drops to r V(x), the word of
+    x / sqrt(V(x)) by homogeneity: the first window of its orbit."""
+    word, _ = next(verify._windows(semantics.IntegerStepper(disc), x, disc.r,
+                                   max_len))
+    return word
+
+
 @pytest.fixture(scope="module", params=[F(1, 2), F(4, 5), F(1, 10)],
                 ids=["ci", "r4_5", "cs"])
 def built(request):
@@ -149,12 +157,12 @@ def test_long_runs_match_unfiltered_orbits(monkeypatch):
 
 def test_normalized_word_homogeneous(ci_disc):
     for x in verify.sample_shell_states(ci_disc, 10, seed=17):
-        w = verify.normalized_word(ci_disc, x, max_len=100)
+        w = first_window(ci_disc, x, max_len=100)
         for lam in (F(5), F(1, 3)):
             scaled = tuple(lam * c for c in x)
-            assert verify.normalized_word(ci_disc, scaled, max_len=100) == w
+            assert first_window(ci_disc, scaled, max_len=100) == w
     with pytest.raises(ValueError):
-        verify.normalized_word(ci_disc, (F(0), F(0)), max_len=10)
+        first_window(ci_disc, (F(0), F(0)), max_len=10)
 
 
 def test_normalized_word_horizon_matches_fraction_replay(ci_disc):
@@ -164,7 +172,7 @@ def test_normalized_word_horizon_matches_fraction_replay(ci_disc):
     word = fraction_normalized_word(ci_disc, x, max_len=100)
     assert len(word) > 2
     with pytest.raises(semantics.HorizonExceededError) as new:
-        verify.normalized_word(ci_disc, x, max_len=2)
+        first_window(ci_disc, x, max_len=2)
     with pytest.raises(semantics.HorizonExceededError) as old:
         fraction_normalized_word(ci_disc, x, max_len=2)
     assert (new.value.state, new.value.word) == (old.value.state, old.value.word)
@@ -316,7 +324,7 @@ def test_sim_check_passes(ci_disc, ci_sim):
 def test_sim_check_detects_missing_edges(ci_disc, ci_sim):
     # cut all outgoing edges of one state: runs through it must fail
     xs = verify.sample_shell_states(ci_disc, 30, seed=2)
-    target = verify.normalized_word(ci_disc, xs[0], max_len=100)
+    target = first_window(ci_disc, xs[0], max_len=100)
     cut = replace(ci_sim,
                   edges=frozenset((s, t) for s, t in ci_sim.edges
                                   if s != target))
@@ -331,7 +339,7 @@ def test_sim_check_detects_missing_edges(ci_disc, ci_sim):
 
 def test_sim_check_detects_missing_state(ci_disc, ci_sim):
     xs = verify.sample_shell_states(ci_disc, 30, seed=2)
-    target = verify.normalized_word(ci_disc, xs[0], max_len=100)
+    target = first_window(ci_disc, xs[0], max_len=100)
     pruned = replace(
         ci_sim,
         states=frozenset(ci_sim.states - {target}),

@@ -10,8 +10,9 @@ import pytest
 
 from petctraffic import (abstraction, cli, qfnra, ratlin, satcheck,
                          semantics, wordtree)
-from conftest import (bundled, full_sample_decide, full_sample_prefix,
-                      oracle_check, oracle_models, refine_arcs,
+from conftest import (bundled, fraction_root_value, full_sample_decide,
+                      full_sample_prefix, oracle_check, oracle_models,
+                      refine_arcs,
                       simplest_sqrt_in, sublevel_terminal_atoms,
                       unit_terminal_atoms, word_maps)
 
@@ -143,21 +144,22 @@ def test_sublevel_terminal_atoms_cut_no_arc(case, request):
 
 
 def _root_key(root):
-    return root.value if root.is_rational else (root.a, root.b, root.disc,
-                                                root.eps)
+    """A root's value when it is rational, else its defining integers."""
+    v = fraction_root_value(root)
+    return (root.a, root.b, root.disc, root.eps) if v is None else v
 
 
 def _arc_key(arc):
-    """An arc (direction, region, bounds) with each qfnra.Root replaced by
-    its defining integers, so that equal arcs made by two cuts compare
-    equal."""
-    direction, region, bounds = arc
+    """An arc (direction, bounds) with each qfnra.Root replaced by its
+    _root_key, and each bounding root by its _root_key and enclosure, so
+    that equal arcs made by two cuts compare equal."""
+    direction, bounds = arc
     if isinstance(direction, qfnra.Root):
         direction = _root_key(direction)
     if bounds is not None:
-        bounds = tuple(None if b is None else (_root_key(b[0]), b[1])
+        bounds = tuple(None if b is None else (_root_key(b), b.enc)
                        for b in bounds)
-    return direction, region, bounds
+    return direction, bounds
 
 
 @pytest.mark.parametrize("case", ["ci", "r4_5", "cs"])
@@ -218,7 +220,7 @@ def test_children_split_by_kappa(case, request):
             f = ratlin.congruence(disc.N[j], phi)
             triggers.append((f[1][1], f[0][1] + f[1][0], f[0][0]))
         for k, child in node.children.items():
-            for direction, _, _ in child.arcs:
+            for direction, _ in child.arcs:
                 arcs += 1
                 if isinstance(direction, qfnra.Root):
                     roots += 1
@@ -227,8 +229,7 @@ def test_children_split_by_kappa(case, request):
                                  disc.k_bar)
                     assert kappa == k, (node.word, k, direction)
                     continue
-                u = ((F(0), F(1)) if direction is qfnra.VERTICAL
-                     else (F(1), direction))
+                u = tuple(F(v) for v in direction)
                 x = ratlin.mat_vec(phi, u)
                 assert semantics.kappa(disc, x) == k, (node.word, k, u)
                 if node.word:
@@ -301,8 +302,8 @@ def test_corrupted_witness_is_unknown(shell, tmp_path, monkeypatch, capsys):
     # fails re-verification: decide answers unknown, and the build exits 4
     witness = wordtree.WordEngine._witness
 
-    def corrupted(self, node, sh, direction, region):
-        x = witness(self, node, sh, direction, region)
+    def corrupted(self, node, sh, direction, bounds):
+        x = witness(self, node, sh, direction, bounds)
         if x is None or sh != shell:
             return x
         if shell == satcheck.UNIT_LEVEL:
