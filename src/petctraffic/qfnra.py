@@ -28,7 +28,9 @@ integer enclosures over 2^prec, at the first precision (64, 128, ...
 bits) at which they leave a gap.  The direction of an open arc lies
 between the enclosures of its bounding roots (``_arc_direction``), and
 a witness scale s with lo < s^2 < hi between those of sqrt(lo) and
-sqrt(hi) (``simplest_sqrt_between``).
+sqrt(hi) (``simplest_sqrt_between``).  ``reflect`` moves an integer
+direction into an open arc by a reflection that keeps the value of a
+positive definite form up to an integer square, chosen by the same rule.
 
 ``run_script`` is an SMT-LIB2 command interpreter around ``decide`` for
 the fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
@@ -351,19 +353,8 @@ def simplest_sqrt_between(ln, ld, hn, hd):
         prec *= 2
 
 
-def rational_square_root(t):
-    """sqrt(t) if t is the square of a rational, else None."""
-    if t is None or t < 0:
-        return None
-    num, den = t.numerator, t.denominator
-    sn, sd = math.isqrt(num), math.isqrt(den)
-    if sn * sn == num and sd * sd == den:
-        return Fraction(sn, sd)
-    return None
-
-
 # ---------------------------------------------------------------------------
-# witness verification and construction
+# witness verification
 
 
 def verify_witness(atoms, x):
@@ -375,100 +366,6 @@ def verify_witness(atoms, x):
         if not ok:
             return False
     return True
-
-
-def _quad_at(f, x0, x1):
-    return (f[0][0] * x0 * x0 + (f[0][1] + f[1][0]) * x0 * x1
-            + f[1][1] * x1 * x1)
-
-
-def _conic_base_point(f, c):
-    """Some rational point with x'Fx = c, or None."""
-    for p, q in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, 1),
-                 (1, 3), (2, 3), (3, 2), (1, -2), (2, -1), (1, -3), (3, -1),
-                 (5, 2), (2, 5), (4, 1), (1, 4)):
-        denom = _quad_at(f, Fraction(p), Fraction(q))
-        if denom == 0:
-            continue
-        t = c / denom
-        s = rational_square_root(t) if t > 0 else None
-        if s is not None:
-            return (s * p, s * q)
-    for den in range(1, 9):
-        for pn in range(-4 * den, 4 * den + 1):
-            for qn in range(-4 * den, 4 * den + 1):
-                if pn == 0 and qn == 0:
-                    continue
-                x = (Fraction(pn, den), Fraction(qn, den))
-                if _quad_at(f, *x) == c:
-                    return x
-    return None
-
-
-def _conic_witness(f, m, bounds, base):
-    """A rational point of the conic x'Fx = x'Fb through the rational
-    point b = base whose direction lies strictly inside the open arc of
-    the direction m = (m0, m1) with the bounding roots bounds, or None.
-    A point arc (bounds None) holds no direction but m, and the conic
-    meets m in a rational point only where m itself gives a witness.
-
-    The chord through b with rational slope u meets the conic in a
-    second rational point.  Its direction is m exactly when u is a root
-    of
-
-        (d f11 - 2 m0 g1) u^2 + (d (f01 + f10) - 2 m0 g0 + 2 m1 g1) u
-            + (d f00 + 2 m1 g0),    g = F b,  d = m0 b1 - m1 b0,
-
-    so each real root, in increasing order, is rounded to a dyadic
-    rational at 20, 30 and 44 bits, and the chord's point is taken when
-    its direction lies between the bounding roots, compared exactly.
-    """
-    if bounds is None:
-        return None
-    lo, hi = bounds
-
-    def inside(x):
-        if x is None or x[0] == 0:
-            return False
-        t = x[1] / x[0]
-        return bool(between(roots_of_quadratic(0, t.denominator,
-                                               -t.numerator), lo, hi))
-
-    if inside(base):
-        return base
-    g0 = f[0][0] * base[0] + f[0][1] * base[1]
-    g1 = f[1][0] * base[0] + f[1][1] * base[1]
-
-    def chord(u):
-        vfv = _quad_at(f, Fraction(1), u)
-        if vfv == 0:
-            return None
-        lam = -2 * (g0 + u * g1) / vfv
-        return (base[0] + lam, base[1] + lam * u)
-
-    m0, m1 = m
-    d = m0 * base[1] - m1 * base[0]
-    slopes = _primitive([d * f[1][1] - 2 * m0 * g1,
-                         d * (f[0][1] + f[1][0]) - 2 * m0 * g0 + 2 * m1 * g1,
-                         d * f[0][0] + 2 * m1 * g0])
-    for root in roots_of_quadratic(*slopes):
-        for prec in (1 << 20, 1 << 30, 1 << 44):
-            x = chord(Fraction(_round_root(root, prec), prec))
-            if inside(x):
-                return x
-    return None
-
-
-def _round_root(root, prec):
-    """The integer nearest to root * prec, the larger at a tie, for an
-    integer prec > 0."""
-    # floor((-b prec + a + eps sqrt(D prec^2)) / (2a)): rounding
-    # eps sqrt(D prec^2) down to an integer keeps that floor
-    t = root.disc * prec * prec
-    s = math.isqrt(t)
-    if root.eps < 0 and s * s != t:
-        s += 1
-    return (-root.b * prec + root.a + root.eps * s) // (2 * root.a)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +501,47 @@ def sign(f, direction) -> int:
                           direction.eps * (2 * a * a1 - 2 * b * a2), d)
     u0, u1 = direction
     return _sgn((a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0)
+
+
+def form_at(f, u) -> int:
+    """The value a2 u1^2 + a1 u0 u1 + a0 u0^2 of the binary form
+    f = (a2, a1, a0) at the integer pair u = (u0, u1)."""
+    a2, a1, a0 = f
+    u0, u1 = u
+    return (a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0
+
+
+def reflect(f, b, m, bounds):
+    """An integer direction u strictly inside the open arc (m, bounds)
+    with f(u) = f(t)^2 f(b) for an integer pair t, or None, for a
+    positive definite binary form f and an integer direction b.  A point
+    arc (bounds None) holds no direction but m, so it gets None.
+
+    u = f(t) b - 2B(b, t) t, with 2B the polar form of f, is f(t) times
+    the reflection of b in the line B-orthogonal to t, hence the value.
+    With t = q b - p m and p/q = sqrt(f(b) / f(m)) the reflection swaps
+    b and (p/q) m, so u lies on m; p/q is taken by
+    ``simplest_sqrt_between`` within relative 2^-prec of f(b) / f(m), at
+    prec = 8, 16, ... up to _MAX_PREC bits, and the first u whose
+    direction lies strictly between the bounding roots (``between``) is
+    kept."""
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    (b0, b1), (m0, m1) = b, m
+    fb, fm = form_at(f, b), form_at(f, m)
+    prec = 8
+    while prec <= _MAX_PREC:
+        p, q = simplest_sqrt_between(fb * ((1 << prec) - 1), fm << prec,
+                                     fb * ((1 << prec) + 1), fm << prec)
+        t0, t1 = q * b0 - p * m0, q * b1 - p * m1
+        ft = form_at(f, (t0, t1))
+        polar = form_at(f, (b0 + t0, b1 + t1)) - fb - ft
+        u0, u1 = ft * b0 - polar * t0, ft * b1 - polar * t1
+        if u0 and between(roots_of_quadratic(0, u0, -u1), lo, hi):
+            return u0, u1
+        prec *= 2
+    return None
 
 
 def feasible(atoms, arcs):

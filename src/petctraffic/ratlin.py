@@ -9,7 +9,7 @@ membership test in the package; no tolerance is involved anywhere here.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
 RatVector = tuple[Fraction, ...]

@@ -50,22 +50,26 @@ evaluated at u in integers.
 From the sublevel set, s^2 lies strictly between the bounds that
 V <= V0, the word and the entry into the periodic set put on it, and s
 is the simplest rational by the rule of ``qfnra.simplest_sqrt_between``.
-On the unit shell s = sqrt(V0 / V(u / u0)) when that is rational, else
-x is a rational point of the conic V = V0 with its direction strictly
-between the arc's bounding roots.  x is re-verified by
+On the unit shell s = sqrt(V0 / V(u / u0)) when that is rational.  Else
+u is replaced by an integer direction strictly between the arc's
+bounding roots at which it is: the engine looks once for a base
+direction b, with coordinates of at most 32, at which V0 / V(b) is a
+rational square, and ``qfnra.reflect`` reflects b onto the arc, which
+multiplies V by the square of an integer.  x is re-verified by
 ``holds``: x lies on the unit shell if the query asks for it, and its
 integer run (``semantics.IntegerStepper.entry_run``) enters the
 periodic set after exactly the word.  That uses neither the forms nor
 the certificate, so a wrong certificate, or a loop that is not
 contractive, gives ``unknown``, never a wrong ``sat``; so does a witness
-that fails, or a feasible set of irrational directions only.
+that fails, a feasible set of irrational directions only, or a unit
+shell without a base direction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import product
 from math import gcd, isqrt
 
 from . import qfnra
@@ -73,6 +77,13 @@ from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
 from .semantics import (HorizonExceededError, IntegerStepper, _integer_form,
                         _integer_matrix)
 from .sysmodel import DiscretizedPetc
+
+
+# the directions (b0, b1) with 0 <= b0 <= 32 and |b1| <= 32, by height
+# max(b0, |b1|): every rational point (p, q) / d with |p|, |q| <= 32 on
+# the unit shell V = V0 lies on one of them, with V0 / V(p, q) = 1 / d^2
+_BASES = sorted(product(range(33), range(-32, 33)),
+                key=lambda b: max(b[0], abs(b[1])))
 
 
 def _pullback(form, g) -> tuple[int, int, int]:
@@ -134,6 +145,8 @@ class WordEngine:
         one = ((1, 0), (0, 1))
         self.root = Node((), one, (_pullback(self._lyapunov, one), 1), None,
                          qfnra.line_arcs(disc.n_x))
+        # the first of _BASES with V0 / V(b) a rational square, or None
+        self._base = next((b for b in _BASES if self._shell_point(b)), None)
 
     def node(self, word) -> Node:
         node = self.root
@@ -238,42 +251,47 @@ class WordEngine:
         Each V form q_i is evaluated in integers at u as w_i, so that
         V(Phi_i u / g) = w_i / (c g^2 scale_i^2): every bound on s^2 is a
         quotient of integers, and the smaller of two is found by
-        cross-multiplying."""
+        cross-multiplying.  On the unit shell, where V0 / V(u / g) is not
+        a rational square, u is the base direction reflected onto the
+        arc (``qfnra.reflect``)."""
+        if shell == UNIT_LEVEL:
+            x = self._shell_point(direction)
+            if x is None and self._base is not None:
+                u = qfnra.reflect(self.root.form[0], self._base, direction,
+                                  bounds)
+                x = u and self._shell_point(u)
+            return x
         disc = self.disc
         u0, u1 = direction
         g = u0 or u1
         (f0, _), (fp, dp), (fm, dm) = (self.root.form, node.parent_form,
                                        node.form)
-        w0, wp, wm = ((a2 * u1 + a1 * u0) * u1 + a0 * u0 * u0
-                      for a2, a1, a0 in (f0, fp, fm))
+        w0, wp, wm = (qfnra.form_at(f, direction) for f in (f0, fp, fm))
         vd = disc.V0.denominator
         rn, rd = disc.r.numerator, disc.r.denominator
-        # V0 / V(Phi_i u / g) = top scale_i^2 / (vd w_i)
+        # V0 / V(Phi_i u / g) = top scale_i^2 / (vd w_i), and v_0 > ... > v_m
+        # on the prefix arcs: s^2 in (r V0 / v_{m-1}, min(V0 / v_0,
+        # r V0 / v_m)), with scale_0 = 1
         top = disc.V0.numerator * self._p_scale * g * g
-        if shell == SUBLEVEL:
-            # v_0 > ... > v_m on the prefix arcs: s^2 in
-            # (r V0 / v_{m-1}, min(V0 / v_0, r V0 / v_m)), with scale_0 = 1
-            hi = (top, vd * w0)
-            if wm > 0 and rn * dm * dm * w0 < rd * wm:
-                hi = (rn * top * dm * dm, rd * vd * wm)
-            s = Fraction(*qfnra.simplest_sqrt_between(
-                rn * top * dp * dp, rd * vd * wp, *hi))
-        else:
-            # s^2 = V0 / v_0 = top / (vd w0) is the square of a rational
-            # exactly when top vd w0 is the square of an integer
-            t = top * vd * w0
-            root = isqrt(t) if t > 0 else -1
-            s = Fraction(root, vd * w0) if root * root == t else None
-        if s is not None:
-            return (s * u0 / g, s * u1 / g)[:disc.n_x]
-        if disc.n_x == 1 or self._conic_base is None:
-            return None
-        # every atom is homogeneous and keeps its sign on the arc, so a
-        # point of the conic in a direction inside it satisfies them all
-        return qfnra._conic_witness(disc.P_rat, direction, bounds,
-                                    self._conic_base)
+        hi = (top, vd * w0)
+        if wm > 0 and rn * dm * dm * w0 < rd * wm:
+            hi = (rn * top * dm * dm, rd * vd * wm)
+        s = Fraction(*qfnra.simplest_sqrt_between(
+            rn * top * dp * dp, rd * vd * wp, *hi))
+        return (s * u0 / g, s * u1 / g)[:disc.n_x]
 
-    @cached_property
-    def _conic_base(self):
-        """A rational point with V(x) = V0, or None; looked for once."""
-        return qfnra._conic_base_point(self.disc.P_rat, self.disc.V0)
+    def _shell_point(self, u):
+        """x = s u / g with V(x) = V0 at the integer direction u, g its
+        first nonzero coordinate, when s is rational, else None: s^2 =
+        top / (vd w0) as in ``_witness``, a rational square exactly when
+        top vd w0 is an integer square."""
+        disc = self.disc
+        u0, u1 = u
+        g = u0 or u1
+        w0, vd = qfnra.form_at(self.root.form[0], u), disc.V0.denominator
+        t = disc.V0.numerator * self._p_scale * g * g * vd * w0
+        root = isqrt(t) if t > 0 else -1
+        if root * root != t:
+            return None
+        s = Fraction(root, vd * w0)
+        return (s * u0 / g, s * u1 / g)[:disc.n_x]

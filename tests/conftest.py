@@ -3,20 +3,22 @@ setting (r = 0.5) used by most tests, plus small synthetic systems, float
 oracles of the exact semantics, the Fraction samplers and from-scratch
 Fraction replays that the integer orbits of verify replaced, the
 per-word solver queries that the word-tree engine of abstraction
-replaced, the Fraction root isolation and float conic search that the
-integer kernel of qfnra replaced, the t-scale decision procedure that
-the sign-test decide of qfnra replaced, the pairwise domino edges that
-the prefix index of abstraction replaced, the full-sample word
-queries, with the sublevel terminal atoms, that the feasible arcs of
-wordtree replaced, the refinement of a node's arcs at its unit-shell
-atom that the pieces its split drops replaced, the three-phase search
-for the contraction factor that the grid bisection of contraction
-replaced, and the integer orbits evaluated in full that the top-bits
-filter of semantics replaced."""
+replaced, the Fraction root isolation that the integer kernel of qfnra
+replaced, the unit-shell conic search that the reflection of one base
+direction replaced, with that reflection in Fraction, the t-scale
+decision procedure that the sign-test decide of qfnra replaced, the
+pairwise domino edges that the prefix index of abstraction replaced,
+the full-sample word queries, with the sublevel terminal atoms, that
+the feasible arcs of wordtree replaced, the refinement of a node's arcs
+at its unit-shell atom that the pieces its split drops replaced, the
+three-phase search for the contraction factor that the grid bisection
+of contraction replaced, and the integer orbits evaluated in full that
+the top-bits filter of semantics replaced."""
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import random
@@ -402,78 +404,108 @@ def fraction_critical_samples(polys):
     return samples
 
 
-def float_conic_witness(f, m, bounds, base):
-    """qfnra._conic_witness with the chord slope found in floating point:
-    a scan of 3,999 slopes for sign changes of the chord direction minus
-    m1/m0, 80 bisection steps on each, then rounding at 20, 30 and 44
-    bits, and the chord point's direction tested against the bounding
-    roots in Fraction."""
+def rational_square_root(t):
+    """sqrt(t) if t is the square of a rational, else None."""
+    if t is None or t < 0:
+        return None
+    num, den = t.numerator, t.denominator
+    sn, sd = math.isqrt(num), math.isqrt(den)
+    if sn * sn == num and sd * sd == den:
+        return Fraction(sn, sd)
+    return None
+
+
+def _quad_at(f, x0, x1):
+    return (f[0][0] * x0 * x0 + (f[0][1] + f[1][0]) * x0 * x1
+            + f[1][1] * x1 * x1)
+
+
+def conic_base_point(f, c):
+    """The rational point with x'Fx = c that the unit-shell search of
+    qfnra used to find for a chord, or None: 18 directions, then the grid
+    of points with denominators up to 8 and coordinates up to 4."""
+    for p, q in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (3, 1),
+                 (1, 3), (2, 3), (3, 2), (1, -2), (2, -1), (1, -3), (3, -1),
+                 (5, 2), (2, 5), (4, 1), (1, 4)):
+        denom = _quad_at(f, Fraction(p), Fraction(q))
+        if denom == 0:
+            continue
+        t = c / denom
+        s = rational_square_root(t) if t > 0 else None
+        if s is not None:
+            return (s * p, s * q)
+    for den in range(1, 9):
+        for pn in range(-4 * den, 4 * den + 1):
+            for qn in range(-4 * den, 4 * den + 1):
+                if pn == 0 and qn == 0:
+                    continue
+                x = (Fraction(pn, den), Fraction(qn, den))
+                if _quad_at(f, *x) == c:
+                    return x
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_shell_base(f, c):
+    """WordEngine._base in Fraction, for a 2 x 2 matrix f: the first
+    integer pair (b0, b1), 0 <= b0 <= 32 and |b1| <= 32, by height
+    max(b0, |b1|), with c / b'fb the square of a rational, or None."""
+    for h in range(1, 33):
+        for b in sorted((b0, b1) for b0 in range(h + 1)
+                        for b1 in range(-h, h + 1)
+                        if max(b0, abs(b1)) == h):
+            v = _quad_at(f, *b)
+            if v and rational_square_root(c / v) is not None:
+                return b
+    return None
+
+
+def fraction_reflect(f, b, m, bounds):
+    """qfnra.reflect in Fraction, for a 2 x 2 matrix f: u = (t'ft) b -
+    2 (b'ft) t at t = q b - p m, with p/q = simplest_sqrt_in the ratio
+    b'fb / m'fm times 1 -+ 2^-prec, prec = 8, 16, ..., the first whose
+    slope u1/u0 lies strictly between the bounding roots bounds by
+    fraction_cmp_root; None on a point arc (bounds None)."""
     if bounds is None:
         return None
     lo, hi = bounds
 
-    def inside(x):
-        if x is None or x[0] == 0:
-            return False
-        t = x[1] / x[0]
-        return ((lo is None or fraction_cmp_root(t, lo) > 0)
-                and (hi is None or fraction_cmp_root(t, hi) < 0))
+    def dot(x, y):
+        return sum(x[i] * f[i][j] * y[j] for i in range(2) for j in range(2))
 
-    if inside(base):
-        return base
-
-    def chord(u):
-        vfv = qfnra._quad_at(f, Fraction(1), u)
-        if vfv == 0:
-            return None
-        vfb = (f[0][0] * base[0] + f[0][1] * base[1]
-               + u * (f[1][0] * base[0] + f[1][1] * base[1]))
-        lam = -2 * vfb / vfv
-        return (base[0] + lam, base[1] + lam * u)
-
-    bf = [[_to_float(e) for e in row] for row in f]
-    b0, b1 = _to_float(base[0]), _to_float(base[1])
-    mt = _to_float(Fraction(m[1], m[0]))
-
-    def chord_dir_float(u):
-        vfv = bf[0][0] + (bf[0][1] + bf[1][0]) * u + bf[1][1] * u * u
-        if vfv == 0:
-            return None
-        vfb = (bf[0][0] * b0 + bf[0][1] * b1
-               + u * (bf[1][0] * b0 + bf[1][1] * b1))
-        lam = -2 * vfb / vfv
-        x0, x1 = b0 + lam, b1 + lam * u
-        return None if x0 == 0 else x1 / x0
-
-    us = [math.tan(math.pi * (i / 4000.0 - 0.5)) for i in range(1, 4000)]
-    prev, crossings = None, []
-    for u in us:
-        m = chord_dir_float(u)
-        if m is None or not math.isfinite(m):
-            prev = None
-            continue
-        g = m - mt
-        if prev is not None and g == 0.0:
-            crossings.append((u, u))
-        elif prev is not None and (g > 0) != (prev[1] > 0):
-            crossings.append((prev[0], u))
-        prev = (u, g)
-    for ulo, uhi in crossings:
-        for _ in range(80):
-            um = 0.5 * (ulo + uhi)
-            gm = chord_dir_float(um)
-            if gm is None:
-                break
-            if (gm - mt > 0) == ((chord_dir_float(ulo) or mt) - mt > 0):
-                ulo = um
-            else:
-                uhi = um
-        best_u = 0.5 * (ulo + uhi)
-        for prec in (1 << 20, 1 << 30, 1 << 44):
-            x = chord(Fraction(round(best_u * prec), prec))
-            if inside(x):
-                return x
+    ratio = dot(b, b) / dot(m, m)
+    prec = 8
+    while prec <= qfnra._MAX_PREC:
+        rel = Fraction(1, 1 << prec)
+        s = simplest_sqrt_in(ratio * (1 - rel), ratio * (1 + rel))
+        t = tuple(s.denominator * bi - s.numerator * mi
+                  for bi, mi in zip(b, m))
+        u = tuple(dot(t, t) * bi - 2 * dot(b, t) * ti for bi, ti in zip(b, t))
+        if u[0] and (lo is None or fraction_cmp_root(u[1] / u[0], lo) > 0) \
+                and (hi is None or fraction_cmp_root(u[1] / u[0], hi) < 0):
+            return u
+        prec *= 2
     return None
+
+
+def fraction_shell_point(f, c, m, bounds):
+    """The point (s, s u1 / u0) with x'fx = c on the fraction_reflect u of
+    the fraction_shell_base onto the open arc (m, bounds), or None."""
+    base = fraction_shell_base(f, c)
+    u = base and fraction_reflect(f, base, m, bounds)
+    if not u:
+        return None
+    slope = u[1] / u[0]
+    s = rational_square_root(c / _quad_at(f, 1, slope))
+    return s, s * slope
+
+
+def form_matrix(f):
+    """The symmetric 2 x 2 Fraction matrix of the binary form
+    f = (a2, a1, a0): a0 u0^2 + a1 u0 u1 + a2 u1^2."""
+    a2, a1, a0 = f
+    half = Fraction(a1, 2)
+    return ((Fraction(a0), half), (half, Fraction(a2)))
 
 
 # ---------------------------------------------------------------------------
@@ -623,16 +655,15 @@ def _witness_at_direction(direction, verdict, data, atoms, bounds, eq_atoms):
     t = _exact_fraction(data)
     if t is None:
         return None
-    s = qfnra.rational_square_root(t)
+    s = rational_square_root(t)
     if s is not None:
         x = embed(s)
         if qfnra.verify_witness(atoms, x):
             return x
     if eq_atoms and direction != "inf":
         f, _, c = eq_atoms[0]
-        base = qfnra._conic_base_point(f, c)
-        x = base and qfnra._conic_witness(
-            f, (direction.denominator, direction.numerator), bounds, base)
+        x = fraction_shell_point(
+            f, c, (direction.denominator, direction.numerator), bounds)
         if x and qfnra.verify_witness(atoms, x):
             return x
     return None
@@ -659,7 +690,7 @@ def oracle_decide(n, atoms):
         if verdict == OPEN:
             s = simplest_sqrt_in(data[0], data[2])
         else:
-            s = qfnra.rational_square_root(_exact_fraction(data))
+            s = rational_square_root(_exact_fraction(data))
         if s is not None and qfnra.verify_witness(atoms, (s,)):
             return qfnra.Decided("sat", witness=(s,))
         return qfnra.Decided("unknown",
@@ -751,15 +782,14 @@ def oracle_decide(n, atoms):
 @contextlib.contextmanager
 def oracle_kernel():
     """qfnra with oracle_decide, which isolates roots on Fraction
-    enclosures, in place of its sign-test decide, and float_conic_witness
-    in place of its exact conic slopes."""
-    saved = qfnra._conic_witness, qfnra.decide
-    qfnra._conic_witness = float_conic_witness
+    enclosures and reflects unit-shell points in Fraction, in place of its
+    sign-test decide."""
+    saved = qfnra.decide
     qfnra.decide = oracle_decide
     try:
         yield
     finally:
-        qfnra._conic_witness, qfnra.decide = saved
+        qfnra.decide = saved
 
 
 def oracle_check(disc, word, shell, terminal) -> satcheck.SatResult:
@@ -1033,7 +1063,8 @@ def full_sample_decide(engine, word, shell) -> satcheck.SatResult:
 
 
 def _full_sample_witness(engine, word, shell, atoms, direction, bounds):
-    """WordEngine._witness with every atom checked on the conic."""
+    """WordEngine._witness with every atom checked on the unit shell and
+    its unit-shell point reflected in Fraction."""
     disc = engine.disc
     u0, u1 = direction
     g = u0 or u1
@@ -1049,19 +1080,47 @@ def _full_sample_witness(engine, word, shell, atoms, direction, bounds):
             hi = min(hi, rv0 / v[-1])
         s = simplest_sqrt_in(lo, hi)
         return (s * u[0], s * u[1])[:disc.n_x]
-    s = qfnra.rational_square_root(disc.V0 / v[0])
+    s = rational_square_root(disc.V0 / v[0])
     if s is not None:
         return (s * u[0], s * u[1])[:disc.n_x]
-    if disc.n_x == 1 or engine._conic_base is None:
+    if disc.n_x == 1:
         return None
-    x = qfnra._conic_witness(disc.P_rat, direction, bounds,
-                             engine._conic_base)
+    x = fraction_shell_point(disc.P_rat, disc.V0, direction, bounds)
+    if x is None:
+        return None
     matrices = [(((a0, a1), (0, a2)), ">" if strict else ">=", 0)
                 for (a2, a1, a0), strict in atoms]
-    if x and qfnra.verify_witness(matrices + [(disc.P_rat, "=", disc.V0)],
-                                  x):
+    if qfnra.verify_witness(matrices + [(disc.P_rat, "=", disc.V0)], x):
         return x
     return None
+
+
+def random_stabilized_disc(rng):
+    """A loop made as in the robustness sweep, or None if it has no
+    periodic period: a plant in controllable canonical form with both
+    closed-loop poles placed, P_lyap the solution of A_cl' P + P A_cl = -I
+    rounded to eighths, Q_lyap = I, and random rho, h and k_bar."""
+    a0, a1 = rng.uniform(-3, 3, 2)
+    p1, p2 = -rng.uniform(0.5, 3, 2)
+    a, b = np.array([[0, 1], [a0, a1]]), np.array([[0], [1]])
+    k = np.array([[-p1 * p2 - a0, p1 + p2 - a1]])
+    a_cl, eye = a + b @ k, np.eye(2)
+    p = np.linalg.solve(np.kron(eye, a_cl.T) + np.kron(a_cl.T, eye),
+                        -eye.ravel()).reshape(2, 2)
+    p = np.round(8 * (p + p.T) / 2) / 8
+    if np.linalg.eigvalsh(p).min() <= 0:
+        return None
+    common = dict(A=a, B=b, K=k, P=p,
+                  h=Fraction(rng.choice([5, 10, 20]), 100),
+                  k_bar=int(rng.integers(3, 7)), r=Fraction(1, 2))
+    spec = PredictiveTriggerSpec(P_lyap=p, Q_lyap=eye,
+                                 rho=float(rng.uniform(0.5, 0.95)))
+    placeholder = PetcSystem(Q_trig=np.zeros((4, 4)), **common)
+    sys_ = PetcSystem(Q_trig=build_predictive_Q(spec, placeholder), **common)
+    try:
+        return rationalize(sys_, contraction.compute_hP(sys_))
+    except contraction.NotContractiveError:
+        return None
 
 
 # changes to the bundled loop for the named test cases: r = 4/5; the

@@ -14,9 +14,9 @@ from petctraffic.contraction import (NotContractiveError, compute_N,
                                      compute_a, compute_hP, hP_condition,
                                      trace_count_bounds)
 from petctraffic.satcheck import SatResult, SolverUnknownError
-from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
-                                  build_predictive_Q, rationalize)
-from conftest import bisection_compute_a, bundled, max_step_ratio
+from petctraffic.sysmodel import PetcSystem, rationalize
+from conftest import (bisection_compute_a, bundled, max_step_ratio,
+                      random_stabilized_disc)
 
 F = Fraction
 
@@ -132,33 +132,6 @@ def test_max_step_ratio_bounded_by_certificate(ci_disc, ci_cert):
 
 
 A_TOLS = (F(1, 1000), F(1, 100), F(3, 1000), F(1, 7))
-
-
-def random_stabilized_disc(rng):
-    """A loop made as in the robustness sweep, or None if it has no
-    periodic period: a plant in controllable canonical form with both
-    closed-loop poles placed, P_lyap the solution of A_cl' P + P A_cl = -I
-    rounded to eighths, Q_lyap = I, and random rho, h and k_bar."""
-    a0, a1 = rng.uniform(-3, 3, 2)
-    p1, p2 = -rng.uniform(0.5, 3, 2)
-    a, b = np.array([[0, 1], [a0, a1]]), np.array([[0], [1]])
-    k = np.array([[-p1 * p2 - a0, p1 + p2 - a1]])
-    a_cl, eye = a + b @ k, np.eye(2)
-    p = np.linalg.solve(np.kron(eye, a_cl.T) + np.kron(a_cl.T, eye),
-                        -eye.ravel()).reshape(2, 2)
-    p = np.round(8 * (p + p.T) / 2) / 8
-    if np.linalg.eigvalsh(p).min() <= 0:
-        return None
-    common = dict(A=a, B=b, K=k, P=p, h=F(rng.choice([5, 10, 20]), 100),
-                  k_bar=int(rng.integers(3, 7)), r=F(1, 2))
-    spec = PredictiveTriggerSpec(P_lyap=p, Q_lyap=eye,
-                                 rho=float(rng.uniform(0.5, 0.95)))
-    placeholder = PetcSystem(Q_trig=np.zeros((4, 4)), **common)
-    sys_ = PetcSystem(Q_trig=build_predictive_Q(spec, placeholder), **common)
-    try:
-        return rationalize(sys_, compute_hP(sys_))
-    except NotContractiveError:
-        return None
 
 
 def _outcome(fn, disc, tol):

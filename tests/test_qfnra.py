@@ -17,9 +17,10 @@ from petctraffic.qfnra import (decide, format_rational, root_cmp,
                                roots_of_quadratic, run_script,
                                verify_witness)
 import conftest
-from conftest import (bundled, float_conic_witness, fraction_cmp_root,
+from conftest import (bundled, form_matrix, fraction_cmp_root,
                       fraction_critical_samples, fraction_enclosure,
-                      fraction_root_value, fraction_simplest_between,
+                      fraction_reflect, fraction_root_value,
+                      fraction_shell_base, fraction_simplest_between,
                       full_sample_decide,
                       full_sample_prefix, oracle_decide, oracle_kernel,
                       oracle_models, t_verdict)
@@ -303,7 +304,8 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
     # queries (decide_forms) and by the full-sample kernel, which decides
     # every word query of both builds again, at the roots of its atoms and
     # of the trigger forms that split the word tree (line_cut), and every
-    # conic witness of the queries and of both builds,
+    # unit-shell reflection of both builds, against the same reflection
+    # in Fraction from the Fraction search of the base direction,
     # on the r = 1/2 fixture, on the bundled loop at r = 4/5, on the
     # bundled example (r = 1/10), on a scalar plant and on the loop at
     # r = 4/5 with P_lyap, Q_lyap and V0 scaled by 3; the integer kernel
@@ -312,7 +314,7 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
     # full-sample kernel's verdicts and witnesses.
     # Every contraction query is decided again by the t-scale oracle:
     # the same verdicts, and every sat witness holds
-    cuts, conics = [], []
+    cuts, reflections = [], []
 
     def recording_decide_forms(atoms, n, _fn=qfnra.decide_forms):
         cuts.append([f for f, _ in atoms])
@@ -322,14 +324,14 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
         cuts.append(list(forms))
         return _fn(forms, n)
 
-    def recording_conic_witness(*args, _fn=qfnra._conic_witness, **kwargs):
-        out = _fn(*args, **kwargs)
-        conics.append((args, kwargs, out))
+    def recording_reflect(*args, _fn=qfnra.reflect):
+        out = _fn(*args)
+        reflections.append((args, out))
         return out
 
     monkeypatch.setattr(qfnra, "decide_forms", recording_decide_forms)
     monkeypatch.setattr(conftest, "line_cut", recording_line_cut)
-    monkeypatch.setattr(qfnra, "_conic_witness", recording_conic_witness)
+    monkeypatch.setattr(qfnra, "reflect", recording_reflect)
     real_check, checked = satcheck.check, []
 
     def recording_check(query):
@@ -358,11 +360,12 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
     for polys in cuts:
         ref = _normal(fraction_critical_samples(polys))
         assert ref is None or _normal(line_samples(polys)) == ref, polys
-    # a scalar plant has no conic: V0 / v_0 is a rational square
-    assert conics or disc.n_x == 1
-    for args, kwargs, out in conics:
-        ref = float_conic_witness(*args, **kwargs)
-        assert ref is None or out == ref, args
+    # a scalar plant reflects nothing: V0 / v_0 is a rational square
+    assert reflections or disc.n_x == 1
+    for (f, b, m, bounds), out in reflections:
+        assert b == fraction_shell_base(disc.P_rat, disc.V0)
+        ref = fraction_reflect(form_matrix(f), b, m, bounds)
+        assert out is not None and out == ref, (f, b, m)
     assert {res.status for _, res in checked} == {"sat", "unsat"}
     for query, res in checked:
         with oracle_kernel():

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from petctraffic import (abstraction, cli, qfnra, ratlin, satcheck,
-                         semantics, wordtree)
-from conftest import (bundled, fraction_root_value, full_sample_decide,
+from petctraffic import (abstraction, cli, contraction, qfnra, ratlin,
+                         satcheck, semantics, wordtree)
+from conftest import (bundled, conic_base_point, fraction_root_value,
+                      fraction_shell_base, full_sample_decide,
                       full_sample_prefix, oracle_check, oracle_models,
-                      refine_arcs,
+                      random_stabilized_disc, refine_arcs,
                       simplest_sqrt_in, sublevel_terminal_atoms,
                       unit_terminal_atoms, word_maps)
 
@@ -327,3 +331,89 @@ def test_corrupted_witness_is_unknown(shell, tmp_path, monkeypatch, capsys):
         cli.EXIT_UNDECIDED
     err = capsys.readouterr().err
     assert "re-verification" in err and len(err.splitlines()) == 1
+
+
+# the two P_lyap of the robustness sweep whose unit shell V = 1 has no
+# rational point: 8 V = 12x^2 + 6xy + 3y^2 is X^2 + 3Y^2 with X = 3x,
+# Y = x + y, which is never 8 (mod 3); the second likewise
+NO_POINT_P = (((F(3, 2), F(3, 8)), (F(3, 8), F(3, 8))),
+              ((F(5, 4), F(3, 8)), (F(3, 8), F(3, 8))))
+
+
+def _shell_engine(disc, p, v0):
+    """A WordEngine of disc with the Lyapunov matrix p and V0 = v0."""
+    return wordtree.WordEngine(dataclasses.replace(disc, P_rat=p, V0=v0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 16), st.integers(-16, 16), st.integers(1, 16),
+       st.one_of(st.tuples(st.integers(-32, 32), st.integers(-32, 32),
+                           st.integers(1, 8)),
+                 st.fractions(min_value=F(1, 8), max_value=8,
+                              max_denominator=16)))
+@example(24, 12, 6, F(1)).via("the first no-point P_lyap")
+@example(20, 12, 6, F(1)).via("the second no-point P_lyap")
+def test_base_found_where_conic_search_finds_a_point(ci_disc, a, b, c, v0):
+    # the base search (WordEngine._base) finds a direction b with
+    # V0 / V(b) a rational square wherever the conic search it replaced
+    # finds a rational point with V = V0, and it is the first such b of
+    # the Fraction search; V0 is drawn as V at a point (p, q) / d of that
+    # search's grid, or at random, on P = ((a, b / 2), (b / 2, c)) / 16
+    if 4 * a * c <= b * b:
+        return
+    p = ((F(a, 16), F(b, 32)), (F(b, 32), F(c, 16)))
+    if isinstance(v0, tuple):
+        pn, qn, d = v0
+        if (pn, qn) == (0, 0):
+            return
+        v0 = ratlin.quad_form(p, (F(pn, d), F(qn, d)))
+    engine = _shell_engine(ci_disc, p, v0)
+    base = engine._base
+    assert base == fraction_shell_base(p, v0)
+    if conic_base_point(p, v0) is not None:
+        assert base is not None
+    if base is not None:
+        assert engine.disc.V(engine._shell_point(base)) == v0
+
+
+@pytest.mark.parametrize("p", NO_POINT_P)
+def test_no_base_without_a_rational_point(ci_disc, p):
+    assert conic_base_point(p, F(1)) is None
+    assert _shell_engine(ci_disc, p, F(1))._base is None
+
+
+def test_sweep_shell_witnesses(monkeypatch):
+    # on 100 seeded random stabilized plants, every kept simulating
+    # witness lies on the unit shell exactly and replays to its word;
+    # most come from a reflection, and a unit-shell build fails only
+    # without a base direction (6 plants, as the conic search failed)
+    reflected, reflect = [], qfnra.reflect
+
+    def recording_reflect(*args):
+        reflected.append(args)
+        return reflect(*args)
+
+    monkeypatch.setattr(qfnra, "reflect", recording_reflect)
+    rng, built, kept, failed = np.random.default_rng(19), 0, 0, 0
+    while built < 100:
+        disc = random_stabilized_disc(rng)
+        if disc is None:
+            continue
+        n = contraction.compute_N(contraction.compute_a(disc).a, disc.r)
+        if n > 12:
+            continue
+        built += 1
+        bisim = abstraction.build_mpetc_bisim(disc, n)
+        try:
+            sim = abstraction.build_petc_sim(disc, bisim)
+        except satcheck.SolverUnknownError:
+            assert bisim.tree._base is None
+            failed += 1
+            continue
+        stepper = semantics.IntegerStepper(disc)
+        for word, x in sim.witnesses.items():
+            assert disc.V(x) == disc.V0, word
+            assert tuple(pt.k for pt in stepper.entry_run(x, len(word))) \
+                == word
+        kept += len(sim.witnesses)
+    assert kept and reflected and failed == 6
