@@ -11,9 +11,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .abstraction import EPSILON, PETC_SIM, TrafficModel, Word, word_key
+
+
+def sci(n: int, digits: int) -> str:
+    """format(float(n), f".{digits}e"), also for an n beyond a double."""
+    try:
+        return format(float(n), f".{digits}e")
+    except OverflowError:  # a three-digit exponent reads the same in Decimal
+        return format(Decimal(n), f".{digits}e")
 
 
 def _nonempty_words(model: TrafficModel) -> list[Word]:
@@ -107,8 +116,8 @@ class AnalysisReport:
             f"word-length horizon N       : {self.N}",
             f"bisimilar states (no eps)   : {self.n_bisim_states}",
             f"simulating states           : {self.n_sim_states}",
-            f"worst-case word bound       : {self.lemma_bound_stated:.2e}"
-            f" (closed form), {self.lemma_bound_sum:.2e} (geometric sum)",
+            f"worst-case word bound       : {sci(self.lemma_bound_stated, 2)}"
+            f" (closed form), {sci(self.lemma_bound_sum, 2)} (geometric sum)",
             f"T* over bisimilar words     : {float(self.T_star_bisim):.6g} s",
             f"T* over simulating words    : {float(self.T_star_sim):.6g} s",
             f"decay rate b*               : {self.b_star:.4g}"

@@ -5,7 +5,8 @@ both models, read off the bounds.  ``abstract``, ``analyze``, ``verify``
 and ``casestudy`` (which also validates the models) run it; ``discretize``
 and ``contraction`` stop after their stage.
 
-Exit codes: 0 success; 2 configuration error; 4 solver undecided/abort;
+Exit codes: 0 success; 2 configuration error, an over-long h_P scan or
+an M(k) or N(k) beyond a double; 4 solver undecided/abort;
 5 verification mismatch; 6 not contractive (no periodic period or no
 decrease ratio below one exists); 7 a concrete run outgrew the word
 horizon; 8 the simulating model has a blocking state.
@@ -24,11 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import abstraction, analysis, contraction, semantics, verify
+from . import abstraction, analysis, contraction, ratlin, semantics, verify
 from .contraction import NotContractiveError
 from .satcheck import SolverUnknownError
-from .sysmodel import (DiscretizedPetc, PetcSystem, PredictiveTriggerSpec,
-                       build_predictive_Q, rationalize)
+from .sysmodel import DiscretizedPetc, PetcSystem, rationalize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,42 +119,32 @@ def _validate_config(cfg: dict) -> None:
 
 def build_system(cfg: dict) -> PetcSystem:
     try:
-        k_bar = int(cfg["k_bar"])
-        common = dict(A=_np(cfg["A"]), B=_np(cfg["B"]), K=_np(cfg["K"]),
-                      P=_np(cfg["P_lyap"]), h=Fraction(cfg["h"]),
-                      k_bar=k_bar, r=Fraction(cfg["r"]),
-                      V0=Fraction(cfg.get("V0", 1)))
-        if "Q_trig" in cfg:
-            return PetcSystem(Q_trig=_np(cfg["Q_trig"]), **common)
-        spec = PredictiveTriggerSpec(P_lyap=_np(cfg["P_lyap"]),
-                                     Q_lyap=_np(cfg["Q_lyap"]),
-                                     rho=float(cfg["rho"]))
-        placeholder = PetcSystem(
-            Q_trig=np.zeros((2 * len(cfg["A"]), 2 * len(cfg["A"]))), **common)
-        q = build_predictive_Q(spec, placeholder)
-        return PetcSystem(Q_trig=q, **common)
+        return PetcSystem(A=cfg["A"], B=cfg["B"], K=cfg["K"], P=cfg["P_lyap"],
+                          h=cfg["h"], k_bar=int(cfg["k_bar"]), r=cfg["r"],
+                          V0=cfg.get("V0", 1), Q_trig=cfg.get("Q_trig"),
+                          Q_lyap=cfg.get("Q_lyap"), rho=cfg.get("rho"))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"bad system data: {exc}") from exc
 
 
-def _np(rows) -> np.ndarray:
-    return np.array([[float(v) for v in row] for row in rows], dtype=float)
-
-
 def make_disc(cfg: dict) -> DiscretizedPetc:
     """The discretized loop at the pinned h_P, which must pass the scan's
-    condition, or else at the h_P of the scan."""
+    condition, or else at the h_P of the scan.  A scan too long to run,
+    or a matrix that a double cannot hold, is a configuration error."""
     sys_ = build_system(cfg)
-    if "h_P" in cfg:
-        h_p = Fraction(cfg["h_P"])
-        if not contraction.hP_condition(sys_, h_p):
-            raise NotContractiveError(
-                f"the pinned h_P = {h_p} lets the Lyapunov function "
-                "increase under periodic sampling")
-    else:
-        h_p = contraction.compute_hP(sys_, resolution=Fraction(
-            cfg.get("hP_resolution", contraction.DEFAULT_HP_RESOLUTION)))
-    return rationalize(sys_, h_p)
+    try:
+        if "h_P" in cfg:
+            h_p = Fraction(cfg["h_P"])
+            if not contraction.hP_condition(sys_, h_p):
+                raise NotContractiveError(
+                    f"the pinned h_P = {h_p} lets the Lyapunov function "
+                    "increase under periodic sampling")
+        else:
+            h_p = contraction.compute_hP(sys_, resolution=Fraction(
+                cfg.get("hP_resolution", contraction.DEFAULT_HP_RESOLUTION)))
+        return rationalize(sys_, h_p)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +261,9 @@ def cmd_discretize(args) -> int:
     print(f"h = {disc.h} ({float(disc.h):.6g} s), k_bar = {disc.k_bar}, "
           f"h_P = {disc.h_P} ({float(disc.h_P):.6g} s), k_lo = {disc.k_lo}")
     for k in disc.K_range:
-        m = np.array([[float(v) for v in row] for row in disc.M[k]])
-        n_ = np.array([[float(v) for v in row] for row in disc.N[k]])
         with np.printoptions(precision=6, suppress=True):
-            print(f"M({k}) =\n{m}")
-            print(f"N({k}) =\n{n_}")
+            print(f"M({k}) =\n{ratlin.to_float_matrix(disc.M[k])}")
+            print(f"N({k}) =\n{ratlin.to_float_matrix(disc.N[k])}")
     return EXIT_OK
 
 
@@ -288,8 +276,8 @@ def cmd_contraction(args) -> int:
     print(f"h_P = {float(disc.h_P):.6g}")
     print(f"k_lo = {disc.k_lo}")
     print(f"N   = {n}")
-    print(f"word bound (closed form)   = {bounds[0]:.3e}")
-    print(f"word bound (geometric sum) = {bounds[1]:.3e}")
+    print(f"word bound (closed form)   = {analysis.sci(bounds[0], 3)}")
+    print(f"word bound (geometric sum) = {analysis.sci(bounds[1], 3)}")
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ from .sysmodel import (DiscretizedPetc, EIG_TOL, PetcSystem,
 
 DEFAULT_A_TOL = Fraction(1, 1000)
 DEFAULT_HP_RESOLUTION = Fraction(1, 100)
+MAX_HP_PERIODS = 10_000  # each an expm and an eigenvalue test
 
 
 class NotContractiveError(RuntimeError):
@@ -95,24 +96,31 @@ def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL) -> ContractionCert:
                            bisection_trace=tuple(trace), tol=tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def hP_condition(sys: PetcSystem, h_P: Fraction,
                  eig_tol: float = EIG_TOL) -> bool:
-    """Whether period h_P keeps V non-increasing: lambda_max(M_P' P M_P - P) <= tol."""
+    """Whether period h_P keeps V non-increasing: lambda_max(M_P' P M_P - P)
+    <= tol, which fails where M_P' P M_P overflows a double."""
     m_p = discretize_at_time(sys, float(h_P))
     gap = m_p.T @ sys.P @ m_p - sys.P
-    return float(np.linalg.eigvalsh((gap + gap.T) / 2).max()) <= eig_tol
+    return (bool(np.isfinite(gap).all())
+            and float(np.linalg.eigvalsh((gap + gap.T) / 2).max()) <= eig_tol)
 
 
 def compute_hP(sys: PetcSystem, resolution=DEFAULT_HP_RESOLUTION,
                h_max=None, eig_tol: float = EIG_TOL) -> Fraction:
     """Largest multiple of the resolution (up to h_max, default 2 h k_bar)
     at which periodic sampling keeps the Lyapunov function non-increasing;
-    scans downward from h_max."""
+    scans downward from h_max, over at most MAX_HP_PERIODS multiples."""
     resolution = _as_exact(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     h_max = 2 * sys.h * sys.k_bar if h_max is None else _as_exact(h_max)
-    for j in range(int(h_max / resolution), 0, -1):
+    periods = int(h_max / resolution)
+    if periods > MAX_HP_PERIODS:
+        raise ValueError(f"scanning h_P would test {periods} periods, over "
+                         f"{MAX_HP_PERIODS}: raise hP_resolution or pin h_P")
+    for j in range(periods, 0, -1):
         h_p = j * resolution
         if hP_condition(sys, h_p, eig_tol):
             return h_p

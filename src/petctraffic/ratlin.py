@@ -8,6 +8,7 @@ membership test in the package; no tolerance is involved anywhere here.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -62,6 +63,22 @@ def quad_form(f: RatMatrix, x: RatVector) -> Fraction:
     return sum(x[i] * sum(f[i][j] * x[j] for j in range(len(x))) for i in range(len(x)))
 
 
+def integer_matrix(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d m, d) for the common denominator d of the entries of m."""
+    d = math.lcm(*(e.denominator for row in m for e in row))
+    return tuple(tuple(e.numerator * (d // e.denominator) for e in row)
+                 for row in m), d
+
+
+def integer_form(f) -> tuple[int, ...]:
+    """A positive integer multiple of the form x'Fx, as coefficients of
+    the monomials x_i x_j with i <= j, in that order."""
+    g, _ = integer_matrix(f)
+    n = len(g)
+    return tuple(g[i][j] + g[j][i] if i < j else g[i][i]
+                 for i in range(n) for j in range(i, n))
+
+
 def congruence(f: RatMatrix, a: RatMatrix) -> RatMatrix:
     """A' F A, exactly."""
     return mat_mul(transpose(a), mat_mul(f, a))
@@ -78,11 +95,6 @@ def symmetrize(f: RatMatrix) -> RatMatrix:
 def is_symmetric(f: RatMatrix) -> bool:
     n = len(f)
     return all(f[i][j] == f[j][i] for i in range(n) for j in range(n))
-
-
-def from_float_matrix(m) -> RatMatrix:
-    """Freeze a float array into the exact rationals its doubles represent."""
-    return mat(m)
 
 
 def to_float_matrix(a: RatMatrix):

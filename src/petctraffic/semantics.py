@@ -101,22 +101,6 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
 WIDTH = 62
 
 
-def _integer_matrix(m) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(d m, d) for the common denominator d of the entries of m."""
-    d = math.lcm(*(e.denominator for row in m for e in row))
-    return tuple(tuple(e.numerator * (d // e.denominator) for e in row)
-                 for row in m), d
-
-
-def _integer_form(f) -> tuple[int, ...]:
-    """A positive integer multiple of the form x'Fx, as coefficients of
-    the monomials x_i x_j with i <= j (see ``_monomials``)."""
-    g, _ = _integer_matrix(f)
-    n = len(g)
-    return tuple(g[i][j] + g[j][i] if i < j else g[i][i]
-                 for i in range(n) for j in range(i, n))
-
-
 def _monomials(y: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([a * b for i, a in enumerate(y) for b in y[i:]])
 
@@ -225,13 +209,13 @@ class IntegerStepper:
 
     def __init__(self, disc: DiscretizedPetc):
         self._k_bar = disc.k_bar
-        forms = [_integer_form(disc.N[k]) for k in range(1, disc.k_bar)]
+        forms = [ratlin.integer_form(disc.N[k]) for k in range(1, disc.k_bar)]
         self._exact = [(f, 0) for f in forms]
         self._trigger = [(f, _tolerance(f)) for f in forms]
-        self._lyapunov = _integer_form(disc.P_rat)
+        self._lyapunov = ratlin.integer_form(disc.P_rat)
         self._tol_p = _tolerance(self._lyapunov)
-        self._maps = {k: _integer_matrix(m) for k, m in disc.M.items()}
-        self._d_p = _integer_matrix(disc.P_rat)[1]
+        self._maps = {k: ratlin.integer_matrix(m) for k, m in disc.M.items()}
+        self._d_p = ratlin.integer_matrix(disc.P_rat)[1]
         self._v0 = self._d_p * disc.V0
         self._rv0 = self._d_p * disc.r * disc.V0
 

@@ -1,16 +1,17 @@
-"""System specification and exact-rational discretization.
+"""One PETC loop and its exact-rational discretization.
 
-The continuous-time loop (plant, feedback gain, quadratic trigger) is
-discretized at multiples of the checking period h.  The resulting k-step
-transition matrices M(k) and triggering forms N(k) are computed once in
-double precision and then frozen into exact rationals; those rationals are
-the shared ground truth for the concrete semantics, the satisfiability
-encoding and every witness check downstream.
+``PetcSystem`` holds the plant, gain, Lyapunov matrix and trigger, each
+matrix read once with float().  The loop is discretized at multiples of
+the checking period h: the k-step transition matrices M(k) and
+triggering forms N(k) are computed once in double precision and then
+frozen into exact rationals; those rationals are the shared ground
+truth for the concrete semantics, the satisfiability encoding and every
+witness check downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -62,52 +63,66 @@ def expm(m, t: float = 1.0) -> np.ndarray:
     return r
 
 
-def _check_symmetric(m: np.ndarray, name: str, tol: float = 1e-9) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square")
-    if np.max(np.abs(m - m.T)) > tol * max(1.0, np.max(np.abs(m))):
+def _matrix(rows, name: str) -> np.ndarray:
+    """rows as an array of doubles, each entry read with float()."""
+    try:
+        m = np.array([[float(v) for v in row] for row in rows])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a matrix of numbers: {exc}")
+    if m.ndim != 2 or not np.isfinite(m).all():
+        raise ValueError(f"{name} must be a matrix of finite numbers")
+    return m
+
+
+def _check_symmetric(m: np.ndarray, name: str, n: int,
+                     definite: bool = True) -> None:
+    if m.shape != (n, n):
+        raise ValueError(f"{name} must be {n} x {n}")
+    if np.max(np.abs(m - m.T)) > 1e-9 * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} must be symmetric")
+    if definite and np.linalg.eigvalsh(m).min() <= EIG_TOL:
+        raise ValueError(f"{name} must be positive definite")
 
 
 @dataclass(frozen=True)
 class PetcSystem:
-    """Plant, controller and trigger data for one PETC loop."""
+    """Plant, gain, Lyapunov matrix and trigger of one PETC loop.  The
+    trigger is the form Q_trig on [x; x_hat], or the predictive pair
+    Q_lyap, rho from which build_predictive_Q makes Q_trig."""
 
     A: np.ndarray
     B: np.ndarray
     K: np.ndarray
     P: np.ndarray
-    Q_trig: np.ndarray
     h: Fraction
     k_bar: int
     r: Fraction
     V0: Fraction = Fraction(1)
+    Q_trig: np.ndarray | None = None
+    Q_lyap: np.ndarray | None = None
+    rho: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        object.__setattr__(self, "B", np.asarray(self.B, dtype=float))
-        object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        object.__setattr__(self, "Q_trig", np.asarray(self.Q_trig, dtype=float))
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "V0", Fraction(self.V0))
+        given = tuple(getattr(self, name) is not None
+                      for name in ("Q_trig", "Q_lyap", "rho"))
+        if given not in ((True, False, False), (False, True, True)):
+            raise ValueError("give the trigger as Q_trig or as the "
+                             "predictive pair Q_lyap, rho")
+        for name in ("A", "B", "K", "P", "Q_trig", "Q_lyap"):
+            if (rows := getattr(self, name)) is not None:
+                object.__setattr__(self, name, _matrix(rows, name))
         # h is kept exact so that output times h*k stay exact rationals;
         # only the expm evaluation sees its double approximation.
-        object.__setattr__(self, "h", Fraction(self.h))
+        for name in ("h", "r", "V0"):
+            object.__setattr__(self, name, Fraction(getattr(self, name)))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
-        if self.B.ndim != 2 or self.B.shape[0] != n:
+        if self.B.shape[0] != n:
             raise ValueError("B must be n_x x n_u")
-        nu = self.B.shape[1]
-        if self.K.shape != (nu, n):
+        if self.K.shape != (self.B.shape[1], n):
             raise ValueError("K must be n_u x n_x")
-        _check_symmetric(self.P, "P")
-        if np.linalg.eigvalsh(self.P).min() <= EIG_TOL:
-            raise ValueError("P must be positive definite")
-        _check_symmetric(self.Q_trig, "Q_trig")
-        if self.Q_trig.shape != (2 * n, 2 * n):
-            raise ValueError("Q_trig must be 2n_x x 2n_x")
+        _check_symmetric(self.P, "P", n)
         if not (self.h > 0):
             raise ValueError("h must be positive")
         if self.k_bar < 1:
@@ -116,6 +131,13 @@ class PetcSystem:
             raise ValueError("r must be in (0, 1)")
         if not (self.V0 > 0):
             raise ValueError("V0 must be positive")
+        if self.Q_trig is None:
+            _check_symmetric(self.Q_lyap, "Q_lyap", n)
+            object.__setattr__(self, "rho", float(self.rho))
+            if not (0 < self.rho < 1):
+                raise ValueError("rho must be in (0, 1)")
+            object.__setattr__(self, "Q_trig", build_predictive_Q(self))
+        _check_symmetric(self.Q_trig, "Q_trig", 2 * n, definite=False)
 
     @property
     def n_x(self) -> int:
@@ -124,27 +146,6 @@ class PetcSystem:
     @property
     def n_u(self) -> int:
         return self.B.shape[1]
-
-
-@dataclass(frozen=True)
-class PredictiveTriggerSpec:
-    """Lyapunov data for the predictive trigger: P, Q and the slack ratio rho."""
-
-    P_lyap: np.ndarray
-    Q_lyap: np.ndarray
-    rho: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "P_lyap", np.asarray(self.P_lyap, dtype=float))
-        object.__setattr__(self, "Q_lyap", np.asarray(self.Q_lyap, dtype=float))
-        _check_symmetric(self.P_lyap, "P_lyap")
-        _check_symmetric(self.Q_lyap, "Q_lyap")
-        if np.linalg.eigvalsh(self.P_lyap).min() <= EIG_TOL:
-            raise ValueError("P_lyap must be positive definite")
-        if np.linalg.eigvalsh(self.Q_lyap).min() <= EIG_TOL:
-            raise ValueError("Q_lyap must be positive definite")
-        if not (0 < self.rho < 1):
-            raise ValueError("rho must be in (0, 1)")
 
 
 def held_input_maps(sys: PetcSystem, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +176,7 @@ def discretize(sys: PetcSystem, k: int) -> np.ndarray:
     return discretize_at_time(sys, float(sys.h) * k)
 
 
-def trig_form(sys: PetcSystem, mk: np.ndarray, k: int) -> np.ndarray:
+def trig_form(sys: PetcSystem, mk: np.ndarray) -> np.ndarray:
     """N(k): the trigger form reduced to n_x, using x_hat = x at sampling instants."""
     n = sys.n_x
     if mk.shape != (n, n):
@@ -185,7 +186,8 @@ def trig_form(sys: PetcSystem, mk: np.ndarray, k: int) -> np.ndarray:
     return (nk + nk.T) / 2.0
 
 
-def build_predictive_Q(spec: PredictiveTriggerSpec, sys: PetcSystem) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")  # rationalize tests N(k)
+def build_predictive_Q(sys: PetcSystem) -> np.ndarray:
     """Trigger matrix for the predictive Lyapunov condition.
 
     With zeta = A_d(1) x + B_d(1) K x_hat the next-sample prediction, the
@@ -202,8 +204,8 @@ def build_predictive_Q(spec: PredictiveTriggerSpec, sys: PetcSystem) -> np.ndarr
     lmap = np.hstack([ad1, bd1 @ sys.K])             # [x; x_hat] -> zeta
     kaug = np.hstack([np.zeros((nu, n)), sys.K])     # [x; x_hat] -> held input
     deriv = sys.A @ lmap + sys.B @ kaug              # [x; x_hat] -> zeta_dot
-    q = lmap.T @ spec.P_lyap @ deriv + deriv.T @ spec.P_lyap @ lmap
-    q = q + spec.rho * (lmap.T @ spec.Q_lyap @ lmap)
+    q = lmap.T @ sys.P @ deriv + deriv.T @ sys.P @ lmap
+    q = q + sys.rho * (lmap.T @ sys.Q_lyap @ lmap)
     return (q + q.T) / 2.0
 
 
@@ -227,7 +229,6 @@ class DiscretizedPetc:
     k_bar: int
     r: Fraction
     V0: Fraction
-    sys: PetcSystem = field(repr=False, compare=False)
 
     @property
     def n_x(self) -> int:
@@ -244,35 +245,30 @@ class DiscretizedPetc:
 def min_inter_sample_float(n_forms: dict[int, np.ndarray], k_bar: int,
                            eig_tol: float = EIG_TOL) -> int:
     """Smallest k at which N(k) admits a positive direction; k_bar if none."""
-    ks = sorted(n_forms)
-    for k in ks:
+    for k in sorted(n_forms):
         if np.linalg.eigvalsh(n_forms[k]).max() > eig_tol:
             return k
     return k_bar
 
 
 def rationalize(sys: PetcSystem, h_P: Fraction) -> DiscretizedPetc:
-    """Discretize the loop and freeze every matrix into exact rationals."""
-    m_float = {k: discretize(sys, k) for k in range(1, sys.k_bar + 1)}
-    n_float = {k: trig_form(sys, m_float[k], k) for k in m_float}
+    """Discretize the loop and freeze every matrix into exact rationals;
+    an M(k) or N(k) beyond the range of a double raises ValueError."""
     h_P = Fraction(h_P)
     if h_P <= 0:
         raise ValueError("h_P must be positive")
-    mp_float = discretize_at_time(sys, float(h_P))
-    k_lo = min_inter_sample_float(n_float, sys.k_bar)
-    m_rat = {k: ratlin.from_float_matrix(m_float[k]) for k in m_float}
-    n_rat = {k: ratlin.symmetrize(ratlin.from_float_matrix(n_float[k])) for k in n_float}
+    with np.errstate(over="ignore", invalid="ignore"):  # tested below
+        m_float = {k: discretize(sys, k) for k in range(1, sys.k_bar + 1)}
+        n_float = {k: trig_form(sys, m_float[k]) for k in m_float}
+    for k in m_float:
+        if not np.isfinite([m_float[k], n_float[k]]).all():
+            raise ValueError(f"M({k}) or N({k}) overflows a double at "
+                             f"t = h k = {float(sys.h * k):.6g}")
     return DiscretizedPetc(
-        M=m_rat,
-        N=n_rat,
-        P_rat=ratlin.symmetrize(ratlin.from_float_matrix(sys.P)),
-        Q_rat=ratlin.symmetrize(ratlin.from_float_matrix(sys.Q_trig)),
-        M_P=ratlin.from_float_matrix(mp_float),
-        k_lo=k_lo,
-        h_P=h_P,
-        h=Fraction(sys.h),
-        k_bar=sys.k_bar,
-        r=sys.r,
-        V0=sys.V0,
-        sys=sys,
-    )
+        M={k: ratlin.mat(m) for k, m in m_float.items()},
+        N={k: ratlin.symmetrize(ratlin.mat(n)) for k, n in n_float.items()},
+        P_rat=ratlin.symmetrize(ratlin.mat(sys.P)),
+        Q_rat=ratlin.symmetrize(ratlin.mat(sys.Q_trig)),
+        M_P=ratlin.mat(discretize_at_time(sys, float(h_P))),
+        k_lo=min_inter_sample_float(n_float, sys.k_bar), h_P=h_P, h=sys.h,
+        k_bar=sys.k_bar, r=sys.r, V0=sys.V0)

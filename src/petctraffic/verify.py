@@ -70,14 +70,15 @@ def _sublevel_points(disc: DiscretizedPetc, seed: int,
     rejection from the bounding box of the ellipsoid, without end.
 
     Coordinate i is a uniform dyadic n_i / 2^prec, |n_i| <= 2^prec,
-    times a rational radius a_i / b_i.  Over the common denominator
-    D = 2^prec lcm(b_i), x = y / D with integer y, so acceptance is an
-    integer test and only an accepted point is made a Fraction.
+    times the box's half-width a_i / b_i, to a denominator of at most
+    10^9 unless that gives 0.  Over D = 2^prec lcm(b_i), x = y / D with
+    integer y, so acceptance is an integer test and only an accepted
+    point is made a Fraction.
     """
     rng = random.Random(seed)
     stepper = semantics.IntegerStepper(disc)
     scale = 1 << prec
-    radii = [Fraction(r).limit_denominator(10 ** 9)
+    radii = [Fraction(r).limit_denominator(10 ** 9) or Fraction(r)
              for r in _bounding_radii(disc)]
     den = math.lcm(*(r.denominator for r in radii))
     weights = [r.numerator * (den // r.denominator) for r in radii]
@@ -183,7 +184,8 @@ def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
     with V(x_e) <= r V(x_s).  Since c_e = c_s d_s ... d_{e-1}, that is
     q v_e <= p v_s (d_s ... d_{e-1})^2 for r = p/q, in integers, which
     ``semantics.level_greater`` decides on the top bits of y_e and y_s.
-    Only the points from s to e are kept.
+    Only the points from s to e are kept.  The windows end at a point
+    with V = 0, the origin, where the run has nothing left to check.
     """
     p, q = r.numerator, r.denominator
     orbit = stepper.orbit(x0)
@@ -191,7 +193,7 @@ def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
     while True:
         start = window[0]
         if not semantics.level_greater(start, 1, start, 0):
-            raise ValueError("needs a state with positive Lyapunov value")
+            return
         bound, e = p, 0
         while e == 0 or semantics.level_greater(window[e], q, start, bound):
             if e >= max_len:

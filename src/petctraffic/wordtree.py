@@ -74,8 +74,8 @@ from math import gcd, isqrt
 
 from . import qfnra
 from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
-from .semantics import (HorizonExceededError, IntegerStepper, _integer_form,
-                        _integer_matrix)
+from .ratlin import integer_form, integer_matrix
+from .semantics import HorizonExceededError, IntegerStepper
 from .sysmodel import DiscretizedPetc
 
 
@@ -135,12 +135,12 @@ class WordEngine:
         if disc.n_x > 2:
             raise ValueError("word queries need one or two state variables")
         self.disc = disc
-        self._maps = {k: _integer_matrix(_padded(m))
+        self._maps = {k: integer_matrix(_padded(m))
                       for k, m in disc.M.items()}
-        self._trigger = [_integer_form(_padded(disc.N[j]))
+        self._trigger = [integer_form(_padded(disc.N[j]))
                          for j in range(1, disc.k_bar)]
-        self._lyapunov = _integer_form(_padded(disc.P_rat))
-        self._p_scale = _integer_matrix(disc.P_rat)[1]
+        self._lyapunov = integer_form(_padded(disc.P_rat))
+        self._p_scale = integer_matrix(disc.P_rat)[1]
         self._stepper = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
         self.root = Node((), one, (_pullback(self._lyapunov, one), 1), None,

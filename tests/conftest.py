@@ -30,8 +30,7 @@ import pytest
 
 from petctraffic import (abstraction, cli, contraction, qfnra, ratlin,
                          satcheck, semantics, verify, wordtree)
-from petctraffic.sysmodel import (PetcSystem, PredictiveTriggerSpec,
-                                  build_predictive_Q, rationalize)
+from petctraffic.sysmodel import PetcSystem, rationalize
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
 B = [[0.0], [1.0]]
@@ -44,13 +43,8 @@ K_BAR = 6
 
 
 def make_system(r, V0=Fraction(1), P=None) -> PetcSystem:
-    P = P_LYAP if P is None else P
-    spec = PredictiveTriggerSpec(P_lyap=P, Q_lyap=Q_LYAP, rho=RHO)
-    placeholder = PetcSystem(A=A, B=B, K=K, P=P, Q_trig=np.zeros((4, 4)),
-                             h=H, k_bar=K_BAR, r=r, V0=V0)
-    q = build_predictive_Q(spec, placeholder)
-    return PetcSystem(A=A, B=B, K=K, P=P, Q_trig=q, h=H, k_bar=K_BAR,
-                      r=r, V0=V0)
+    return PetcSystem(A=A, B=B, K=K, P=P_LYAP if P is None else P, h=H,
+                      k_bar=K_BAR, r=r, V0=V0, Q_lyap=Q_LYAP, rho=RHO)
 
 
 def _quad(f, xs) -> np.ndarray:
@@ -205,12 +199,11 @@ class ExactStepper(semantics.IntegerStepper):
 
     def __init__(self, disc):
         super().__init__(disc)
-        self.forms = [semantics._integer_form(disc.N[k])
+        self.forms = [ratlin.integer_form(disc.N[k])
                       for k in range(1, disc.k_bar)]
-        self.p_form = semantics._integer_form(disc.P_rat)
-        self.maps = {k: semantics._integer_matrix(m)
-                     for k, m in disc.M.items()}
-        d_p = semantics._integer_matrix(disc.P_rat)[1]
+        self.p_form = ratlin.integer_form(disc.P_rat)
+        self.maps = {k: ratlin.integer_matrix(m) for k, m in disc.M.items()}
+        d_p = ratlin.integer_matrix(disc.P_rat)[1]
         self.v0, self.rv0 = d_p * disc.V0, d_p * disc.r * disc.V0
         self.k_bar = disc.k_bar
 
@@ -1110,13 +1103,10 @@ def random_stabilized_disc(rng):
     p = np.round(8 * (p + p.T) / 2) / 8
     if np.linalg.eigvalsh(p).min() <= 0:
         return None
-    common = dict(A=a, B=b, K=k, P=p,
-                  h=Fraction(rng.choice([5, 10, 20]), 100),
-                  k_bar=int(rng.integers(3, 7)), r=Fraction(1, 2))
-    spec = PredictiveTriggerSpec(P_lyap=p, Q_lyap=eye,
-                                 rho=float(rng.uniform(0.5, 0.95)))
-    placeholder = PetcSystem(Q_trig=np.zeros((4, 4)), **common)
-    sys_ = PetcSystem(Q_trig=build_predictive_Q(spec, placeholder), **common)
+    sys_ = PetcSystem(A=a, B=b, K=k, P=p,
+                      h=Fraction(rng.choice([5, 10, 20]), 100),
+                      k_bar=int(rng.integers(3, 7)), r=Fraction(1, 2),
+                      Q_lyap=eye, rho=float(rng.uniform(0.5, 0.95)))
     try:
         return rationalize(sys_, contraction.compute_hP(sys_))
     except contraction.NotContractiveError:

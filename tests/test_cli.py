@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import petctraffic
 from petctraffic import abstraction, cli, qfnra, satcheck
 from petctraffic.cli import (ConfigError, EXIT_BLOCKING, EXIT_CONFIG,
                              EXIT_HORIZON, EXIT_MISMATCH,
@@ -441,3 +446,45 @@ def test_subcommands_export_the_same_models(tmp_path, monkeypatch, capsys):
                                   + timings["validation_s"])
     analyze = json.loads((tmp_path / "analyze" / "report.json").read_text())
     assert dict(analyze, timings=None) == dict(report, timings=None)
+
+
+# Changes to the bundled config that once ended in a traceback or ran
+# without end, with the command, its exit code and a text its output
+# must hold: expm overflowing at h k = 600 with h_P pinned, and at h in
+# the predictive trigger too; an h_P scan of 1.2e9 periods; a word bound
+# of 7.9e327, beyond a double; M(6) underflowing to zero, so that a
+# sampled run reaches the origin; and V0 so small that the sampling box
+# once rounded to a point (23 witnesses and 10 steps of one sampled run
+# are checked).
+DEGENERATE = {
+    "overflow": (dict(h=100, h_P=0.4), ["contraction"], EXIT_CONFIG, "M(1)"),
+    "trigger_overflow": (dict(h=1000, h_P=0.4), ["contraction"], EXIT_CONFIG,
+                         "M(1)"),
+    "hP_scan": (dict(hP_resolution=1e-9), ["contraction"], EXIT_CONFIG,
+                "hP_resolution"),
+    "word_bound": (dict(r=1e-10), ["contraction"], EXIT_OK, "7.873e+327"),
+    "origin": (dict(r=0.8, A=[[0, 1e200], [-2, 3]]),
+               ["casestudy", "--out", "out", "--samples", "20", "--steps",
+                "10"], EXIT_OK, "simulation sample check: PASS"),
+    "tiny_V0": (dict(r=0.8, V0=1e-20),
+                ["casestudy", "--out", "out", "--samples", "1", "--steps",
+                 "10"], EXIT_OK, "simulation sample check: PASS (33 checks)"),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_degenerate_inputs_end_with_an_exit_code(case, tmp_path):
+    # each in a child process with a timeout: an error is one stderr
+    # line, a success none, and neither a traceback
+    changes, argv, code, text = DEGENERATE[case]
+    config = write_config(tmp_path, **changes)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(petctraffic.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "petctraffic.cli", *argv, "--config", config],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == (code != EXIT_OK)
+    assert "Traceback" not in proc.stderr
+    assert text in (proc.stderr if code else proc.stdout)

@@ -98,6 +98,6 @@ def test_congruence_preserves_symmetry(entries):
 
 def test_float_roundtrip():
     m = np.array([[0.125, -1.5], [2.0, 0.75]])
-    r = ratlin.from_float_matrix(m)
+    r = ratlin.mat(m)
     assert r[0][0] == F(1, 8)
     assert np.array_equal(ratlin.to_float_matrix(r), m)

@@ -148,7 +148,7 @@ def test_filtered_sign_near_trigger_roots(ci_disc):
     # y of 100-10,000 bits at and near a root direction of each N(k),
     # where the top part alone cannot decide: the filtered sign, and
     # kappa, are the exact ones, and the fallback is taken
-    forms = [semantics._integer_form(ci_disc.N[k])
+    forms = [ratlin.integer_form(ci_disc.N[k])
              for k in range(1, ci_disc.k_bar)]
     stepper = IntegerStepper(ci_disc)
     fallbacks = []

@@ -25,6 +25,39 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
+def private_reads(source: str) -> list[str]:
+    """The private (_-prefixed) names of other modules of the package
+    that source imports, or reads as attributes of a module it imports.
+    The package imports its own modules relatively."""
+    tree = ast.parse(source)
+    relative = [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    found = [f"{node.module}.{a.name}" for node in relative
+             for a in node.names if a.name.startswith("_")]
+    modules = {a.asname or a.name for node in relative if node.module is None
+               for a in node.names}
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")]
+    return found
+
+
+def test_private_reads_found():
+    assert private_reads("from . import qfnra, ratlin as rl\n"
+                         "from .semantics import _form, level\n"
+                         "from numpy import _private\n"
+                         "x = qfnra._kernel(rl.mat, level, other._y)\n") \
+        == ["semantics._form", "qfnra._kernel"]
+
+
+def test_no_private_reads():
+    # no module of the package reaches into another one's private names
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := private_reads(path.read_text()))}
+    assert found == {}
+
+
 def test_unused_imports_found():
     assert unused_imports("import os.path\nfrom typing import Iterable, "
                           "Sequence\nfrom __future__ import annotations\n"

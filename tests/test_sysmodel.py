@@ -15,12 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from petctraffic import ratlin
-from petctraffic.sysmodel import (DiscretizedPetc, PetcSystem,
-                                  PredictiveTriggerSpec, build_predictive_Q,
-                                  discretize, discretize_at_time, expm,
-                                  held_input_maps, min_inter_sample_float,
-                                  rationalize, trig_form)
-from conftest import make_system
+from petctraffic.sysmodel import (DiscretizedPetc, PetcSystem, discretize,
+                                  discretize_at_time, expm, held_input_maps,
+                                  min_inter_sample_float, rationalize,
+                                  trig_form)
+from conftest import A, B, H, K, K_BAR, P_LYAP, Q_LYAP, RHO, make_system
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -146,7 +145,7 @@ def test_trig_form_matches_stacked_form(sys2):
     rng = np.random.default_rng(3)
     for k in range(1, sys2.k_bar + 1):
         mk = discretize(sys2, k)
-        nk = trig_form(sys2, mk, k)
+        nk = trig_form(sys2, mk)
         for _ in range(20):
             x = rng.normal(size=2)
             z = np.concatenate([mk @ x, x])
@@ -162,10 +161,7 @@ def test_predictive_Q_zero_at_ideal_decay_boundary():
     # with x_hat = x the prediction is exact; the form value equals
     # d/dt V(zeta) + rho zeta' Q zeta for zeta = one-step flow of x
     sys_ = make_system(Fraction(1, 2))
-    spec = PredictiveTriggerSpec(P_lyap=sys_.P,
-                                 Q_lyap=np.array([[0.5, 0.25], [0.25, 1.5]]),
-                                 rho=0.8)
-    q = build_predictive_Q(spec, sys_)
+    q = sys_.Q_trig
     ad, bd = held_input_maps(sys_, sys_.h)
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -173,7 +169,7 @@ def test_predictive_Q_zero_at_ideal_decay_boundary():
         xh = rng.normal(size=2)
         zeta = ad @ x + (bd @ sys_.K @ xh).ravel()
         zdot = sys_.A @ zeta + (sys_.B @ sys_.K @ xh).ravel()
-        want = 2 * zeta @ spec.P_lyap @ zdot + 0.8 * zeta @ spec.Q_lyap @ zeta
+        want = 2 * zeta @ sys_.P @ zdot + 0.8 * zeta @ np.array(Q_LYAP) @ zeta
         z = np.concatenate([x, xh])
         assert np.isclose(z @ q @ z, want, rtol=1e-10, atol=1e-10)
 
@@ -181,6 +177,37 @@ def test_predictive_Q_zero_at_ideal_decay_boundary():
 def test_predictive_Q_is_symmetric():
     sys_ = make_system(Fraction(1, 2))
     assert np.allclose(sys_.Q_trig, sys_.Q_trig.T)
+
+
+def test_predictive_Q_as_direct_trigger():
+    # the predictive matrix, given back as Q_trig, makes the same loop
+    sys_ = make_system(Fraction(1, 2))
+    direct = PetcSystem(A=A, B=B, K=K, P=P_LYAP, h=H, k_bar=K_BAR,
+                        r=Fraction(1, 2), Q_trig=sys_.Q_trig.tolist())
+    assert np.array_equal(direct.Q_trig, sys_.Q_trig)
+
+
+@pytest.mark.parametrize("trigger", [
+    dict(Q_trig=np.zeros((4, 4)), Q_lyap=Q_LYAP, rho=RHO),   # both forms
+    dict(Q_trig=np.zeros((4, 4)), rho=RHO),
+    {},                                                     # neither
+    dict(Q_lyap=Q_LYAP),                                    # half a pair
+    dict(rho=RHO),
+])
+def test_system_needs_one_trigger_form(trigger):
+    with pytest.raises(ValueError, match="Q_trig or as the predictive"):
+        PetcSystem(A=A, B=B, K=K, P=P_LYAP, h=H, k_bar=K_BAR,
+                   r=Fraction(1, 2), **trigger)
+
+
+@pytest.mark.parametrize("field", ["A", "B", "K", "P", "Q_lyap"])
+def test_system_refuses_a_none_entry(field):
+    # every entry is read with float(), so a None is refused when the
+    # system is made, not taken as NaN
+    data = dict(A=A, B=B, K=K, P=P_LYAP, Q_lyap=Q_LYAP)
+    data[field] = [[None] + row[1:] for row in data[field]]
+    with pytest.raises(ValueError, match=f"{field} must be a matrix"):
+        PetcSystem(h=H, k_bar=K_BAR, r=Fraction(1, 2), rho=RHO, **data)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +228,9 @@ def test_system_validation():
 
 
 def test_rationalize_freezes_floats(ci_disc: DiscretizedPetc):
+    sys_ = make_system(Fraction(1, 2))
     for k in ci_disc.K_range:
-        m_float = discretize(ci_disc.sys, k)
+        m_float = discretize(sys_, k)
         for i in range(2):
             for j in range(2):
                 assert ci_disc.M[k][i][j] == Fraction(float(m_float[i, j]))
