@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import abstraction, analysis, contraction, ratlin, semantics, verify
+from . import abstraction, analysis, contraction, semantics, verify
 from .contraction import NotContractiveError
 from .satcheck import SolverUnknownError
 from .sysmodel import DiscretizedPetc, PetcSystem, rationalize
@@ -261,9 +259,10 @@ def cmd_discretize(args) -> int:
     print(f"h = {disc.h} ({float(disc.h):.6g} s), k_bar = {disc.k_bar}, "
           f"h_P = {disc.h_P} ({float(disc.h_P):.6g} s), k_lo = {disc.k_lo}")
     for k in disc.K_range:
-        with np.printoptions(precision=6, suppress=True):
-            print(f"M({k}) =\n{ratlin.to_float_matrix(disc.M[k])}")
-            print(f"N({k}) =\n{ratlin.to_float_matrix(disc.N[k])}")
+        for name, m in (("M", disc.M[k]), ("N", disc.N[k])):
+            print(f"{name}({k}) =")
+            for row in m:
+                print(" ".join(f"{float(e):12.6g}" for e in row))
     return EXIT_OK
 
 

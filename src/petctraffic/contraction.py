@@ -2,9 +2,11 @@
 
 The per-sample Lyapunov decrease ratio `a` is certified by one bisection
 on the multiples of a_tol, each probe deciding per-cone counterexample
-queries up to the first violated cone; the periodic period h_P by an
-exact eigenvalue scan; the word-length horizon N by exact rational power
-bracketing, so the ceiling can never under-count.
+queries up to the first violated cone; the periodic period h_P by a
+float scan over the multiples of a resolution, which takes one expm at
+the resolution and multiplies it into a running power, testing each
+period with a Cholesky pivot test; the word-length horizon N by exact
+rational power bracketing, so the ceiling can never under-count.
 """
 
 from __future__ import annotations
@@ -13,16 +15,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import satcheck
+from .ratlin import mat_mul, transpose
 from .satcheck import SatResult, SolverUnknownError
-from .sysmodel import (DiscretizedPetc, EIG_TOL, PetcSystem,
-                       discretize_at_time)
+from .sysmodel import (DiscretizedPetc, EIG_TOL, Matrix, PetcSystem,
+                       closed_loop_generator, definite, discretize_at_time,
+                       expm, held_state_map)
 
 DEFAULT_A_TOL = Fraction(1, 1000)
 DEFAULT_HP_RESOLUTION = Fraction(1, 100)
-MAX_HP_PERIODS = 10_000  # each an expm and an eigenvalue test
+MAX_HP_PERIODS = 10_000  # each a matrix product and a pivot test
 
 
 class NotContractiveError(RuntimeError):
@@ -96,22 +98,32 @@ def compute_a(disc: DiscretizedPetc, tol=DEFAULT_A_TOL) -> ContractionCert:
                            bisection_trace=tuple(trace), tol=tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _keeps_V(sys: PetcSystem, m_p: Matrix, eig_tol: float) -> bool:
+    """lambda_max(M_P' P M_P - P) < tol: tol I less the symmetric part of
+    that gap is definite; false where M_P' P M_P overflows a double."""
+    n, p = sys.n_x, sys.P
+    g = mat_mul(transpose(m_p), mat_mul(p, m_p))
+    s = [[float(i == j) * eig_tol
+          - ((g[i][j] - p[i][j]) + (g[j][i] - p[j][i])) / 2
+          for j in range(n)] for i in range(n)]
+    return all(math.isfinite(v) for row in s for v in row) and definite(s)
+
+
 def hP_condition(sys: PetcSystem, h_P: Fraction,
                  eig_tol: float = EIG_TOL) -> bool:
     """Whether period h_P keeps V non-increasing: lambda_max(M_P' P M_P - P)
-    <= tol, which fails where M_P' P M_P overflows a double."""
-    m_p = discretize_at_time(sys, float(h_P))
-    gap = m_p.T @ sys.P @ m_p - sys.P
-    return (bool(np.isfinite(gap).all())
-            and float(np.linalg.eigvalsh((gap + gap.T) / 2).max()) <= eig_tol)
+    < tol, which fails where M_P' P M_P overflows a double."""
+    return _keeps_V(sys, discretize_at_time(sys, float(h_P)), eig_tol)
 
 
 def compute_hP(sys: PetcSystem, resolution=DEFAULT_HP_RESOLUTION,
                h_max=None, eig_tol: float = EIG_TOL) -> Fraction:
     """Largest multiple of the resolution (up to h_max, default 2 h k_bar)
     at which periodic sampling keeps the Lyapunov function non-increasing;
-    scans downward from h_max, over at most MAX_HP_PERIODS multiples."""
+    scans downward from h_max, over at most MAX_HP_PERIODS multiples.  The
+    closed-loop exponential at j resolution is the j-th power of the one
+    at the resolution, so the scan takes one expm and one matrix product
+    per period."""
     resolution = _as_exact(resolution)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
@@ -120,10 +132,13 @@ def compute_hP(sys: PetcSystem, resolution=DEFAULT_HP_RESOLUTION,
     if periods > MAX_HP_PERIODS:
         raise ValueError(f"scanning h_P would test {periods} periods, over "
                          f"{MAX_HP_PERIODS}: raise hP_resolution or pin h_P")
+    step = expm(closed_loop_generator(sys), float(resolution))
+    powers = [step]
+    while len(powers) < periods:
+        powers.append(mat_mul(powers[-1], step))
     for j in range(periods, 0, -1):
-        h_p = j * resolution
-        if hP_condition(sys, h_p, eig_tol):
-            return h_p
+        if _keeps_V(sys, held_state_map(powers[j - 1]), eig_tol):
+            return j * resolution
     raise NotContractiveError(
         f"no multiple of {float(resolution):.6g} up to {float(h_max):.6g} "
         "keeps the Lyapunov function non-increasing under periodic sampling")

@@ -4,12 +4,15 @@ Matrices are tuples of tuples of Fraction, vectors are tuples of Fraction.
 Everything is immutable and hashable, so values can be shared freely.
 These operations are the single source of truth for every exact
 membership test in the package; no tolerance is involved anywhere here.
+``transpose``, ``mat_mul`` and ``symmetrize`` take any numbers, so the
+float stage of ``sysmodel`` uses them on tuples of floats too.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 RatMatrix = tuple[tuple[Fraction, ...], ...]
@@ -49,7 +52,7 @@ def mat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a: RatMatrix, x: RatVector) -> RatVector:
@@ -95,9 +98,3 @@ def symmetrize(f: RatMatrix) -> RatMatrix:
 def is_symmetric(f: RatMatrix) -> bool:
     n = len(f)
     return all(f[i][j] == f[j][i] for i in range(n) for j in range(n))
-
-
-def to_float_matrix(a: RatMatrix):
-    import numpy as np
-
-    return np.array([[float(e) for e in row] for row in a], dtype=float)

@@ -288,6 +288,13 @@ class IntegerStepper:
         return run
 
 
+# The trace is exact, so each step adds the bits of the denominator of
+# M(k) or M_P to the state: about 53, but over 1,000 for an h_P so small
+# that M_P rounds to the identity, where 50 steps take a second and 200
+# a minute.  The bundled runs take 10 to 22 steps.
+MAX_TRACE_STEPS = 50
+
+
 @dataclass(frozen=True)
 class Trace:
     """Sampled trajectory: states at sampling instants and the times between."""
@@ -324,7 +331,8 @@ class Trace:
 def simulate_trace(disc: DiscretizedPetc, x0: ConcreteState,
                    horizon) -> Trace:
     """Run the mixed strategy from x0 until the next step would pass the
-    horizon; records every sampling instant."""
+    horizon, or for MAX_TRACE_STEPS steps; records every sampling
+    instant."""
     horizon = Fraction(horizon)
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -335,7 +343,7 @@ def simulate_trace(disc: DiscretizedPetc, x0: ConcreteState,
     if disc.V(states[0]) <= rv0:
         entered = 0
     elapsed = Fraction(0)
-    while True:
+    while len(times) < MAX_TRACE_STEPS:
         x, dt = mpetc_step(disc, states[-1])
         if elapsed + dt > horizon:
             break

@@ -28,12 +28,10 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-import numpy as np
-
-from . import qfnra, ratlin, semantics
+from . import qfnra, semantics
 from .abstraction import MPETC_BISIM, PETC_SIM, TrafficModel, word_key
 from .ratlin import RatVector
-from .sysmodel import DiscretizedPetc
+from .sysmodel import DiscretizedPetc, identity, solve
 
 
 @dataclass
@@ -57,11 +55,13 @@ class CheckReport:
         return out
 
 
-def _bounding_radii(disc: DiscretizedPetc) -> np.ndarray:
-    """Per-axis half-widths of a box containing {V <= V0}."""
-    p = ratlin.to_float_matrix(disc.P_rat)
-    inv = np.linalg.inv(p)
-    return np.sqrt(float(disc.V0) * np.maximum(np.diag(inv), 0.0))
+def _bounding_radii(disc: DiscretizedPetc) -> list[float]:
+    """Per-axis half-widths of a box containing {V <= V0}: the square
+    roots of V0 times the diagonal of P^-1."""
+    n = disc.n_x
+    inv = solve([[float(e) for e in row] for row in disc.P_rat], identity(n))
+    return [math.sqrt(float(disc.V0) * max(inv[i][i], 0.0))
+            for i in range(n)]
 
 
 def _sublevel_points(disc: DiscretizedPetc, seed: int,

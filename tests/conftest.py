@@ -13,7 +13,9 @@ the feasible arcs of wordtree replaced, the refinement of a node's arcs
 at its unit-shell atom that the pieces its split drops replaced, the
 three-phase search for the contraction factor that the grid bisection
 of contraction replaced, and the integer orbits evaluated in full that
-the top-bits filter of semantics replaced."""
+the top-bits filter of semantics replaced, and the numpy float stage
+(expm, eigenvalue sign tests, a per-period h_P scan) that the pure-Python
+kernel of sysmodel replaced."""
 
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ import numpy as np
 import pytest
 
 from petctraffic import (abstraction, cli, contraction, qfnra, ratlin,
-                         satcheck, semantics, verify, wordtree)
+                         satcheck, semantics, sysmodel, verify, wordtree)
 from petctraffic.sysmodel import PetcSystem, rationalize
 
 A = [[0.0, 1.0], [-2.0, 3.0]]
@@ -47,6 +49,10 @@ def make_system(r, V0=Fraction(1), P=None) -> PetcSystem:
                       k_bar=K_BAR, r=r, V0=V0, Q_lyap=Q_LYAP, rho=RHO)
 
 
+def to_float_matrix(a) -> np.ndarray:
+    return np.array([[float(e) for e in row] for row in a], dtype=float)
+
+
 def _quad(f, xs) -> np.ndarray:
     return np.einsum("si,ij,sj->s", xs, f, xs)
 
@@ -56,16 +62,16 @@ def float_kappa(disc, xs) -> np.ndarray:
     x' N(k) x > 0, else k_bar."""
     out = np.full(len(xs), disc.k_bar)
     for k in range(disc.k_bar - 1, 0, -1):
-        out[_quad(ratlin.to_float_matrix(disc.N[k]), xs) > 0] = k
+        out[_quad(to_float_matrix(disc.N[k]), xs) > 0] = k
     return out
 
 
 def max_step_ratio(disc, xs) -> float:
     """Largest V(M(kappa(x)) x) / V(x) over the rows of xs, an empirical
     lower bound on the certified contraction factor."""
-    p = ratlin.to_float_matrix(disc.P_rat)
+    p = to_float_matrix(disc.P_rat)
     ks = float_kappa(disc, xs)
-    ratios = [_quad(p, xs[ks == k] @ ratlin.to_float_matrix(disc.M[k]).T)
+    ratios = [_quad(p, xs[ks == k] @ to_float_matrix(disc.M[k]).T)
               / _quad(p, xs[ks == k]) for k in disc.K_range]
     return float(np.max(np.concatenate(ratios)))
 
@@ -1088,11 +1094,115 @@ def _full_sample_witness(engine, word, shell, atoms, direction, bounds):
     return None
 
 
-def random_stabilized_disc(rng):
-    """A loop made as in the robustness sweep, or None if it has no
-    periodic period: a plant in controllable canonical form with both
-    closed-loop poles placed, P_lyap the solution of A_cl' P + P A_cl = -I
-    rounded to eighths, Q_lyap = I, and random rho, h and k_bar."""
+# ---------------------------------------------------------------------------
+# the numpy float stage that sysmodel's pure-Python kernel replaced
+
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+    960960.0, 16380.0, 182.0, 1.0,
+)
+
+
+def np_expm(m, t: float = 1.0) -> np.ndarray:
+    """e^{Mt} by scaling-and-squaring with a [13/13] Pade kernel, on
+    numpy arrays."""
+    a = np.asarray(m, dtype=float) * t
+    n = a.shape[0]
+    norm = np.linalg.norm(a, 1)
+    s = max(0, int(np.ceil(np.log2(norm / 5.371920351148152))) if norm > 0 else 0)
+    a = a / (2.0 ** s)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    b = _PADE13
+    ident = np.eye(n)
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def np_closed_loop(sys_) -> np.ndarray:
+    """[[A, B K], [0, 0]] of sys_ as a numpy array."""
+    a, b, k = (np.array(m) for m in (sys_.A, sys_.B, sys_.K))
+    n = len(a)
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n], aug[:n, n:] = a, b @ k
+    return aug
+
+
+def np_discretize_at_time(sys_, t: float) -> np.ndarray:
+    n = sys_.n_x
+    e = np_expm(np_closed_loop(sys_), float(t))
+    return e[:n, :n] + e[:n, n:]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def np_hP_condition(sys_, h_p, eig_tol=sysmodel.EIG_TOL) -> bool:
+    m_p = np_discretize_at_time(sys_, float(h_p))
+    p = np.array(sys_.P)
+    gap = m_p.T @ p @ m_p - p
+    return (bool(np.isfinite(gap).all())
+            and float(np.linalg.eigvalsh((gap + gap.T) / 2).max()) <= eig_tol)
+
+
+def np_compute_hP(sys_, resolution=contraction.DEFAULT_HP_RESOLUTION):
+    """The largest multiple of the resolution up to 2 h k_bar that passes
+    np_hP_condition, scanned downward with an expm per period; None if
+    none does."""
+    for j in range(int(2 * sys_.h * sys_.k_bar / resolution), 0, -1):
+        if np_hP_condition(sys_, j * resolution):
+            return j * resolution
+    return None
+
+
+def np_predictive_Q(sys_) -> np.ndarray:
+    """sysmodel.build_predictive_Q on numpy arrays."""
+    a, b, k, p, q_lyap = (np.array(m) for m in
+                          (sys_.A, sys_.B, sys_.K, sys_.P, sys_.Q_lyap))
+    n, nu = b.shape
+    aug = np.zeros((n + nu, n + nu))
+    aug[:n, :n], aug[:n, n:] = a, b
+    e = np_expm(aug, float(sys_.h))
+    lmap = np.hstack([e[:n, :n], e[:n, n:] @ k])
+    deriv = a @ lmap + b @ np.hstack([np.zeros((nu, n)), k])
+    q = lmap.T @ p @ deriv + deriv.T @ p @ lmap
+    q = q + sys_.rho * (lmap.T @ q_lyap @ lmap)
+    return (q + q.T) / 2.0
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def np_k_lo(sys_, eig_tol=sysmodel.EIG_TOL) -> int:
+    """The first k whose N(k) = [M; I]' Q [M; I] has an eigenvalue above
+    eig_tol, with M(k) and a predictive Q from np_expm; k_bar if none."""
+    n = sys_.n_x
+    q = (np.array(sys_.Q_trig) if sys_.Q_lyap is None
+         else np_predictive_Q(sys_))
+    for k in range(1, sys_.k_bar + 1):
+        stacked = np.vstack([np_discretize_at_time(sys_, float(sys_.h) * k),
+                             np.eye(n)])
+        nk = stacked.T @ q @ stacked
+        if np.linalg.eigvalsh((nk + nk.T) / 2).max() > eig_tol:
+            return k
+    return sys_.k_bar
+
+
+def random_stabilized_system(rng):
+    """A loop made as in the robustness sweep, or None if its rounded
+    P_lyap is not positive definite: a plant in controllable canonical
+    form with both closed-loop poles placed, P_lyap the solution of
+    A_cl' P + P A_cl = -I rounded to eighths, Q_lyap = I, and random rho,
+    h and k_bar."""
     a0, a1 = rng.uniform(-3, 3, 2)
     p1, p2 = -rng.uniform(0.5, 3, 2)
     a, b = np.array([[0, 1], [a0, a1]]), np.array([[0], [1]])
@@ -1103,10 +1213,18 @@ def random_stabilized_disc(rng):
     p = np.round(8 * (p + p.T) / 2) / 8
     if np.linalg.eigvalsh(p).min() <= 0:
         return None
-    sys_ = PetcSystem(A=a, B=b, K=k, P=p,
+    return PetcSystem(A=a, B=b, K=k, P=p,
                       h=Fraction(rng.choice([5, 10, 20]), 100),
                       k_bar=int(rng.integers(3, 7)), r=Fraction(1, 2),
                       Q_lyap=eye, rho=float(rng.uniform(0.5, 0.95)))
+
+
+def random_stabilized_disc(rng):
+    """The loop of random_stabilized_system discretized at its h_P, or
+    None if it has none."""
+    sys_ = random_stabilized_system(rng)
+    if sys_ is None:
+        return None
     try:
         return rationalize(sys_, contraction.compute_hP(sys_))
     except contraction.NotContractiveError:

@@ -451,24 +451,35 @@ def test_subcommands_export_the_same_models(tmp_path, monkeypatch, capsys):
 # Changes to the bundled config that once ended in a traceback or ran
 # without end, with the command, its exit code and a text its output
 # must hold: expm overflowing at h k = 600 with h_P pinned, and at h in
-# the predictive trigger too; an h_P scan of 1.2e9 periods; a word bound
-# of 7.9e327, beyond a double; M(6) underflowing to zero, so that a
-# sampled run reaches the origin; and V0 so small that the sampling box
-# once rounded to a point (23 witnesses and 10 steps of one sampled run
-# are checked).
+# the predictive trigger too; A h itself beyond a double; an h_P scan of 1.2e9 periods; a word bound
+# of 7.9e327, beyond a double; M(6) = e^-1800 I underflowing to zero, so
+# that a sampled run reaches the origin; an entry of 1e200, whose
+# closed-loop exponential overflows at every period of the scan; V0 so
+# small that the sampling box once rounded to a point (23 witnesses and
+# 10 steps of one sampled run are checked); and an h_P so small that
+# trace.csv would take 3e300 steps.
 DEGENERATE = {
     "overflow": (dict(h=100, h_P=0.4), ["contraction"], EXIT_CONFIG, "M(1)"),
     "trigger_overflow": (dict(h=1000, h_P=0.4), ["contraction"], EXIT_CONFIG,
                          "M(1)"),
+    "expm_norm": (dict(h=2, h_P=0.4, A=[[0, 1e308], [-2, 3]]),
+                  ["contraction"], EXIT_CONFIG, "with a finite 1-norm"),
     "hP_scan": (dict(hP_resolution=1e-9), ["contraction"], EXIT_CONFIG,
                 "hP_resolution"),
     "word_bound": (dict(r=1e-10), ["contraction"], EXIT_OK, "7.873e+327"),
-    "origin": (dict(r=0.8, A=[[0, 1e200], [-2, 3]]),
+    "origin": (dict(r=0.8, A=[[-3000, 0], [0, -3000]], K=[[0, 0]]),
                ["casestudy", "--out", "out", "--samples", "20", "--steps",
-                "10"], EXIT_OK, "simulation sample check: PASS"),
+                "10"], EXIT_OK, "simulation sample check: PASS (21 checks)"),
+    "huge_entry": (dict(r=0.8, A=[[0, 1e200], [-2, 3]]),
+                   ["casestudy", "--out", "out", "--samples", "20",
+                    "--steps", "10"], EXIT_NOT_CONTRACTIVE,
+                   "keeps the Lyapunov function non-increasing"),
     "tiny_V0": (dict(r=0.8, V0=1e-20),
                 ["casestudy", "--out", "out", "--samples", "1", "--steps",
                  "10"], EXIT_OK, "simulation sample check: PASS (33 checks)"),
+    "trace": (dict(r=0.8, h_P=1e-300),
+              ["casestudy", "--out", "out", "--samples", "1", "--steps",
+               "10"], EXIT_OK, "simulation sample check: PASS"),
 }
 
 

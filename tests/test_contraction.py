@@ -15,8 +15,10 @@ from petctraffic.contraction import (NotContractiveError, compute_N,
                                      trace_count_bounds)
 from petctraffic.satcheck import SatResult, SolverUnknownError
 from petctraffic.sysmodel import PetcSystem, rationalize
-from conftest import (bisection_compute_a, bundled, max_step_ratio,
-                      random_stabilized_disc)
+from conftest import (BUNDLED_CASES, bisection_compute_a, bundled,
+                      max_step_ratio, np_compute_hP, np_k_lo,
+                      random_stabilized_disc, random_stabilized_system)
+from petctraffic import cli
 
 F = Fraction
 
@@ -74,6 +76,38 @@ def test_hP_unstable_plant_fails():
                       h=F(1, 10), k_bar=2, r=F(1, 2))
     with pytest.raises(NotContractiveError):
         compute_hP(sys_)
+
+
+def _assert_scan_matches_numpy(sys_, resolution):
+    # h_P from the running power against a downward scan with a numpy
+    # expm and eigvalsh per period, and k_lo at that h_P likewise
+    want = np_compute_hP(sys_, resolution)
+    try:
+        got = compute_hP(sys_, resolution)
+    except NotContractiveError:
+        got = None
+    assert got == want
+    if got is not None:
+        assert rationalize(sys_, got).k_lo == np_k_lo(sys_)
+
+
+@pytest.mark.parametrize("case", BUNDLED_CASES)
+def test_hP_scan_matches_numpy_on_bundled_cases(case):
+    cfg = cli.load_config(None)
+    cfg = dict(cfg, **BUNDLED_CASES[case](cfg))
+    _assert_scan_matches_numpy(cli.build_system(cfg),
+                               Fraction(cfg["hP_resolution"]))
+
+
+@pytest.mark.parametrize("seed, draws", [(14, 8), (19, 104)])
+def test_hP_scan_matches_numpy_on_random_plants(seed, draws):
+    # every plant that test_compute_a_matches_three_phase_search (seed
+    # 14) and test_sweep_shell_witnesses (seed 19) draw
+    rng = np.random.default_rng(seed)
+    systems = [random_stabilized_system(rng) for _ in range(draws)]
+    for sys_ in systems:
+        if sys_ is not None:
+            _assert_scan_matches_numpy(sys_, contraction.DEFAULT_HP_RESOLUTION)
 
 
 def test_compute_N_known_values():

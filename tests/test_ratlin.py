@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from petctraffic import ratlin
+from conftest import to_float_matrix
 
 F = Fraction
 
@@ -41,8 +42,8 @@ def test_mat_mul_matches_numpy():
     for _ in range(20):
         n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
         a, b = rand_mat(rng, n, k), rand_mat(rng, k, m)
-        got = ratlin.to_float_matrix(ratlin.mat_mul(a, b))
-        want = ratlin.to_float_matrix(a) @ ratlin.to_float_matrix(b)
+        got = to_float_matrix(ratlin.mat_mul(a, b))
+        want = to_float_matrix(a) @ to_float_matrix(b)
         assert np.allclose(got, want, rtol=1e-12)
 
 
@@ -100,4 +101,4 @@ def test_float_roundtrip():
     m = np.array([[0.125, -1.5], [2.0, 0.75]])
     r = ratlin.mat(m)
     assert r[0][0] == F(1, 8)
-    assert np.array_equal(ratlin.to_float_matrix(r), m)
+    assert np.array_equal(to_float_matrix(r), m)

@@ -239,3 +239,14 @@ def test_simulate_trace_and_csv(ci_disc):
     assert len(csv_text.splitlines()) == len(tr.states) + 1
     with pytest.raises(ValueError):
         simulate_trace(ci_disc, x0, horizon=0)
+
+
+def test_simulate_trace_stops_after_max_steps(ci_disc, monkeypatch):
+    # a horizon of 10^300 periods ends after MAX_TRACE_STEPS steps, with
+    # the instants of the run that the horizon alone would have kept
+    x0 = verify.sample_shell_states(ci_disc, 1, seed=31)[0]
+    full = simulate_trace(ci_disc, x0, horizon=F(3))
+    monkeypatch.setattr(semantics, "MAX_TRACE_STEPS", 5)
+    tr = simulate_trace(ci_disc, x0, horizon=10 ** 300 * ci_disc.h_P)
+    assert len(full.times) > 5 == len(tr.times)
+    assert tr.states == full.states[:6]

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import petctraffic
@@ -70,3 +73,46 @@ def test_no_unused_imports():
     unused = {path.name: names for path in sorted(SRC.glob("*.py"))
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports of source."""
+    tree = ast.parse(source)
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imported_modules_found():
+    assert imported_modules("import numpy.linalg as la\nfrom os import sep\n"
+                            "from . import ratlin\ndef f():\n"
+                            "    import json\n") == {"numpy", "os", "json"}
+
+
+def test_no_numpy_import():
+    # the float stage is pure Python: no module of the package imports
+    # numpy, not even inside a function
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "numpy" in imported_modules(path.read_text())]
+    assert found == []
+
+
+def test_casestudy_never_loads_numpy(tmp_path):
+    # a whole casestudy run, validation and trace.csv included, in a
+    # fresh interpreter that has not imported numpy before
+    code = ("import sys\nfrom petctraffic import cli\n"
+            "rc = cli.main(['casestudy', '--out', sys.argv[1], "
+            "'--samples', '2', '--steps', '2'])\n"
+            "assert rc == 0, rc\n"
+            "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trace.csv").is_file()
