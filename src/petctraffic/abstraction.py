@@ -147,7 +147,7 @@ def _keep(words, results, assume_sat, states, witnesses, assumed) -> dict:
 
 def _arcs(nodes) -> int:
     """The feasible arcs kept on the nodes of a word tree."""
-    return sum(len(node.arcs or ()) for node in nodes)
+    return sum(len(node.arcs) for node in nodes)
 
 
 def build_mpetc_bisim(disc: DiscretizedPetc, N: int,

@@ -9,7 +9,8 @@ Exit codes: 0 success; 2 configuration error, an over-long h_P scan or
 an M(k) or N(k) beyond a double; 4 solver undecided/abort;
 5 verification mismatch; 6 not contractive (no periodic period or no
 decrease ratio below one exists); 7 a concrete run outgrew the word
-horizon; 8 the simulating model has a blocking state.
+horizon; 8 the simulating model has a blocking state; 141 (128 + SIGPIPE)
+the reader of stdout closed it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -35,6 +37,7 @@ EXIT_MISMATCH = 5
 EXIT_NOT_CONTRACTIVE = 6
 EXIT_HORIZON = 7
 EXIT_BLOCKING = 8
+EXIT_BROKEN_PIPE = 141
 
 
 class ConfigError(Exception):
@@ -408,7 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull, so
+        # that the flush at interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

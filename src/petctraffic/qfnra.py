@@ -7,30 +7,32 @@ flag.  A direction is an integer pair u = (u0, u1).  On the line of
 directions u = (1, m) each form is an integer quadratic in m,
 sign-invariant between its real roots, and every root is one ``Root``:
 the surd (-b + eps sqrt(D)) / (2a) with D >= 0 (a linear root has
-D = 0), with its 64-bit integer enclosure.  Every query takes one path:
-it starts from ``line_arcs``, the whole line of m and the vertical
-direction (0, 1), ``cut_arcs`` cuts those arcs at the roots of its forms,
-isolated exactly on integers (ordered by ``between``), into arcs
-(direction, bounds), and ``feasible`` tests the signs at each arc's
-direction.  An open arc, between its bounding roots, has the direction
-(q, p) of one simplest rational m = p/q; a root point has the direction
-(2a, eps sqrt(D) - b) when D is a square, else it is its Root, and its
-signs are taken in Z[sqrt(D)].  The atoms are homogeneous, so a
-feasible integer direction is itself a witness, and feasible irrational
-directions alone leave the query `unknown`.  ``decide`` answers the
-contraction queries of ``satcheck.check`` by cutting ``line_arcs`` once
-(``decide_forms``); ``wordtree`` keeps the feasible arcs of each word
-and cuts them once, for all its letters and its unit-shell atom
-together.
+D = 0), with its enclosure by two integers over 2^64.  Every query
+takes one path: it starts from ``line_arcs``, the whole line of m and
+the vertical direction (0, 1), ``cut_arcs`` cuts those arcs at the
+roots of its forms, isolated exactly on integers (ordered by
+``between``), into arcs (direction, bounds), and ``feasible`` tests the
+signs at each arc's direction.  An open arc, between its bounding
+roots, has the direction (q, p) of one simplest rational m = p/q; a
+root point has the direction (2a, eps sqrt(D) - b) when D is a square,
+else it is its Root, and its signs are taken in Z[sqrt(D)].  The atoms
+are homogeneous, so a feasible integer direction is itself a witness,
+and feasible irrational directions alone leave the query `unknown`.
+``decide`` answers the contraction queries of ``satcheck.check`` by
+cutting ``line_arcs`` once (``decide_forms``); ``wordtree`` keeps the
+feasible arcs of each word and cuts them once, for all its letters and
+its unit-shell atom together.
 
 A rational is chosen by one rule: the simplest rational strictly between
 integer enclosures over 2^prec, at the first precision (64, 128, ...
-bits) at which they leave a gap.  The direction of an open arc lies
-between the enclosures of its bounding roots (``_arc_direction``), and
-a witness scale s with lo < s^2 < hi between those of sqrt(lo) and
-sqrt(hi) (``simplest_sqrt_between``).  ``reflect`` moves an integer
-direction into an open arc by a reflection that keeps the value of a
-positive definite form up to an integer square, chosen by the same rule.
+bits) at which they leave a gap.  Distinct roots always leave one, so
+every cut succeeds, with no cap on the precision.  The direction of an
+open arc lies between the enclosures of its bounding roots
+(``_arc_direction``), and a witness scale s with lo < s^2 < hi between
+those of sqrt(lo) and sqrt(hi) (``simplest_sqrt_between``).
+``reflect`` moves an integer direction into an open arc by a reflection
+that keeps the value of a positive definite form up to an integer
+square, chosen by the same rule.
 
 ``run_script`` is an SMT-LIB2 command interpreter around ``decide`` for
 the fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
@@ -259,17 +261,19 @@ class Root:
         self.enc = self.bounds(64)
 
     def bounds(self, prec):
-        """(lo, hi, den): integers with lo/den <= root <= hi/den and
-        den = 2a 2^prec; hi = lo when the root is rational, else
-        hi = lo + 1."""
+        """(lo, hi): integers with lo <= root 2^prec <= hi and hi - lo <= 2,
+        equal exactly when root 2^prec is an integer.  With
+        s = isqrt(disc 4^prec), lo is the floor of the smaller and hi the
+        ceiling of the larger of (-b 2^prec + eps s) / (2a) and
+        (-b 2^prec + eps (s + 1)) / (2a), where s + 1 is s when
+        disc 4^prec is a square."""
         t = self.disc << (2 * prec)
         s = math.isqrt(t)
         gap = s * s != t
-        base = -self.b << prec
-        den = (2 * self.a) << prec
+        base, den = -self.b << prec, 2 * self.a
         if self.eps > 0:
-            return base + s, base + s + gap, den
-        return base - s - gap, base - s, den
+            return (base + s) // den, -(-(base + s + gap) // den)
+        return (base - s - gap) // den, -(-(base - s) // den)
 
 
 def roots_of_quadratic(a, b, c):
@@ -379,8 +383,9 @@ class Decided:
         self.reason = reason
 
 
-def _primitive(coeffs):
-    """Scale rational coefficients to coprime integers of the same signs."""
+def primitive(coeffs):
+    """Scale rational or integer coefficients to coprime integers of the
+    same signs."""
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
     g = gcd(*ints)
@@ -389,11 +394,9 @@ def _primitive(coeffs):
 
 def _enclosed_cmp(r1, r2):
     """root_cmp, read off the enclosures when they are disjoint."""
-    lo1, hi1, d1 = r1.enc
-    lo2, hi2, d2 = r2.enc
-    if hi1 * d2 < lo2 * d1:
+    if r1.enc[1] < r2.enc[0]:
         return -1
-    if hi2 * d1 < lo1 * d2:
+    if r2.enc[1] < r1.enc[0]:
         return 1
     return root_cmp(r1, r2)
 
@@ -417,9 +420,6 @@ def between(roots, lo=None, hi=None):
             if i == 0 or _enclosed_cmp(roots[i - 1], r)]
 
 
-_MAX_PREC = 1 << 16  # bits of the root enclosures before giving up
-
-
 def line_arcs(n):
     """The arcs of every direction in n = 1 or 2 variables, before any
     root: the whole line of u = (1, m), sampled at m = 0, and, for n = 2,
@@ -432,35 +432,30 @@ def _arc_direction(lo, hi):
     lo < hi (None: unbounded).
 
     Between two roots m = p/q is the simplest rational strictly between
-    their enclosures at the first precision (64, 128, ... bits) at which
-    these are disjoint; None when that takes more than _MAX_PREC bits.
-    Below the lowest root m is the floor of its lower bound minus one,
-    above the highest root the floor of its upper bound plus two, and
-    with no root at all it is 0."""
+    their enclosures over 2^prec at the first precision (64, 128, ...
+    bits) at which these are disjoint.  The loop ends: ``between`` merges
+    equal roots exactly, so lo < hi, and enclosures within 2^(1 - prec)
+    of each root are disjoint once 2^(2 - prec) < hi - lo.  Below the
+    lowest root m is the floor of its lower bound minus one, above the
+    highest root the floor of its upper bound plus two, and with no root
+    at all it is 0."""
     if lo is None:
         if hi is None:
             return 1, 0
-        ln, _, ld = hi.enc
-        return 1, ln // ld - 1
+        return 1, (hi.enc[0] >> 64) - 1
     if hi is None:
-        _, hn, hd = lo.enc
-        return 1, hn // hd + 2
-    (_, hn, hd), (ln, _, ld) = lo.enc, hi.enc
-    prec = 64
-    while not hn * ld < ln * hd:
+        return 1, (lo.enc[1] >> 64) + 2
+    hn, ln, prec = lo.enc[1], hi.enc[0], 64
+    while not hn < ln:
         prec *= 2
-        if prec > _MAX_PREC:
-            return None
-        _, hn, hd = lo.bounds(prec)
-        ln, _, ld = hi.bounds(prec)
-    p, q = _simplest_between(hn, hd, ln, ld)
+        hn, ln = lo.bounds(prec)[1], hi.bounds(prec)[0]
+    p, q = _simplest_between(hn, 1 << prec, ln, 1 << prec)
     return q, p
 
 
 def cut_arcs(arcs, roots):
     """The arcs (direction, bounds) with every open arc cut at the roots
-    that fall strictly inside it, in order; None when two neighbouring
-    roots do not separate.  An open arc's bounds are its bounding roots
+    that fall strictly inside it, in order.  An open arc's bounds are its bounding roots
     (None: unbounded), and its direction the ``_arc_direction`` between
     them; a point has bounds None and is never cut.  The point at a root
     has the direction (2a, eps sqrt(disc) - b) when the root is rational,
@@ -477,10 +472,8 @@ def cut_arcs(arcs, roots):
             continue
         bounds = [lo, *inside, hi]
         for i in range(len(inside) + 1):
-            direction = _arc_direction(bounds[i], bounds[i + 1])
-            if direction is None:
-                return None
-            out.append((direction, (bounds[i], bounds[i + 1])))
+            out.append((_arc_direction(bounds[i], bounds[i + 1]),
+                        (bounds[i], bounds[i + 1])))
             if i < len(inside):
                 r = inside[i]
                 s = math.isqrt(r.disc)
@@ -513,25 +506,26 @@ def form_at(f, u) -> int:
 
 def reflect(f, b, m, bounds):
     """An integer direction u strictly inside the open arc (m, bounds)
-    with f(u) = f(t)^2 f(b) for an integer pair t, or None, for a
-    positive definite binary form f and an integer direction b.  A point
-    arc (bounds None) holds no direction but m, so it gets None.
+    with f(u) = f(t)^2 f(b) for an integer pair t, for a positive
+    definite binary form f and an integer direction b not parallel to m.
+    A point arc (bounds None) holds no direction but m, so it gets None.
 
     u = f(t) b - 2B(b, t) t, with 2B the polar form of f, is f(t) times
     the reflection of b in the line B-orthogonal to t, hence the value.
     With t = q b - p m and p/q = sqrt(f(b) / f(m)) the reflection swaps
     b and (p/q) m, so u lies on m; p/q is taken by
     ``simplest_sqrt_between`` within relative 2^-prec of f(b) / f(m), at
-    prec = 8, 16, ... up to _MAX_PREC bits, and the first u whose
-    direction lies strictly between the bounding roots (``between``) is
-    kept."""
+    prec = 8, 16, ..., and the first u whose direction lies strictly
+    between the bounding roots (``between``) is kept.  The loop ends: as
+    p/q tends to sqrt(f(b) / f(m)), u tends to a nonzero multiple of m,
+    which lies strictly inside the open arc."""
     if bounds is None:
         return None
     lo, hi = bounds
     (b0, b1), (m0, m1) = b, m
     fb, fm = form_at(f, b), form_at(f, m)
     prec = 8
-    while prec <= _MAX_PREC:
+    while True:
         p, q = simplest_sqrt_between(fb * ((1 << prec) - 1), fm << prec,
                                      fb * ((1 << prec) + 1), fm << prec)
         t0, t1 = q * b0 - p * m0, q * b1 - p * m1
@@ -541,7 +535,6 @@ def reflect(f, b, m, bounds):
         if u0 and between(roots_of_quadratic(0, u0, -u1), lo, hi):
             return u0, u1
         prec *= 2
-    return None
 
 
 def feasible(atoms, arcs):
@@ -577,7 +570,7 @@ def decide(n, atoms):
         raise Unsupported(f"{n} variables not supported")
     forms = []
     for f, rel, _ in atoms:
-        form = _primitive([f[1][1], f[0][1] + f[1][0], f[0][0]] if n == 2
+        form = primitive([f[1][1], f[0][1] + f[1][0], f[0][0]] if n == 2
                           else [0, 0, f[0][0]])
         if rel in (">", ">=", "="):
             forms.append((form, rel == ">"))
@@ -590,12 +583,9 @@ def decide_forms(atoms, n):
     """Decide the sign conditions atoms (f, strict) in n = 1 or 2
     variables on the ``line_arcs`` cut at the roots of their forms:
     `sat` with the first feasible integer direction, scaled to a first
-    nonzero coordinate of 1, as the witness, `unknown` when only irrational directions are feasible or the roots
-    cannot be separated, else `unsat`."""
+    nonzero coordinate of 1, as the witness, `unknown` when only
+    irrational directions are feasible, else `unsat`."""
     arcs = cut_arcs(line_arcs(n), enclosed_roots(f for f, _ in atoms))
-    if arcs is None:
-        return Decided("unknown",
-                       reason="root separation exceeded precision cap")
     status = Decided("unsat")
     for direction, _ in feasible(atoms, arcs):
         if not isinstance(direction, Root):

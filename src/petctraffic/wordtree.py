@@ -70,7 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, isqrt
+from math import isqrt
 
 from . import qfnra
 from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
@@ -97,12 +97,6 @@ def _pullback(form, g) -> tuple[int, int, int]:
             s00 * g00 * g00 + s01 * g00 * g10 + s11 * g10 * g10)
 
 
-def _primitive(coeffs) -> tuple[int, int, int]:
-    """The integer form coeffs divided by the gcd of its coefficients."""
-    g = gcd(*coeffs)
-    return tuple(c // g for c in coeffs) if g > 1 else tuple(coeffs)
-
-
 def _padded(f):
     """f as a 2 x 2 matrix: a one-variable plant's 1 x 1 matrix with zeros
     around it, so that its forms are constants (a2 = a1 = 0) in m and
@@ -114,17 +108,18 @@ def _padded(f):
 class Node:
     """A word of the tree of length m: Phi = phi / d, with the V forms
     (q, d) of the word and of its parent, q(u) = c d^2 V(Phi u) for a
-    fixed c > 0, and the feasible arcs of the word's prefix query (None
-    when their roots did not separate).  A node that keeps no arc has
-    no phi and no forms: nothing expands it.  Once split, shell holds
-    the arcs of its unit-shell query."""
+    fixed c > 0, and the feasible arcs of the word's prefix query.  A
+    node that keeps no arc has no phi and no forms: nothing expands it.
+    Once split, shell holds the arcs of its unit-shell query; before, it
+    is the shared empty (), as a list per node would slow the garbage
+    collector on a large tree."""
 
     word: tuple[int, ...]
     phi: tuple | None
     form: tuple | None
     parent_form: tuple | None
-    arcs: list | None
-    shell: list | None = None
+    arcs: list
+    shell: list | tuple = ()
     children: dict = field(default_factory=dict)  # every letter, once split
 
 
@@ -168,15 +163,14 @@ class WordEngine:
         entry, cut = None, node.arcs
         if node.arcs:
             if node.word:
-                entry = _primitive(self._entry(node))
-            triggers = [_primitive(_pullback(f, node.phi))
+                entry = qfnra.primitive(self._entry(node))
+            triggers = [qfnra.primitive(_pullback(f, node.phi))
                         for f in self._trigger[disc.k_lo - 1:]]
             cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(
                 triggers if entry is None else [entry] + triggers))
-        arcs = (dict.fromkeys(disc.K_range) if cut is None
-                else {k: [] for k in disc.K_range})
-        node.shell = None if cut is None else []
-        for piece in cut or ():
+        arcs = {k: [] for k in disc.K_range}
+        node.shell = []
+        for piece in cut:
             if entry is not None and qfnra.sign(entry, piece[0]) <= 0:
                 node.shell.append(piece)
                 continue
@@ -209,9 +203,6 @@ class WordEngine:
         if shell == UNIT_LEVEL and not node.children:
             self._split(node)
         arcs = node.arcs if shell == SUBLEVEL else node.shell
-        if arcs is None:
-            return SatResult("unknown", reason="root separation exceeded "
-                                               "precision cap")
         for direction, bounds in arcs:
             if isinstance(direction, qfnra.Root):
                 continue

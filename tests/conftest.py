@@ -313,16 +313,22 @@ def fraction_cmp_root(t, r):
 
 
 def fraction_enclosure(r, prec):
-    """Rational bounds lo <= r <= hi of a qfnra.Root, within 2^-prec / a
-    for an irrational root."""
+    """Rational bounds lo <= r <= hi of a qfnra.Root over 2^prec: the
+    floor and the ceiling of 2^prec times its value, or of 2^prec times
+    the bounds from sqrt(D) enclosed within 2^-prec for an irrational
+    root."""
     v = fraction_root_value(r)
     if v is not None:
-        return v, v
-    s = math.isqrt(r.disc << (2 * prec))
-    lo_s, hi_s = Fraction(s, 1 << prec), Fraction(s + 1, 1 << prec)
-    if r.eps > 0:
-        return (-r.b + lo_s) / (2 * r.a), (-r.b + hi_s) / (2 * r.a)
-    return (-r.b - hi_s) / (2 * r.a), (-r.b - lo_s) / (2 * r.a)
+        lo, hi = v, v
+    else:
+        s = math.isqrt(r.disc << (2 * prec))
+        lo_s, hi_s = Fraction(s, 1 << prec), Fraction(s + 1, 1 << prec)
+        if r.eps > 0:
+            lo, hi = (-r.b + lo_s) / (2 * r.a), (-r.b + hi_s) / (2 * r.a)
+        else:
+            lo, hi = (-r.b - hi_s) / (2 * r.a), (-r.b - lo_s) / (2 * r.a)
+    return (Fraction(math.floor(lo * (1 << prec)), 1 << prec),
+            Fraction(math.ceil(hi * (1 << prec)), 1 << prec))
 
 
 def _to_float(fr):
@@ -354,10 +360,11 @@ def fraction_critical_samples(polys):
     """The arcs (direction, bounds) of qfnra.cut_arcs on the whole line at
     the roots of polys, on Fraction enclosures: roots ordered by a 40-bit
     float key, deduplicated among float-close neighbours, and refined by
-    doubling precision until neighbours separate.  A direction is the
-    Fraction m of u = (1, m), or the Root of an irrational root point;
-    an open arc's bounds are its neighbouring roots (None: unbounded),
-    and a root point's bounds are None."""
+    doubling precision until neighbours separate, which distinct roots
+    always do.  A direction is the Fraction m of u = (1, m), or the Root
+    of an irrational root point; an open arc's bounds are its
+    neighbouring roots (None: unbounded), and a root point's bounds are
+    None."""
     roots = []
     for a, b, c in polys:
         roots.extend(qfnra.roots_of_quadratic(a, b, c))
@@ -382,8 +389,6 @@ def fraction_critical_samples(polys):
         if not bad:
             break
         prec *= 2
-        if prec > qfnra._MAX_PREC:
-            return None
         for i in set(bad) | {i + 1 for i in bad}:
             encl[i] = fraction_enclosure(unique[i], prec)
     if not unique:
@@ -474,7 +479,7 @@ def fraction_reflect(f, b, m, bounds):
 
     ratio = dot(b, b) / dot(m, m)
     prec = 8
-    while prec <= qfnra._MAX_PREC:
+    while True:
         rel = Fraction(1, 1 << prec)
         s = simplest_sqrt_in(ratio * (1 - rel), ratio * (1 + rel))
         t = tuple(s.denominator * bi - s.numerator * mi
@@ -484,7 +489,6 @@ def fraction_reflect(f, b, m, bounds):
                 and (hi is None or fraction_cmp_root(u[1] / u[0], hi) < 0):
             return u
         prec *= 2
-    return None
 
 
 def fraction_shell_point(f, c, m, bounds):
@@ -726,7 +730,7 @@ def oracle_decide(n, atoms):
     # side, the cross-comparison polynomials that reorder the t-bounds
     crit = set()
     for co in qpolys:
-        prim = _positive_leader(qfnra._primitive(list(co)))
+        prim = _positive_leader(qfnra.primitive(list(co)))
         if any(prim):
             crit.add(prim)
     nz = [(qpolys[i], atoms[i][2]) for i in range(len(atoms))
@@ -735,15 +739,12 @@ def oracle_decide(n, atoms):
         qi, ci = nz[i]
         for j in range(i + 1, len(nz)):
             qj, cj = nz[j]
-            prim = _positive_leader(qfnra._primitive(
+            prim = _positive_leader(qfnra.primitive(
                 [cj * qi[k] - ci * qj[k] for k in range(3)]))
             if any(prim):
                 crit.add(prim)
 
     samples = fraction_critical_samples(sorted(crit))
-    if samples is None:
-        return qfnra.Decided("unknown",
-                             reason="root separation exceeded precision cap")
     real_feasible = False
     for direction, bounds in samples:
         if isinstance(direction, qfnra.Root):
@@ -923,7 +924,7 @@ def pairwise_domino_edges(states) -> set:
 
 def atom(coeffs, strict: bool):
     """f > 0 (strict) or f >= 0, with f scaled to a primitive triple."""
-    return wordtree._primitive(coeffs), strict
+    return qfnra.primitive(coeffs), strict
 
 
 def word_maps(engine, word) -> list:
@@ -975,7 +976,7 @@ def split_forms(engine, word) -> list:
     """The trigger forms N(j) o Phi_i, k_lo <= j < k_bar, of every proper
     prefix of word, by which the word tree splits a node among its
     children, as primitive integer triples."""
-    return [wordtree._primitive(wordtree._pullback(f, phi))
+    return [qfnra.primitive(wordtree._pullback(f, phi))
             for phi, _ in word_maps(engine, word)[:-1]
             for f in engine._trigger[engine.disc.k_lo - 1:]]
 
@@ -990,12 +991,9 @@ def refine_arcs(arcs, atoms):
     from the query's feasible arcs: those arcs cut at the new atoms'
     roots, and of the pieces the ones at which every new atom holds.
     The query's own atoms keep their signs on each of its arcs, so only
-    the new atoms are tested.  None when arcs is None or two
-    neighbouring roots do not separate."""
-    if arcs is None:
-        return None
+    the new atoms are tested."""
     cut = qfnra.cut_arcs(arcs, qfnra.enclosed_roots(f for f, _ in atoms))
-    return None if cut is None else list(qfnra.feasible(atoms, cut))
+    return list(qfnra.feasible(atoms, cut))
 
 
 def sublevel_terminal_atoms(engine, word) -> list:
@@ -1039,10 +1037,7 @@ def full_sample_decide(engine, word, shell) -> satcheck.SatResult:
     known = set(forms) | {tuple(-c for c in f) for f in forms}
     cut = line_cut(forms + [f for f, _ in atoms if f not in known],
                    engine.disc.n_x)
-    arcs = None if cut is None else list(qfnra.feasible(atoms, cut))
-    if arcs is None:
-        return satcheck.SatResult("unknown", reason="root separation "
-                                                    "exceeded precision cap")
+    arcs = list(qfnra.feasible(atoms, cut))
     for direction, bounds in arcs:
         if isinstance(direction, qfnra.Root):
             continue

@@ -13,8 +13,8 @@ import pytest
 
 import petctraffic
 from petctraffic import abstraction, cli, qfnra, satcheck
-from petctraffic.cli import (ConfigError, EXIT_BLOCKING, EXIT_CONFIG,
-                             EXIT_HORIZON, EXIT_MISMATCH,
+from petctraffic.cli import (ConfigError, EXIT_BLOCKING, EXIT_BROKEN_PIPE,
+                             EXIT_CONFIG, EXIT_HORIZON, EXIT_MISMATCH,
                              EXIT_NOT_CONTRACTIVE, EXIT_OK, EXIT_UNDECIDED,
                              load_config, main)
 
@@ -285,6 +285,26 @@ def test_discretize_default_config(capsys):
     assert "h_P = 2/5 (0.4 s)" in out
     assert "k_lo = 1" in out
     assert "M(6)" in out and "N(1)" in out
+
+
+def test_discretize_into_a_closed_pipe(tmp_path):
+    # stdout is a pipe whose read end is closed before the child writes,
+    # as in `petctraffic discretize | head -3` once head has exited: the
+    # documented code and no traceback
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(petctraffic.__file__).parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "petctraffic.cli", "discretize"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            cwd=tmp_path, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
 
 
 def test_exit_code_undecided(monkeypatch, capsys):

@@ -144,9 +144,13 @@ def test_rational_roots_match_fractions(cases):
         rs = roots_of_quadratic(*poly)
         assert [fraction_root_value(r) for r in rs] == values, poly
         for r, v in zip(rs, values):
-            for prec in (64, 65, 200):
-                lo, hi, den = r.bounds(prec)
-                assert lo == hi and F(lo, den) == v
+            for prec in (0, 1, 64, 65, 200):
+                lo, hi = r.bounds(prec)
+                scaled = v * 2**prec
+                assert lo <= scaled <= hi and hi - lo <= 2
+                assert (lo == hi) == (scaled.denominator == 1)
+                assert (F(lo, 2**prec), F(hi, 2**prec)) == \
+                    fraction_enclosure(r, prec)
             assert r.enc == r.bounds(64)
         roots.extend(zip(rs, values))
     for r1, v1 in roots:
@@ -219,7 +223,7 @@ def test_simplest_sqrt_between(lo, gap):
 
 def line_samples(polys):
     """The arcs (direction, bounds) of the whole line cut at the roots of
-    the integer quadratics polys, or None."""
+    the integer quadratics polys."""
     return qfnra.cut_arcs(qfnra.line_arcs(1), qfnra.enclosed_roots(polys))
 
 
@@ -239,8 +243,6 @@ def _direction_key(d):
 def _normal(arcs):
     """Kernel or oracle arcs with every direction as _direction_key and
     every bounding root as _root_key, so that both compare exactly."""
-    if arcs is None:
-        return None
     return [(_direction_key(d), None if bounds is None else
              tuple(None if b is None else _root_key(b) for b in bounds))
             for d, bounds in arcs]
@@ -262,11 +264,9 @@ _TRIPLES = st.lists(st.tuples(*[st.integers(-10**6, 10**6)] * 3),
 @settings(max_examples=300, deadline=None)
 def test_critical_samples_ordered(polys):
     # strictly increasing directions, every open arc's direction strictly
-    # between its bounding roots, and the Fraction oracle's list wherever
-    # it has one
+    # between its bounding roots, and the Fraction oracle's list
     polys = sorted(polys)
     samples = line_samples(polys)
-    assert samples is not None
     for (d0, _), (d1, _) in zip(samples, samples[1:]):
         assert _bounds(d0)[1] < _bounds(d1)[0]
     for d, bounds in samples:
@@ -275,9 +275,7 @@ def test_critical_samples_ordered(polys):
             m = _direction_key(d)
             assert lo is None or fraction_cmp_root(m, lo) > 0
             assert hi is None or fraction_cmp_root(m, hi) < 0
-    oracle = fraction_critical_samples(polys)
-    if oracle is not None:
-        assert _normal(samples) == _normal(oracle)
+    assert _normal(samples) == _normal(fraction_critical_samples(polys))
 
 
 def test_close_roots_in_swapped_float_order_are_separated():
@@ -292,6 +290,86 @@ def test_close_roots_in_swapped_float_order_are_separated():
     res = decide(2, atoms)
     assert res.status == "sat"
     assert verify_witness(atoms, res.witness)
+
+
+def _pell_below_sqrt2(n):
+    """(p, q) with p + q sqrt(2) = (1 + sqrt(2))^n for odd n: p^2 - 2 q^2
+    = -1, so p/q lies below sqrt(2), within 1 / (2 sqrt(2) q^2)."""
+    p, q, bp, bq = 1, 0, 1, 1
+    while n:
+        if n & 1:
+            p, q = p * bp + 2 * q * bq, p * bq + q * bp
+        bp, bq = bp * bp + 2 * bq * bq, 2 * bp * bq
+        n >>= 1
+    return p, q
+
+
+# q is about 2^33000, so p/q lies about 2^-66000 below sqrt(2): their
+# enclosures over 2^prec first separate at prec = 2^17
+_PELL = _pell_below_sqrt2(25953)
+_SQRT2_FORM = (-1, 0, 2)  # 2 - m^2 at u = (1, m)
+
+
+def _below_sqrt2(p, q, u):
+    """Whether the direction u = (u0, u1), u0 > 0, has p/q < u1/u0 <
+    sqrt(2)."""
+    u0, u1 = u
+    return u0 > 0 and q * u1 > p * u0 and u1 * u1 < 2 * u0 * u0
+
+
+def test_pell_convergent_separates_from_sqrt2():
+    # two roots about 2^-66000 apart separate: sat, not unknown, with a
+    # witness strictly between them
+    p, q = _PELL
+    assert p * p - 2 * q * q == -1 and 32990 < q.bit_length() < 33010
+    res = qfnra.decide_forms([(_SQRT2_FORM, True), ((0, q, -p), True)], 2)
+    assert res.status == "sat"
+    u0, u1 = res.witness
+    assert u0 == 1 and _below_sqrt2(p, q, (u1.denominator, u1.numerator))
+
+
+def test_reflect_into_the_pell_arc():
+    # the open arc between p/q and sqrt(2) holds the reflection of (1, 0)
+    p, q = _PELL
+    roots = qfnra.enclosed_roots([_SQRT2_FORM, (0, q, -p)])
+    arcs = qfnra.cut_arcs(qfnra.line_arcs(2), roots)
+    (m, bounds), = [(m, bounds) for m, bounds in arcs if bounds is not None
+                    and isinstance(m, tuple) and _below_sqrt2(p, q, m)]
+    f, b = (1, 0, 1), (1, 0)
+    u = qfnra.reflect(f, b, m, bounds)
+    assert u is not None and _below_sqrt2(p, q, u)
+    # f(u) = f(t)^2 f(b) with f(b) = 1
+    fu = qfnra.form_at(f, u)
+    assert math.isqrt(fu) ** 2 == fu
+
+
+def _near_roots(r, offsets):
+    """Linear roots at (lo + d) / 2^64 and (lo 2^8 + d) / 2^72 for the
+    64-bit lower bound lo of r and d in offsets: within about 2^-56 of
+    r."""
+    lo = r.enc[0]
+    return [root for d in offsets
+            for root in (roots_of_quadratic(0, 1 << 64, -(lo + d))
+                         + roots_of_quadratic(0, 1 << 72, -((lo << 8) + d)))]
+
+
+@given(st.lists(_SMALL, min_size=1, max_size=3),
+       st.lists(st.integers(2, 5), min_size=1, max_size=2),
+       st.lists(st.integers(-300, 300), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_enclosed_cmp_matches_root_cmp(polys, scales, offsets):
+    # the integer comparison of the enclosures over 2^64 agrees with the
+    # exact root_cmp: on equal roots of proportional forms, on roots
+    # within 2^-64 of each other, and on sqrt(2) against p/q about
+    # 2^-66000 below it
+    roots = [r for a, b, c in polys for k in [1] + scales
+             for r in roots_of_quadratic(k * a, k * b, k * c)]
+    roots += [r for base in list(roots) for r in _near_roots(base, offsets)]
+    p, q = _PELL
+    roots += roots_of_quadratic(*_SQRT2_FORM) + roots_of_quadratic(0, q, -p)
+    for r1 in roots:
+        for r2 in roots:
+            assert qfnra._enclosed_cmp(r1, r2) == root_cmp(r1, r2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +436,8 @@ def test_kernel_matches_oracles(case, request, monkeypatch):
     oracle_models(disc, n, full_sample)
     assert cuts
     for polys in cuts:
-        ref = _normal(fraction_critical_samples(polys))
-        assert ref is None or _normal(line_samples(polys)) == ref, polys
+        assert _normal(line_samples(polys)) == \
+            _normal(fraction_critical_samples(polys)), polys
     # a scalar plant reflects nothing: V0 / v_0 is a rational square
     assert reflections or disc.n_x == 1
     for (f, b, m, bounds), out in reflections:

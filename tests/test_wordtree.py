@@ -184,14 +184,10 @@ def test_shell_is_the_dropped_pieces(case, request):
             continue
         split += 1
         phi = word_maps(engine, node.word)[-1][0]
-        triggers = [wordtree._primitive(wordtree._pullback(f, phi))
+        triggers = [qfnra.primitive(wordtree._pullback(f, phi))
                     for f in engine._trigger[disc.k_lo - 1:]]
-        cut = (None if node.arcs is None else
-               qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(triggers)))
+        cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(triggers))
         ref = refine_arcs(cut, unit_terminal_atoms(engine, node.word))
-        if ref is None:
-            assert node.shell is None, node.word
-            continue
         assert [_arc_key(a) for a in node.shell] == \
             [_arc_key(a) for a in ref], node.word
         shells += bool(node.shell)
