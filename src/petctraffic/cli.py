@@ -6,7 +6,7 @@ and ``casestudy`` (which also validates the models) run it; ``discretize``
 and ``contraction`` stop after their stage.
 
 Exit codes: 0 success; 2 configuration error, an over-long h_P scan or
-an M(k) or N(k) beyond a double; 4 solver undecided/abort;
+an M(k) or N(k) beyond a double; 4 solver undecided/abort, or n_x > 2;
 5 verification mismatch; 6 not contractive (no periodic period or no
 decrease ratio below one exists); 7 a concrete run outgrew the word
 horizon; 8 the simulating model has a blocking state; 141 (128 + SIGPIPE)
@@ -320,6 +320,8 @@ def cmd_verify(args) -> int:
     if args.models:
         bisim, sim = load_models(Path(args.models))
         disc = make_disc(cfg)
+        if disc.n_x > 2:  # the integer orbits step one or two variables
+            raise SolverUnknownError(f"{disc.n_x} variables not supported")
     else:
         res = run_pipeline(cfg)
         disc, bisim, sim = res.disc, res.bisim, res.sim

@@ -82,6 +82,12 @@ def integer_form(f) -> tuple[int, ...]:
                  for i in range(n) for j in range(i, n))
 
 
+def padded(f):
+    """f as a 2 x 2 matrix: a one-variable plant's 1 x 1 matrix with zeros
+    around it, so that its binary forms have no y1 term."""
+    return f if len(f) == 2 else ((f[0][0], 0), (0, 0))
+
+
 def congruence(f: RatMatrix, a: RatMatrix) -> RatMatrix:
     """A' F A, exactly."""
     return mat_mul(transpose(a), mat_mul(f, a))

@@ -156,9 +156,9 @@ def contraction_query(disc: DiscretizedPetc, k: int, a: Fraction) -> SatQuery:
         atoms.append(QuadAtom(disc.N[j], "<=", Fraction(0)))
     if k < disc.k_bar:
         atoms.append(QuadAtom(disc.N[k], ">", Fraction(0)))
-    decrease = ratlin.congruence(disc.P_rat, disc.M[k])
     atoms.append(QuadAtom(tuple(tuple(m - a * p for m, p in zip(mr, pr))
-                                for mr, pr in zip(decrease, disc.P_rat)),
+                                for mr, pr in zip(disc.decrease[k],
+                                                  disc.P_rat)),
                           ">", Fraction(0)))
     return SatQuery(atoms=tuple(atoms), n_x=disc.n_x)
 

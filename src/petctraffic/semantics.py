@@ -4,11 +4,12 @@ The inter-event map kappa, the mixed sampling step, word extraction, and
 trace simulation — all evaluated in exact rational arithmetic over the
 frozen discretization, so these routines double as the brute-force
 oracle for the abstract models.  ``IntegerStepper`` runs the pure
-event-triggered law on integer vectors kept up to a positive scale,
-exactly too: it decides each sign and comparison on the top bits of the
-state, and on the whole integers where those cannot decide.  Both
-checks of ``verify`` run on its orbits, and ``IntegerStepper.entry_run``
-gives the word that ``concrete_sequence`` gives.
+event-triggered law exactly too, on integer pairs up to a positive scale
+(n_x <= 2, one variable padded to two) with binary forms: each sign and
+comparison is straight-line integer arithmetic on the top bits of the
+state, or on the whole integers where those cannot decide.  Both checks
+of ``verify`` run on its orbits, and ``IntegerStepper.entry_run`` gives
+the word that ``concrete_sequence`` gives.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Iterator, NamedTuple
 
 from . import ratlin
@@ -101,37 +101,23 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
 WIDTH = 62
 
 
-def _monomials(y: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([a * b for i, a in enumerate(y) for b in y[i:]])
-
-
-def _dot(coeffs: tuple[int, ...], mono: tuple[int, ...]) -> int:
-    return sum(map(mul, coeffs, mono))
-
-
-def _tolerance(f: tuple[int, ...]) -> int:
-    """sum |f_ij| (2^(WIDTH+1) + 1): a bound on |f(y) / 4^s - f(y >> s)|
+def _tolerance(f: tuple[int, int, int]) -> int:
+    """sum |f_i| (2^(WIDTH+1) + 1): a bound on |f(y) / 4^s - f(y >> s)|
     whenever y has more than WIDTH bits and s = bitlen(y) - WIDTH."""
     return sum(map(abs, f)) * ((2 << WIDTH) + 1)
 
 
-def _positive(f: tuple[int, ...], tol: int, mono: tuple[int, ...],
-              y: tuple[int, ...]) -> bool:
-    """Whether f(y) > 0, given the monomials of the top part m of y and
-    the tolerance of f at its shift (0 when m = y): decided on f(m) when
-    |f(m)| exceeds tol, and exactly otherwise."""
-    fm = _dot(f, mono)
-    if fm > tol:
-        return True
-    if fm < -tol:
-        return False
-    return _dot(f, _monomials(y)) > 0
+def _value(f: tuple[int, int, int], y0: int, y1: int = 0) -> int:
+    """(a y0 + b y1) y0 + e y1^2 for f = (a, b, e); y1 = 0 in one variable."""
+    a, b, e = f
+    return (a * y0 + b * y1) * y0 + e * y1 * y1
 
 
-def _greater(x: tuple[int, int, int], y: tuple[int, int, int],
-             exact) -> bool:
+def span_greater(x: tuple[int, int, int],
+                 y: tuple[int, int, int]) -> bool | None:
     """Whether X > Y, for lo 2^e <= X <= hi 2^e with (lo, hi, e) = x, and
-    Y within y alike; exact() decides when the two ranges overlap."""
+    Y within y alike; None when the two ranges overlap, where only the
+    exact values decide."""
     (xl, xh, xe), (yl, yh, ye) = x, y
     if xe > ye:
         xl, xh = xl << xe - ye, xh << xe - ye
@@ -141,59 +127,54 @@ def _greater(x: tuple[int, int, int], y: tuple[int, int, int],
         return True
     if xh <= yl:
         return False
-    return exact()
+    return None
 
 
 class OrbitPoint(NamedTuple):
-    """Step j of an integer orbit: the state x_j = y / c, its inter-event
-    index k = kappa(x_j), the common denominator d of M(k), so that the
-    next scale is c d, and the range (lo, hi, e) of v = y'P_int y, which
-    is V(x_j) times d_P c^2: lo 2^e <= v <= hi 2^e, with lo = hi = v
-    and e = 0 when y has at most WIDTH bits (see ``IntegerStepper``).
-    ``lyapunov`` holds the coefficients of P_int, by which v itself is
-    computed on demand."""
+    """Step j of an integer orbit: the state x_j = y / c, with y padded to
+    two coordinates, its inter-event index k = kappa(x_j), the common
+    denominator d of M(k), so that the next scale is c d, and the range
+    (lo, hi, e) of v = y'P_int y, which is V(x_j) times d_P c^2:
+    lo 2^e <= v <= hi 2^e, with lo = hi = v and e = 0 when y has at most
+    WIDTH bits (see ``IntegerStepper``).  ``lyapunov`` holds P_int as a
+    binary form, by which v itself is computed on demand."""
 
     k: int
     d: int
-    y: tuple[int, ...]
+    y: tuple[int, int]
     c: int
     span: tuple[int, int, int]
-    lyapunov: tuple[int, ...]
+    lyapunov: tuple[int, int, int]
 
     @property
     def v(self) -> int:
         """y'P_int y, exactly."""
-        return _dot(self.lyapunov, _monomials(self.y))
+        return _value(self.lyapunov, *self.y)
 
     def state(self) -> ConcreteState:
-        """The exact rational state x_j."""
-        return tuple(Fraction(e, self.c) for e in self.y)
-
-
-def level_greater(a: OrbitPoint, p: int, b: OrbitPoint, q: int) -> bool:
-    """Whether p v_a > q v_b, exactly, for integers p, q >= 0."""
-    (al, ah, ae), (bl, bh, be) = a.span, b.span
-    return _greater((p * al, p * ah, ae), (q * bl, q * bh, be),
-                    lambda: p * a.v > q * b.v)
+        """The exact rational state x_j, of n_x coordinates: P_int, positive
+        definite, lacks a y1^2 term only if padded from one variable."""
+        x = tuple([Fraction(e, self.c) for e in self.y])
+        return x if self.lyapunov[2] else x[:1]
 
 
 class IntegerStepper:
-    """The pure event-triggered law on integer vectors.
+    """The pure event-triggered law on integer pairs (``ratlin.padded``).
 
     A state x is kept as y = c x with y integer and c > 0.  Each M(k) is
     split as M_int(k) / d_k over the common denominator of its entries,
     so y' = M_int(k) y and c' = c d_k.  N(k) and P are scaled to integer
-    forms: the sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no
-    scale at all.  P_int = d_P P over the common denominator d_P of P,
-    so the integer value v = y'P_int y is d_P c^2 V(x), and a bound
-    V(x) <= t reads v <= d_P t c^2, in integers.
+    binary forms (a, b, e), with f(y) = (a y0 + b y1) y0 + e y1^2: the
+    sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no scale at
+    all.  P_int = d_P P over the common denominator d_P of P, so the
+    integer value v = y'P_int y is d_P c^2 V(x), and a bound V(x) <= t
+    reads v <= d_P t c^2, in integers.
 
     No gcd is taken, so y and c grow by the bits of d_k at every step,
     and every sign and comparison is decided on their top bits.  Let
-    s = bitlen(y) - WIDTH where that is positive, with bitlen(y) the
-    largest bit length of a coordinate, and m = y >> s, so
-    that y_i = 2^s (m_i + e_i) with 0 <= e_i < 1 and |m_i| <= 2^WIDTH.
-    For an integer form f with coefficients f_ij,
+    s = max(bitlen(y0), bitlen(y1)) - WIDTH where that is positive, and
+    m = y >> s, so that y_i = 2^s (m_i + e_i) with 0 <= e_i < 1 and
+    |m_i| <= 2^WIDTH.  For an integer form f with coefficients f_ij,
 
         |f(y) - 4^s f(m)| <= 4^s sum |f_ij| (|m_i| + |m_j| + 1)
                           <= 4^s sum |f_ij| (2^(WIDTH+1) + 1),
@@ -204,38 +185,46 @@ class IntegerStepper:
     ranges and takes the exact value, y'Fy or c^2, only when they
     overlap, so every decision is the exact one.  The state itself is
     never rounded.  A state of at most WIDTH bits is its own top part,
-    with zero tolerance.
+    with zero tolerance.  More than two variables raise ValueError.
     """
 
     def __init__(self, disc: DiscretizedPetc):
+        if disc.n_x > 2:
+            raise ValueError(f"{disc.n_x} variables not supported")
         self._k_bar = disc.k_bar
-        forms = [ratlin.integer_form(disc.N[k]) for k in range(1, disc.k_bar)]
-        self._exact = [(f, 0) for f in forms]
-        self._trigger = [(f, _tolerance(f)) for f in forms]
-        self._lyapunov = ratlin.integer_form(disc.P_rat)
+        forms = [ratlin.integer_form(ratlin.padded(disc.N[k]))
+                 for k in range(1, disc.k_bar)]
+        self._exact = [(*f, 0) for f in forms]
+        self._trigger = [(*f, _tolerance(f)) for f in forms]
+        self._lyapunov = ratlin.integer_form(ratlin.padded(disc.P_rat))
         self._tol_p = _tolerance(self._lyapunov)
-        self._maps = {k: ratlin.integer_matrix(m) for k, m in disc.M.items()}
+        self._maps = {k: ratlin.integer_matrix(ratlin.padded(m))
+                      for k, m in disc.M.items()}
         self._d_p = ratlin.integer_matrix(disc.P_rat)[1]
         self._v0 = self._d_p * disc.V0
         self._rv0 = self._d_p * disc.r * disc.V0
 
     def level(self, y: tuple[int, ...], c: int) -> Fraction:
-        """V(x), exactly, for the state x = y / c."""
-        return Fraction(_dot(self._lyapunov, _monomials(y)),
-                        self._d_p * c * c)
+        """V(x), exactly, for the state x = y / c of n_x coordinates."""
+        return Fraction(_value(self._lyapunov, *y), self._d_p * c * c)
 
-    def _point(self, y: tuple[int, ...], c: int) -> OrbitPoint:
+    def _point(self, y: tuple[int, int], c: int) -> OrbitPoint:
         """The orbit point of the state y / c."""
-        s = max(map(int.bit_length, y)) - WIDTH
+        y0, y1 = y
+        s = max(y0.bit_length(), y1.bit_length()) - WIDTH
         if s > 0:
-            m = tuple([e >> s for e in y])
+            m0, m1 = y0 >> s, y1 >> s
             trigger, tol = self._trigger, self._tol_p
         else:
-            s, m, trigger, tol = 0, y, self._exact, 0
-        mono = _monomials(m)
-        k = next((i for i, (f, t) in enumerate(trigger, 1)
-                  if _positive(f, t, mono, y)), self._k_bar)
-        v = _dot(self._lyapunov, mono)
+            s, m0, m1, trigger, tol = 0, y0, y1, self._exact, 0
+        k = self._k_bar
+        for i, (a, b, e, t) in enumerate(trigger, 1):
+            f = (a * m0 + b * m1) * m0 + e * m1 * m1
+            if f > t or f >= -t and (a * y0 + b * y1) * y0 + e * y1 * y1 > 0:
+                k = i
+                break
+        a, b, e = self._lyapunov
+        v = (a * m0 + b * m1) * m0 + e * m1 * m1
         return OrbitPoint(k, self._maps[k][1], y, c,
                           (v - tol, v + tol, 2 * s), self._lyapunov)
 
@@ -246,9 +235,9 @@ class IntegerStepper:
         t = max(pt.c.bit_length() - WIDTH, 0)
         n = pt.c >> t  # n 2^t <= c < (n + 1) 2^t, and c = n 2^t if t = 0
         n1 = n + 1 if t else n
-        return _greater((den * lo, den * hi, e),
-                        (num * n * n, num * n1 * n1, 2 * t),
-                        lambda: den * pt.v > num * pt.c * pt.c)
+        above = span_greater((den * lo, den * hi, e),
+                             (num * n * n, num * n1 * n1, 2 * t))
+        return den * pt.v > num * pt.c * pt.c if above is None else above
 
     def outside(self, pt: OrbitPoint) -> bool:
         """Whether V(x) > V0 at pt: x lies outside the initial set."""
@@ -256,14 +245,16 @@ class IntegerStepper:
 
     def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
         """The points x_0, x_1, ... of the run from x0, without end."""
-        c = math.lcm(*(Fraction(e).denominator for e in x0))
-        y = tuple(int(Fraction(e) * c) for e in x0)
+        c = math.lcm(*(e.denominator for e in x0))
+        y0, y1 = (e.numerator * (c // e.denominator)
+                  for e in (x0 if len(x0) == 2 else (x0[0], 0)))
         maps = self._maps
         while True:
-            pt = self._point(y, c)
+            pt = self._point((y0, y1), c)
             yield pt
-            y = tuple([sum(map(mul, row, y)) for row in maps[pt.k][0]])
-            c *= pt.d
+            ((a, b), (e, f)), d = maps[pt.k]
+            y0, y1 = a * y0 + b * y1, e * y0 + f * y1
+            c *= d
 
     def entry_run(self, x0: ConcreteState,
                   max_len: int) -> list[OrbitPoint]:

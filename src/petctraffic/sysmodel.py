@@ -16,6 +16,7 @@ for every eigenvalue sign test.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,6 +300,11 @@ class DiscretizedPetc:
 
     def V(self, x) -> Fraction:
         return ratlin.quad_form(self.P_rat, x)
+
+    @functools.cached_property
+    def decrease(self) -> dict[int, RatMatrix]:
+        """M(k)'P M(k) for each k: V after a step of k periods."""
+        return {k: ratlin.congruence(self.P_rat, m) for k, m in self.M.items()}
 
 
 def min_inter_sample_float(n_forms: dict[int, Matrix], k_bar: int,

@@ -10,11 +10,12 @@ tests.
 Both checks run on integer orbits of ``semantics.IntegerStepper``: each
 sampled run or witness replay is stepped once, and its words, states
 and Lyapunov tests are read off that orbit in integers.  The state is
-never reduced, so it grows by the bits of the denominator of M(k) at
-each step (52-57 on the bundled loop).  Each inter-event sign and each
-Lyapunov comparison is decided on its top ``semantics.WIDTH`` bits, and
-in full only when those cannot decide, so a step takes time about
-linear in the bits of the state and no longer squares it.
+a pair (a one-variable plant padded to two, n_x <= 2), each form a
+binary form, and it is never reduced, so it grows by the bits of the
+denominator of M(k) at each step (52-57 on the bundled loop).  Each
+inter-event sign and each Lyapunov comparison is decided on its top
+``semantics.WIDTH`` bits, and in full only when those cannot decide, so
+a step takes time about linear in the bits of the state.
 """
 
 from __future__ import annotations
@@ -174,6 +175,16 @@ def _check_witnesses(rep: CheckReport, model: TrafficModel,
             rep.add_failure(**tag, word=w, replay=replay, witness=x0)
 
 
+def _greater(a: semantics.OrbitPoint, p: int, b: semantics.OrbitPoint,
+             q: int) -> bool:
+    """Whether p v_a > q v_b, exactly, for integers p, q >= 0: on the
+    spans of a and b, and on v_a and v_b only where those overlap."""
+    (al, ah, ae), (bl, bh, be) = a.span, b.span
+    above = semantics.span_greater((p * al, p * ah, ae),
+                                   (q * bl, q * bh, be))
+    return p * a.v > q * b.v if above is None else above
+
+
 def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
              r: Fraction, max_len: int
              ) -> Iterator[tuple[tuple[int, ...], semantics.OrbitPoint]]:
@@ -183,19 +194,20 @@ def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
     The word of x_s is k_s ... k_{e-1}, where e is the first index > s
     with V(x_e) <= r V(x_s).  Since c_e = c_s d_s ... d_{e-1}, that is
     q v_e <= p v_s (d_s ... d_{e-1})^2 for r = p/q, in integers, which
-    ``semantics.level_greater`` decides on the top bits of y_e and y_s.
-    Only the points from s to e are kept.  The windows end at a point
-    with V = 0, the origin, where the run has nothing left to check.
+    ``_greater`` decides on the top bits of y_e and y_s.  Only the
+    points from s to e are kept.  The windows end at the origin, y = 0,
+    the one point with V = 0 as P is positive definite, where the run
+    has nothing left to check.
     """
     p, q = r.numerator, r.denominator
     orbit = stepper.orbit(x0)
     window = deque([next(orbit)])
     while True:
         start = window[0]
-        if not semantics.level_greater(start, 1, start, 0):
+        if not any(start.y):
             return
         bound, e = p, 0
-        while e == 0 or semantics.level_greater(window[e], q, start, bound):
+        while e == 0 or _greater(window[e], q, start, bound):
             if e >= max_len:
                 raise semantics.HorizonExceededError(
                     window[e].state(), tuple(pt.k for pt in islice(window, e)))

@@ -74,7 +74,7 @@ from math import isqrt
 
 from . import qfnra
 from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
-from .ratlin import integer_form, integer_matrix
+from .ratlin import integer_form, integer_matrix, padded
 from .semantics import HorizonExceededError, IntegerStepper
 from .sysmodel import DiscretizedPetc
 
@@ -95,13 +95,6 @@ def _pullback(form, g) -> tuple[int, int, int]:
             2 * s00 * g00 * g01 + s01 * (g00 * g11 + g01 * g10)
             + 2 * s11 * g10 * g11,
             s00 * g00 * g00 + s01 * g00 * g10 + s11 * g10 * g10)
-
-
-def _padded(f):
-    """f as a 2 x 2 matrix: a one-variable plant's 1 x 1 matrix with zeros
-    around it, so that its forms are constants (a2 = a1 = 0) in m and
-    only the direction m = 0, u = (1, 0), is sampled."""
-    return f if len(f) == 2 else ((f[0][0], 0), (0, 0))
 
 
 @dataclass(eq=False, slots=True)
@@ -130,11 +123,11 @@ class WordEngine:
         if disc.n_x > 2:
             raise ValueError("word queries need one or two state variables")
         self.disc = disc
-        self._maps = {k: integer_matrix(_padded(m))
+        self._maps = {k: integer_matrix(padded(m))
                       for k, m in disc.M.items()}
-        self._trigger = [integer_form(_padded(disc.N[j]))
+        self._trigger = [integer_form(padded(disc.N[j]))
                          for j in range(1, disc.k_bar)]
-        self._lyapunov = integer_form(_padded(disc.P_rat))
+        self._lyapunov = integer_form(padded(disc.P_rat))
         self._p_scale = integer_matrix(disc.P_rat)[1]
         self._stepper = IntegerStepper(disc)
         one = ((1, 0), (0, 1))

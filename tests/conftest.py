@@ -196,34 +196,46 @@ def fraction_sim_check(disc, model, n_samples, steps, seed, max_len):
     return n_checked, failures
 
 
+def monomials(y: tuple[int, ...]) -> tuple[int, ...]:
+    """The monomials y_i y_j, i <= j, in the order of ratlin.integer_form."""
+    return tuple([a * b for i, a in enumerate(y) for b in y[i:]])
+
+
+def dot(coeffs: tuple[int, ...], mono: tuple[int, ...]) -> int:
+    return sum(map(mul, coeffs, mono))
+
+
 class ExactStepper(semantics.IntegerStepper):
-    """semantics.IntegerStepper with every orbit point evaluated in full:
-    the monomials of y, each trigger sign, v = y'P_int y and each V test
-    are taken on the whole integers, with no top-bits filter.  Each point
-    carries the exact range (v, v, 0), on which
-    ``semantics.level_greater`` decides q v_e > p v_s g exactly."""
+    """semantics.IntegerStepper with every orbit point evaluated in full,
+    by generic forms on the padded state: the monomials of y, each
+    trigger sign, v = y'P_int y and each V test are taken on the whole
+    integers, with no top-bits filter.  Each point carries the exact
+    range (v, v, 0), on which ``verify._greater`` decides
+    q v_e > p v_s g exactly."""
 
     def __init__(self, disc):
         super().__init__(disc)
-        self.forms = [ratlin.integer_form(disc.N[k])
+        self.forms = [ratlin.integer_form(ratlin.padded(disc.N[k]))
                       for k in range(1, disc.k_bar)]
-        self.p_form = ratlin.integer_form(disc.P_rat)
-        self.maps = {k: ratlin.integer_matrix(m) for k, m in disc.M.items()}
+        self.p_form = ratlin.integer_form(ratlin.padded(disc.P_rat))
+        self.maps = {k: ratlin.integer_matrix(ratlin.padded(m))
+                     for k, m in disc.M.items()}
         d_p = ratlin.integer_matrix(disc.P_rat)[1]
         self.v0, self.rv0 = d_p * disc.V0, d_p * disc.r * disc.V0
         self.k_bar = disc.k_bar
 
     def orbit(self, x0):
+        x0 = tuple(x0) + (0,) * (2 - len(x0))
         c = math.lcm(*(Fraction(e).denominator for e in x0))
         y = tuple(int(Fraction(e) * c) for e in x0)
         while True:
-            mono = semantics._monomials(y)
+            mono = monomials(y)
             k = next((i for i, f in enumerate(self.forms, 1)
-                      if sum(map(mul, f, mono)) > 0), self.k_bar)
+                      if dot(f, mono) > 0), self.k_bar)
             m, d = self.maps[k]
-            v = sum(map(mul, self.p_form, mono))
+            v = dot(self.p_form, mono)
             yield semantics.OrbitPoint(k, d, y, c, (v, v, 0), self.p_form)
-            y = tuple([sum(map(mul, row, y)) for row in m])
+            y = tuple([dot(row, y) for row in m])
             c *= d
 
     def outside(self, pt):

@@ -266,17 +266,35 @@ def test_verify_witnesses_of_the_wrong_length(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# the bundled loop with a third, decoupled state and h_P pinned
+THREE_VARIABLES = dict(
+    A=[[0, 1, 0], [-2, 3, 0], [0, 0, -1]], B=[[0], [1], [0]],
+    K=[[1, -4, 0]], P_lyap=[[1, 0.25, 0], [0.25, 1, 0], [0, 0, 1]],
+    Q_lyap=[[0.5, 0.25, 0], [0.25, 1.5, 0], [0, 0, 1]], h_P=0.4)
+
+
 def test_exit_code_three_variables(tmp_path, capsys):
-    # the bundled loop with a third, decoupled state and h_P pinned: the
-    # bundled solver decides one and two variables only
-    config = write_config(
-        tmp_path, A=[[0, 1, 0], [-2, 3, 0], [0, 0, -1]], B=[[0], [1], [0]],
-        K=[[1, -4, 0]], P_lyap=[[1, 0.25, 0], [0.25, 1, 0], [0, 0, 1]],
-        Q_lyap=[[0.5, 0.25, 0], [0.25, 1.5, 0], [0, 0, 1]], h_P=0.4)
+    # the bundled solver decides one and two variables only
+    config = write_config(tmp_path, **THREE_VARIABLES)
     assert main(["contraction", "--config", config]) == EXIT_UNDECIDED
     err = capsys.readouterr().err
     assert "3 variables not supported" in err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_verify_models_three_variables(tmp_path, capsys):
+    # models exported earlier, checked against a three-variable plant:
+    # the integer orbits of verify step two variables at most
+    models = str(tmp_path / "models")
+    assert main(["abstract", "--out", models]) == EXIT_OK
+    config = write_config(tmp_path, **THREE_VARIABLES)
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--models", models,
+                 "--samples", "5", "--steps", "2"]) == EXIT_UNDECIDED
+    captured = capsys.readouterr()
+    assert "3 variables not supported" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_discretize_default_config(capsys):

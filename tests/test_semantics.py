@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -14,7 +15,7 @@ from petctraffic import ratlin, satcheck, semantics, verify
 from petctraffic.semantics import (HorizonExceededError, IntegerStepper,
                                    Trace, concrete_sequence, kappa,
                                    mpetc_step, petc_step, simulate_trace)
-from conftest import float_kappa
+from conftest import bundled, dot, float_kappa, monomials
 
 F = Fraction
 
@@ -138,6 +139,24 @@ def test_integer_orbit_matches_petc_step(ci_disc):
         assert len(factors) == 1
 
 
+def test_one_variable_orbit_is_padded():
+    # a one-variable plant steps (y0, 0); its states keep one coordinate
+    # and match the Fraction steps.  Three variables are refused
+    disc = bundled("one_dim")[1]
+    stepper = IntegerStepper(disc)
+    x = verify.sample_shell_states(disc, 1, seed=5)[0]
+    assert len(x) == 1
+    factors = set()
+    for pt in islice(stepper.orbit(x), 20):
+        assert pt.y[1] == 0 and pt.state() == x
+        factors.add(F(pt.v, pt.c ** 2) / disc.V(x))
+        x, k = petc_step(disc, x)
+        assert pt.k == k
+    assert len(factors) == 1
+    with pytest.raises(ValueError, match="3 variables not supported"):
+        IntegerStepper(replace(disc, P_rat=ratlin.identity(3)))
+
+
 def _top(y):
     """The top part of y by the rule of IntegerStepper: (s, y >> s)."""
     s = max(0, max(e.bit_length() for e in y) - semantics.WIDTH)
@@ -146,11 +165,14 @@ def _top(y):
 
 def test_filtered_sign_near_trigger_roots(ci_disc):
     # y of 100-10,000 bits at and near a root direction of each N(k),
-    # where the top part alone cannot decide: the filtered sign, and
-    # kappa, are the exact ones, and the fallback is taken
+    # where the top part alone cannot decide: the filtered sign of each
+    # binary form, and kappa, are the exact ones, and the fallback is
+    # taken.  `single` holds the one form drawn, so its point has k = 1
+    # exactly where it finds that form positive
     forms = [ratlin.integer_form(ci_disc.N[k])
              for k in range(1, ci_disc.k_bar)]
     stepper = IntegerStepper(ci_disc)
+    single = IntegerStepper(ci_disc)
     fallbacks = []
 
     @settings(max_examples=300, deadline=None)
@@ -166,13 +188,13 @@ def test_filtered_sign_near_trigger_roots(ci_disc):
         off = data.draw(st.integers(0, bits))
         p += data.draw(st.integers(-(1 << off), 1 << off))
         y = tuple(data.draw(st.sampled_from((-1, 1))) * e for e in (q, p))
-        s, m = _top(y)
+        s, (m0, m1) = _top(y)
         assert s > 0
         tol = semantics._tolerance(f)
-        mono = semantics._monomials(m)
-        fallbacks.append(abs(semantics._dot(f, mono)) <= tol)
-        exact = semantics._dot(f, semantics._monomials(y)) > 0
-        assert semantics._positive(f, tol, mono, y) == exact
+        fallbacks.append(abs((f0 * m0 + f1 * m1) * m0 + f2 * m1 * m1) <= tol)
+        exact = dot(f, monomials(y)) > 0
+        single._trigger, single._k_bar = [(*f, tol)], 2
+        assert (single._point(y, 1).k == 1) == exact
         assert next(stepper.orbit(y)).k == kappa(ci_disc, y)
 
     check()
@@ -201,8 +223,8 @@ def test_level_comparisons_at_equality(r, ci_disc, ci_sim):
         b = stepper._point(y, 1)
         a = stepper._point(tuple(p * mu * e for e in y), 1)
         g = q * p * mu * mu  # q v_a = q p^2 mu^2 v_b = p g v_b
-        assert not semantics.level_greater(a, q, b, p * g)
-        assert semantics.level_greater(a, q, b, p * g - 1)
+        assert not verify._greater(a, q, b, p * g)
+        assert verify._greater(a, q, b, p * g - 1)
         x = data.draw(st.sampled_from(shell))
         assert ci_disc.V(x) == ci_disc.V0
         shift = data.draw(st.integers(0, bits))

@@ -11,7 +11,7 @@ import pytest
 from petctraffic import cli, semantics, verify
 from petctraffic.abstraction import EPSILON, MPETC_BISIM, PETC_SIM
 from petctraffic.sysmodel import DiscretizedPetc
-from conftest import (ExactStepper, fraction_bisim_check,
+from conftest import (ExactStepper, bundled, fraction_bisim_check,
                       fraction_normalized_word, fraction_sample_shell_states,
                       fraction_sample_states, fraction_sim_check,
                       recorded_checks)
@@ -27,16 +27,15 @@ def first_window(disc, x, max_len):
     return word
 
 
-@pytest.fixture(scope="module", params=[F(1, 2), F(4, 5), F(1, 10)],
-                ids=["ci", "r4_5", "cs"])
+@pytest.fixture(scope="module", params=["ci", "r4_5", "cs"])
 def built(request):
-    """(disc, bisim, sim): the r = 1/2 fixture, and the bundled loop at
-    the benchmark's r = 4/5 and at its own r = 1/10."""
-    if request.param == F(1, 2):
+    """(disc, bisim, sim): the r = 1/2 fixture "ci", or a case of
+    conftest.BUNDLED_CASES, such as the bundled loop at the benchmark's
+    r = 4/5 ("r4_5") and at its own r = 1/10 ("cs")."""
+    if request.param == "ci":
         return tuple(request.getfixturevalue(name)
                      for name in ("ci_disc", "ci_bisim", "ci_sim"))
-    cfg = cli.load_config(None)
-    cfg["r"] = request.param
+    cfg, _ = bundled(request.param)
     res = cli.run_pipeline(cfg)
     return res.disc, res.bisim, res.sim
 
@@ -116,10 +115,14 @@ def test_bisim_check_matches_fraction_replay(built):
         disc, bisim, 60, seed=11)
 
 
+@pytest.mark.parametrize("built", ["ci", "r4_5", "cs", "one_dim", "scaled"],
+                         indirect=True)
 def test_checks_match_unfiltered_orbits(built, monkeypatch):
     # the validation of casestudy (100 samples, 20 steps, its seed): the
     # same reports, and the same orbit points, of every sampled run and
-    # every witness replay, as with orbits evaluated in full
+    # every witness replay, as with orbits evaluated in full, each with
+    # v inside its span; also on a one-variable plant, padded to two,
+    # and on the bundled loop with P and V0 scaled by 3
     disc, bisim, sim = built
 
     def checks():
