@@ -170,9 +170,9 @@ def build_mpetc_bisim(disc: DiscretizedPetc, N: int,
     levels = []
     frontier = [engine.root]
     for _ in range(N):
-        candidates = sorted((engine.child(node, k) for node in frontier
-                             for k in disc.K_range),
-                            key=lambda node: word_key(node.word))
+        # the parents are in word order, so their children are too
+        candidates = [engine.child(node, k) for node in frontier
+                      for k in disc.K_range]
         if not candidates:
             break
         results = [engine.decide(node, satcheck.SUBLEVEL)
@@ -249,10 +249,6 @@ def _frac_str(v: Fraction) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def export_model(model: TrafficModel, format: str = "json") -> bytes:
     if format == "json":
         return _export_json(model)
@@ -305,12 +301,12 @@ def import_model(data: bytes) -> TrafficModel:
     output = {}
     witnesses = {}
     for w, s in zip(order, doc["states"]):
-        output[w] = _frac_parse(s["output"])
+        output[w] = Fraction(s["output"])
         if "witness" in s:
-            witnesses[w] = tuple(_frac_parse(v) for v in s["witness"])
+            witnesses[w] = tuple(Fraction(v) for v in s["witness"])
     edges = {(order[i], order[j]) for i, j in doc["edges"]}
     return TrafficModel(kind=doc["kind"], states=frozenset(order),
                         edges=frozenset(edges), output=output,
-                        witnesses=witnesses, h=_frac_parse(doc["h"]),
-                        h_P=_frac_parse(doc["h_P"]),
+                        witnesses=witnesses, h=Fraction(doc["h"]),
+                        h_P=Fraction(doc["h_P"]),
                         assumed=frozenset(tuple(w) for w in doc["assumed"]))

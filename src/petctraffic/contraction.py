@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import satcheck
+from .qfnra import SatResult
 from .ratlin import mat_mul, transpose
-from .satcheck import SatResult, SolverUnknownError
+from .satcheck import SolverUnknownError
 from .sysmodel import (DiscretizedPetc, EIG_TOL, Matrix, PetcSystem,
                        closed_loop_generator, definite, discretize_at_time,
                        expm, held_state_map)

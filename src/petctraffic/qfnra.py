@@ -39,7 +39,9 @@ the fragment ``satcheck.to_smtlib`` emits: `(set-logic QF_NRA)`, Real
 constants declared with `declare-const`, and asserted atoms of the form
 p(x) rel q(x)  where p - q is a quadratic form plus a rational constant.
 It answers `sat`/`unsat`/`unknown` to `(check-sat)` (`unknown` for a
-nonzero constant) and prints a rational model on `(get-model)`.
+nonzero constant) and prints a rational model on `(get-model)`, which
+``satcheck.parse_model`` reads with the same reader.  Every verdict of
+the package is a ``SatResult``, and ``verify_witness`` its atom check.
 
 The module depends on nothing outside the standard library.
 """
@@ -47,6 +49,7 @@ The module depends on nothing outside the standard library.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -362,6 +365,7 @@ def simplest_sqrt_between(ln, ld, hn, hd):
 
 
 def verify_witness(atoms, x):
+    """Whether x'Fx rel c holds exactly at x for every atom (F, rel, c)."""
     n = len(x)
     for f, rel, c in atoms:
         v = sum(x[i] * sum(f[i][j] * x[j] for j in range(n)) for i in range(n))
@@ -376,11 +380,15 @@ def verify_witness(atoms, x):
 # the decision procedure
 
 
-class Decided:
-    def __init__(self, status, witness=None, reason=""):
-        self.status = status
-        self.witness = witness
-        self.reason = reason
+@dataclass(frozen=True)
+class SatResult:
+    status: str  # sat | unsat | unknown
+    witness: tuple | None = None
+    reason: str = ""
+
+    def __post_init__(self):
+        if self.status == "sat" and self.witness is None:
+            raise ValueError("sat result requires a witness")
 
 
 def primitive(coeffs):
@@ -565,7 +573,7 @@ def decide(n, atoms):
     if any(c != 0 for _, _, c in atoms):
         raise Unsupported("nonzero right-hand side")
     if not any(rel in ("<", ">") for _, rel, _ in atoms):
-        return Decided("sat", witness=(Fraction(0),) * n)
+        return SatResult("sat", witness=(Fraction(0),) * n)
     if not 1 <= n <= 2:
         raise Unsupported(f"{n} variables not supported")
     forms = []
@@ -586,15 +594,15 @@ def decide_forms(atoms, n):
     nonzero coordinate of 1, as the witness, `unknown` when only
     irrational directions are feasible, else `unsat`."""
     arcs = cut_arcs(line_arcs(n), enclosed_roots(f for f, _ in atoms))
-    status = Decided("unsat")
+    status = SatResult("unsat")
     for direction, _ in feasible(atoms, arcs):
         if not isinstance(direction, Root):
             u0, u1 = direction
             g = u0 or u1
-            return Decided("sat", witness=(Fraction(u0, g),
-                                           Fraction(u1, g))[:n])
-        status = Decided("unknown",
-                         reason="feasible, but no rational witness was found")
+            return SatResult("sat", witness=(Fraction(u0, g),
+                                             Fraction(u1, g))[:n])
+        status = SatResult("unknown", reason="feasible, but no rational "
+                                             "witness was found")
     return status
 
 
@@ -647,16 +655,16 @@ def run_script(text, out):
                     unsupported_reason = str(exc)
         elif head == "check-sat":
             if atoms is None:
-                status = Decided("unknown", reason=unsupported_reason)
+                status = SatResult("unknown", reason=unsupported_reason)
             else:
                 try:
                     status = decide(len(var_names), atoms)
                 except Unsupported as exc:
-                    status = Decided("unknown", reason=str(exc))
-            if status.status == "sat" and status.witness is not None \
-                    and len(status.witness) == len(var_names) \
+                    status = SatResult("unknown", reason=str(exc))
+            if status.status == "sat" \
                     and not verify_witness(atoms, status.witness):
-                status = Decided("unknown", reason="witness verification failed")
+                status = SatResult("unknown",
+                                   reason="witness verification failed")
             out.write(status.status + "\n")
             if status.status == "sat":
                 model = status.witness

@@ -3,9 +3,10 @@
 Builds the semi-algebraic sets behind the traffic abstraction — shell
 membership, inter-sample-time cones, sublevel-set exclusions — as
 conjunctions of quadratic-form atoms.  ``check`` decides a homogeneous
-query (every right-hand side 0) in process with ``qfnra.decide``, and
-certifies every sat answer with an exact rational witness re-verified
-against all atoms; unsat and unknown are passed through as decided.
+query (every right-hand side 0) in process with ``qfnra.decide`` and
+returns its ``qfnra.SatResult`` unchanged, unless a sat witness fails
+the exact re-verification of ``SatQuery.holds`` (``qfnra.verify_witness``
+on every atom); then the query is unknown.
 The contraction queries are homogeneous and go through ``check``.  A
 word query, as ``sequence_query`` writes it, bounds V(x) by V0 and r V0;
 ``wordtree`` decides it on homogeneous forms with the same sign-test
@@ -16,8 +17,9 @@ run of ``semantics.IntegerStepper.entry_run`` (``WordEngine.holds``);
 the written query's ``holds`` is the reference it is tested against.
 
 ``to_smtlib`` and ``parse_model`` write a query as an SMT-LIB2
-(QF_NRA) script and read a model back; the pipeline does not call them,
-but they let ``qfnra.run_script`` decide the same query from its text.
+(QF_NRA) script and read a model back, with the S-expression reader of
+``qfnra``; the pipeline does not call them, but they let
+``qfnra.run_script`` decide the same query from its text.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qfnra, ratlin
+from .qfnra import SatResult
 from .ratlin import RatMatrix, RatVector
 from .sysmodel import DiscretizedPetc
 
@@ -58,18 +61,6 @@ class QuadAtom:
             raise ValueError("atom matrix must be symmetric")
         object.__setattr__(self, "rhs", Fraction(self.rhs))
 
-    def holds(self, x: RatVector) -> bool:
-        v = ratlin.quad_form(self.F, x)
-        if self.rel == ">":
-            return v > self.rhs
-        if self.rel == ">=":
-            return v >= self.rhs
-        if self.rel == "<=":
-            return v <= self.rhs
-        if self.rel == "<":
-            return v < self.rhs
-        return v == self.rhs
-
 
 @dataclass(frozen=True)
 class SatQuery:
@@ -84,18 +75,8 @@ class SatQuery:
                 raise ValueError("atom dimension mismatch")
 
     def holds(self, x: RatVector) -> bool:
-        return all(a.holds(x) for a in self.atoms)
-
-
-@dataclass(frozen=True)
-class SatResult:
-    status: str  # sat | unsat | unknown
-    witness: RatVector | None = None
-    reason: str = ""
-
-    def __post_init__(self):
-        if self.status == "sat" and self.witness is None:
-            raise ValueError("sat result requires a witness")
+        return qfnra.verify_witness(
+            [(a.F, a.rel, a.rhs) for a in self.atoms], x)
 
 
 def sequence_query(disc: DiscretizedPetc, word, shell: str = SUBLEVEL,
@@ -202,57 +183,27 @@ def to_smtlib(query: SatQuery) -> str:
 # model parsing
 
 
-def _tok(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _parse_sexpr(tokens, i):
-    if tokens[i] != "(":
-        return tokens[i], i + 1
-    out = []
-    i += 1
-    while i < len(tokens) and tokens[i] != ")":
-        node, i = _parse_sexpr(tokens, i)
-        out.append(node)
-    return out, i + 1
-
-
-def _value_to_fraction(node):
-    if isinstance(node, str):
-        return Fraction(node) if "." in node or "/" in node else Fraction(int(node))
-    if not node:
-        raise ValueError("empty value")
-    if node[0] == "-" and len(node) == 2:
-        return -_value_to_fraction(node[1])
-    if node[0] == "/" and len(node) == 3:
-        return _value_to_fraction(node[1]) / _value_to_fraction(node[2])
-    raise ValueError(f"unparseable model value {node!r}")
-
-
 def parse_model(text: str, n_x: int) -> RatVector | None:
-    """Extract x0..x{n-1} from a (model ...) block; None if absent."""
-    tokens = _tok(text)
-    i = 0
+    """Extract x0..x{n-1} from a (model ...) block, read with the SMT-LIB
+    reader of ``qfnra``; None if absent or unreadable."""
     values: dict[str, Fraction] = {}
-    while i < len(tokens):
-        if tokens[i] == "(":
-            node, i = _parse_sexpr(tokens, i)
-            if isinstance(node, list) and node and node[0] == "model":
+    try:
+        for node in qfnra.parse_sexprs(qfnra.tokenize(text)):
+            if not isinstance(node, list):
+                continue
+            if node and node[0] == "model":
                 entries = node[1:]
-            elif isinstance(node, list) and node \
-                    and isinstance(node[0], list):
+            elif node and isinstance(node[0], list):
                 entries = node
             else:
                 entries = [node]
             for e in entries:
                 if (isinstance(e, list) and len(e) == 5
                         and e[0] == "define-fun" and e[3] == "Real"):
-                    try:
-                        values[e[1]] = _value_to_fraction(e[4])
-                    except (ValueError, ZeroDivisionError):
-                        return None
-        else:
-            i += 1
+                    values[e[1]] = qfnra.eval_term(e[4], {}).get(
+                        (), Fraction(0))
+    except (qfnra.Unsupported, ValueError):
+        return None
     try:
         return tuple(values[f"x{i}"] for i in range(n_x))
     except KeyError:
@@ -267,14 +218,13 @@ def check(query: SatQuery) -> SatResult:
     """Decide the query in process; certify sat with an exact witness."""
     atoms = [(a.F, a.rel, a.rhs) for a in query.atoms]
     try:
-        decided = qfnra.decide(query.n_x, atoms)
+        result = qfnra.decide(query.n_x, atoms)
     except qfnra.Unsupported as exc:
         return SatResult("unknown", reason=str(exc))
-    if decided.status != "sat":
-        return SatResult(decided.status, reason=decided.reason)
-    if query.holds(decided.witness):
-        return SatResult("sat", witness=decided.witness)
-    return SatResult("unknown", reason="model failed exact re-verification")
+    if result.status == "sat" and not query.holds(result.witness):
+        return SatResult("unknown",
+                         reason="model failed exact re-verification")
+    return result
 
 
 def contraction_counterexample(disc: DiscretizedPetc, k: int, a) -> SatResult:

@@ -9,7 +9,8 @@ event-triggered law exactly too, on integer pairs up to a positive scale
 comparison is straight-line integer arithmetic on the top bits of the
 state, or on the whole integers where those cannot decide.  Both checks
 of ``verify`` run on its orbits, and ``IntegerStepper.entry_run`` gives
-the word that ``concrete_sequence`` gives.
+the word that ``concrete_sequence`` gives; ``wordtree`` takes its
+integer loop from it.
 """
 
 from __future__ import annotations
@@ -186,27 +187,29 @@ class IntegerStepper:
     overlap, so every decision is the exact one.  The state itself is
     never rounded.  A state of at most WIDTH bits is its own top part,
     with zero tolerance.  More than two variables raise ValueError.
+    Callers only read ``maps`` (k to (M_int(k), d_k)), ``forms`` (N_int(k),
+    k < k_bar), ``lyapunov`` (P_int) and ``d_p``.
     """
 
     def __init__(self, disc: DiscretizedPetc):
         if disc.n_x > 2:
             raise ValueError(f"{disc.n_x} variables not supported")
         self._k_bar = disc.k_bar
-        forms = [ratlin.integer_form(ratlin.padded(disc.N[k]))
-                 for k in range(1, disc.k_bar)]
-        self._exact = [(*f, 0) for f in forms]
-        self._trigger = [(*f, _tolerance(f)) for f in forms]
-        self._lyapunov = ratlin.integer_form(ratlin.padded(disc.P_rat))
-        self._tol_p = _tolerance(self._lyapunov)
-        self._maps = {k: ratlin.integer_matrix(ratlin.padded(m))
-                      for k, m in disc.M.items()}
-        self._d_p = ratlin.integer_matrix(disc.P_rat)[1]
-        self._v0 = self._d_p * disc.V0
-        self._rv0 = self._d_p * disc.r * disc.V0
+        self.forms = [ratlin.integer_form(ratlin.padded(disc.N[k]))
+                      for k in range(1, disc.k_bar)]
+        self._exact = [(*f, 0) for f in self.forms]
+        self._trigger = [(*f, _tolerance(f)) for f in self.forms]
+        self.lyapunov = ratlin.integer_form(ratlin.padded(disc.P_rat))
+        self._tol_p = _tolerance(self.lyapunov)
+        self.maps = {k: ratlin.integer_matrix(ratlin.padded(m))
+                     for k, m in disc.M.items()}
+        self.d_p = ratlin.integer_matrix(disc.P_rat)[1]
+        self._v0 = self.d_p * disc.V0
+        self._rv0 = self.d_p * disc.r * disc.V0
 
     def level(self, y: tuple[int, ...], c: int) -> Fraction:
         """V(x), exactly, for the state x = y / c of n_x coordinates."""
-        return Fraction(_value(self._lyapunov, *y), self._d_p * c * c)
+        return Fraction(_value(self.lyapunov, *y), self.d_p * c * c)
 
     def _point(self, y: tuple[int, int], c: int) -> OrbitPoint:
         """The orbit point of the state y / c."""
@@ -223,10 +226,10 @@ class IntegerStepper:
             if f > t or f >= -t and (a * y0 + b * y1) * y0 + e * y1 * y1 > 0:
                 k = i
                 break
-        a, b, e = self._lyapunov
+        a, b, e = self.lyapunov
         v = (a * m0 + b * m1) * m0 + e * m1 * m1
-        return OrbitPoint(k, self._maps[k][1], y, c,
-                          (v - tol, v + tol, 2 * s), self._lyapunov)
+        return OrbitPoint(k, self.maps[k][1], y, c,
+                          (v - tol, v + tol, 2 * s), self.lyapunov)
 
     def _above(self, pt: OrbitPoint, bound: Fraction) -> bool:
         """Whether v > bound c^2 at pt, that is V(x) > bound / d_P."""
@@ -248,7 +251,7 @@ class IntegerStepper:
         c = math.lcm(*(e.denominator for e in x0))
         y0, y1 = (e.numerator * (c // e.denominator)
                   for e in (x0 if len(x0) == 2 else (x0[0], 0)))
-        maps = self._maps
+        maps = self.maps
         while True:
             pt = self._point((y0, y1), c)
             yield pt

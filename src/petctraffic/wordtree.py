@@ -19,7 +19,8 @@ root point; an open arc's bounds are its bounding roots.
 
 A node of the word tree holds the integer Phi of its word over a common
 denominator, the integer V forms of its word and of its parent, and the
-feasible arcs of its prefix query.  The root starts from
+feasible arcs of its prefix query, on the integer loop (maps and forms)
+of the engine's ``semantics.IntegerStepper``.  The root starts from
 ``qfnra.line_arcs``, as every contraction query does.
 The letters k_lo..k_bar partition the directions by kappa, so a node
 makes all its children by one cut of its arcs, at the roots of its
@@ -73,8 +74,8 @@ from itertools import product
 from math import isqrt
 
 from . import qfnra
-from .satcheck import SUBLEVEL, UNIT_LEVEL, SatResult
-from .ratlin import integer_form, integer_matrix, padded
+from .qfnra import SatResult
+from .satcheck import SUBLEVEL, UNIT_LEVEL
 from .semantics import HorizonExceededError, IntegerStepper
 from .sysmodel import DiscretizedPetc
 
@@ -120,18 +121,11 @@ class WordEngine:
     """Decides the word queries of one discretization on a shared tree."""
 
     def __init__(self, disc: DiscretizedPetc):
-        if disc.n_x > 2:
-            raise ValueError("word queries need one or two state variables")
+        self._stepper = IntegerStepper(disc)  # ValueError past two variables
         self.disc = disc
-        self._maps = {k: integer_matrix(padded(m))
-                      for k, m in disc.M.items()}
-        self._trigger = [integer_form(padded(disc.N[j]))
-                         for j in range(1, disc.k_bar)]
-        self._lyapunov = integer_form(padded(disc.P_rat))
-        self._p_scale = integer_matrix(disc.P_rat)[1]
-        self._stepper = IntegerStepper(disc)
         one = ((1, 0), (0, 1))
-        self.root = Node((), one, (_pullback(self._lyapunov, one), 1), None,
+        self.root = Node((), one,
+                         (_pullback(self._stepper.lyapunov, one), 1), None,
                          qfnra.line_arcs(disc.n_x))
         # the first of _BASES with V0 / V(b) a rational square, or None
         self._base = next((b for b in _BASES if self._shell_point(b)), None)
@@ -158,7 +152,7 @@ class WordEngine:
             if node.word:
                 entry = qfnra.primitive(self._entry(node))
             triggers = [qfnra.primitive(_pullback(f, node.phi))
-                        for f in self._trigger[disc.k_lo - 1:]]
+                        for f in self._stepper.forms[disc.k_lo - 1:]]
             cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(
                 triggers if entry is None else [entry] + triggers))
         arcs = {k: [] for k in disc.K_range}
@@ -176,10 +170,11 @@ class WordEngine:
                 node.children[k] = Node(word, None, None, None, [])
                 continue
             (f, g), (h, i) = node.phi
-            ((a, b), (c, e)), d = self._maps[k]
+            ((a, b), (c, e)), d = self._stepper.maps[k]
             phi = ((a * f + b * h, a * g + b * i),
                    (c * f + e * h, c * g + e * i))
-            form = (_pullback(self._lyapunov, phi), node.form[1] * d)
+            form = (_pullback(self._stepper.lyapunov, phi),
+                    node.form[1] * d)
             node.children[k] = Node(word, phi, form, node.form, arcs[k])
 
     def _entry(self, node: Node) -> list:
@@ -256,7 +251,7 @@ class WordEngine:
         # V0 / V(Phi_i u / g) = top scale_i^2 / (vd w_i), and v_0 > ... > v_m
         # on the prefix arcs: s^2 in (r V0 / v_{m-1}, min(V0 / v_0,
         # r V0 / v_m)), with scale_0 = 1
-        top = disc.V0.numerator * self._p_scale * g * g
+        top = disc.V0.numerator * self._stepper.d_p * g * g
         hi = (top, vd * w0)
         if wm > 0 and rn * dm * dm * w0 < rd * wm:
             hi = (rn * top * dm * dm, rd * vd * wm)
@@ -273,7 +268,7 @@ class WordEngine:
         u0, u1 = u
         g = u0 or u1
         w0, vd = qfnra.form_at(self.root.form[0], u), disc.V0.denominator
-        t = disc.V0.numerator * self._p_scale * g * g * vd * w0
+        t = disc.V0.numerator * self._stepper.d_p * g * g * vd * w0
         root = isqrt(t) if t > 0 else -1
         if root * root != t:
             return None

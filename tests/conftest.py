@@ -695,23 +695,24 @@ def oracle_decide(n, atoms):
     """The t-scale decision of n-variable atoms x'Fx rel c for n <= 2."""
     if n == 0:
         ok = all(_const_holds(rel, c) for _, rel, c in atoms)
-        return qfnra.Decided("sat" if ok else "unsat", witness=())
+        return qfnra.SatResult("sat" if ok else "unsat", witness=())
     if all(_const_holds(rel, c) for _, rel, c in atoms):
-        return qfnra.Decided("sat", witness=(Fraction(0),) * n)
+        return qfnra.SatResult("sat", witness=(Fraction(0),) * n)
     if n == 1:
         verdict, data = t_verdict([(f[0][0], rel, c) for f, rel, c in atoms])
         if verdict == INFEAS:
-            return qfnra.Decided("unsat")
+            return qfnra.SatResult("unsat")
         if verdict == OPEN:
             s = simplest_sqrt_in(data[0], data[2])
         else:
             s = rational_square_root(_exact_fraction(data))
         if s is not None and qfnra.verify_witness(atoms, (s,)):
-            return qfnra.Decided("sat", witness=(s,))
-        return qfnra.Decided("unknown",
-                             reason="feasible set has no rational point")
+            return qfnra.SatResult("sat", witness=(s,))
+        return qfnra.SatResult("unknown",
+                               reason="feasible set has no rational point")
     if n != 2:
-        return qfnra.Decided("unknown", reason=f"{n} variables not supported")
+        return qfnra.SatResult("unknown",
+                               reason=f"{n} variables not supported")
     eq_atoms = [a for a in atoms if a[1] == "="]
 
     # integer coefficient triples for q_j(m) = (A2 m^2 + A1 m + A0) / S
@@ -772,7 +773,7 @@ def oracle_decide(n, atoms):
         x = _witness_at_direction(direction, verdict, data, atoms, bounds,
                                   eq_atoms)
         if x is not None:
-            return qfnra.Decided("sat", witness=x)
+            return qfnra.SatResult("sat", witness=x)
         real_feasible = True
 
     # the vertical direction (0, 1)
@@ -782,13 +783,13 @@ def oracle_decide(n, atoms):
         x = _witness_at_direction("inf", verdict, data, atoms, None,
                                   eq_atoms)
         if x is not None:
-            return qfnra.Decided("sat", witness=x)
+            return qfnra.SatResult("sat", witness=x)
         real_feasible = True
     if real_feasible:
-        return qfnra.Decided("unknown",
-                             reason="feasible, but no rational witness was "
-                                    "found")
-    return qfnra.Decided("unsat")
+        return qfnra.SatResult("unknown",
+                               reason="feasible, but no rational witness was "
+                                      "found")
+    return qfnra.SatResult("unsat")
 
 
 @contextlib.contextmanager
@@ -943,14 +944,15 @@ def word_maps(engine, word) -> list:
     """(phi_i, (q_i, d_i)) for the prefixes of word, i = 0..m: the
     integer Phi_i = phi_i / d_i and its V form, rebuilt along the word
     as WordEngine._split builds them one node at a time."""
+    lyapunov = engine._stepper.lyapunov
     phi, d = ((1, 0), (0, 1)), 1
-    maps = [(phi, (wordtree._pullback(engine._lyapunov, phi), d))]
+    maps = [(phi, (wordtree._pullback(lyapunov, phi), d))]
     for k in word:
-        ((a, b), (c, e)), dk = engine._maps[k]
+        ((a, b), (c, e)), dk = engine._stepper.maps[k]
         (f, g), (h, i) = phi
         phi = ((a * f + b * h, a * g + b * i), (c * f + e * h, c * g + e * i))
         d *= dk
-        maps.append((phi, (wordtree._pullback(engine._lyapunov, phi), d)))
+        maps.append((phi, (wordtree._pullback(lyapunov, phi), d)))
     return maps
 
 
@@ -966,7 +968,7 @@ def letter_atoms(engine, maps, k) -> list:
     of the word_maps: the cone of k on Phi and, for a non-empty word,
     v_m > r v_0 at its length m."""
     disc = engine.disc
-    cone = [wordtree._pullback(f, maps[-1][0]) for f in engine._trigger]
+    cone = [wordtree._pullback(f, maps[-1][0]) for f in engine._stepper.forms]
     atoms = []
     for j in range(disc.k_lo, min(k, disc.k_bar)):
         atoms.append(atom([-c for c in cone[j - 1]], False))
@@ -990,7 +992,7 @@ def split_forms(engine, word) -> list:
     children, as primitive integer triples."""
     return [qfnra.primitive(wordtree._pullback(f, phi))
             for phi, _ in word_maps(engine, word)[:-1]
-            for f in engine._trigger[engine.disc.k_lo - 1:]]
+            for f in engine._stepper.forms[engine.disc.k_lo - 1:]]
 
 
 def line_cut(forms, n):
@@ -1025,7 +1027,7 @@ def unit_terminal_atoms(engine, word) -> list:
                   False)]
 
 
-def full_sample_prefix(engine, word) -> qfnra.Decided:
+def full_sample_prefix(engine, word) -> qfnra.SatResult:
     """The prefix query of word on every root of its atoms, with the
     first feasible rational direction as the witness."""
     return qfnra.decide_forms(prefix_atoms(engine, word), engine.disc.n_x)
@@ -1076,7 +1078,7 @@ def _full_sample_witness(engine, word, shell, atoms, direction, bounds):
     g = u0 or u1
     u = (Fraction(u0, g), Fraction(u1, g))
     v = [(a2 * u[1] * u[1] + a1 * u[0] * u[1] + a0 * u[0] * u[0])
-         / (engine._p_scale * d * d)
+         / (engine._stepper.d_p * d * d)
          for _, ((a2, a1, a0), d) in word_maps(engine, word)]
     if shell == satcheck.SUBLEVEL:
         rv0 = disc.r * disc.V0

@@ -329,7 +329,7 @@ def test_exit_code_undecided(monkeypatch, capsys):
     # a decision procedure that always answers unknown forces the
     # undecided path
     monkeypatch.setattr(qfnra, "decide", lambda n, atoms:
-                        qfnra.Decided("unknown", reason="forced"))
+                        qfnra.SatResult("unknown", reason="forced"))
     assert main(["contraction"]) == EXIT_UNDECIDED
     err = capsys.readouterr().err
     assert "could not decide" in err and "Traceback" not in err

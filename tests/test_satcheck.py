@@ -26,9 +26,9 @@ def test_quad_atom_validation():
         QuadAtom(ident, "!=", F(0))
     with pytest.raises(ValueError):
         QuadAtom(ratlin.mat([[0, 1], [0, 0]]), ">", F(0))
-    a = QuadAtom(ident, ">=", F(2))
-    assert a.holds((F(1), F(1)))
-    assert not a.holds((F(1), F(0)))
+    q = SatQuery((QuadAtom(ident, ">=", F(2)),), 2)
+    assert q.holds((F(1), F(1)))
+    assert not q.holds((F(1), F(0)))
 
 
 def test_query_validation():
@@ -87,6 +87,33 @@ def test_parse_model_variants():
     text2 = "sat\n((define-fun x0 () Real 2.5))"
     assert parse_model(text2, 1) == (F(5, 2),)
     assert parse_model("sat\n(model)", 1) is None
+
+
+def test_parse_model_rejects_unreadable_models():
+    # the SMT-LIB reader of qfnra: unbalanced text and a division by zero
+    # give no model
+    assert parse_model("sat\n(model (define-fun x0 () Real 1)", 1) is None
+    assert parse_model("sat\n(model (define-fun x0 () Real 1)))", 1) is None
+    assert parse_model("(model (define-fun x0 () Real (/ 1 0)))", 1) is None
+    assert parse_model("(model (define-fun x0 () Real (- 1)))", 1) == (F(-1),)
+
+
+def test_check_returns_the_decided_result(monkeypatch):
+    # one result type: check passes what decide returns through, and
+    # replaces only a sat witness that fails the atoms
+    query = SatQuery((QuadAtom(ratlin.identity(2), ">", F(0)),), 2)
+    assert type(check(query)) is type(qfnra.decide(2, [])) \
+        is satcheck.SatResult is qfnra.SatResult
+    for decided in (qfnra.SatResult("unsat"),
+                    qfnra.SatResult("unknown", reason="forced")):
+        monkeypatch.setattr(qfnra, "decide", lambda n, atoms: decided)
+        assert check(query) is decided
+    monkeypatch.setattr(qfnra, "decide", lambda n, atoms:
+                        qfnra.SatResult("sat", witness=(F(0), F(0))))
+    res = check(query)
+    assert res.status == "unknown" and "re-verification" in res.reason
+    with pytest.raises(ValueError):
+        qfnra.SatResult("sat")
 
 
 def test_check_sat_produces_exact_witness(tiny_disc):

@@ -35,10 +35,12 @@ def test_kappa_agrees_with_cone_atoms(ci_disc):
     # the satcheck cone encoding and the semantics must partition alike
     for x in verify.sample_shell_states(ci_disc, 50, seed=8):
         k = kappa(ci_disc, x)
-        for j in range(ci_disc.k_lo, k):
-            assert satcheck.QuadAtom(ci_disc.N[j], "<=", F(0)).holds(x)
+        atoms = [satcheck.QuadAtom(ci_disc.N[j], "<=", F(0))
+                 for j in range(ci_disc.k_lo, k)]
         if k < ci_disc.k_bar:
-            assert satcheck.QuadAtom(ci_disc.N[k], ">", F(0)).holds(x)
+            atoms.append(satcheck.QuadAtom(ci_disc.N[k], ">", F(0)))
+        if atoms:
+            assert satcheck.SatQuery(tuple(atoms), ci_disc.n_x).holds(x)
 
 
 def test_float_kappa_matches_exact(ci_disc):

@@ -75,6 +75,41 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def unread_private_names(source: str) -> list[str]:
+    """The private (_-prefixed, not dunder) top-level functions, classes
+    and constants of source that no other top-level statement reads: a
+    recursive helper that nothing else calls is unread."""
+    tree = ast.parse(source)
+    defined, reads = [], []
+    for i, node in enumerate(tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.append((node.name, i))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            defined += [(t.id, i) for t in targets if isinstance(t, ast.Name)]
+        reads.append({n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)})
+    return [name for name, i in defined
+            if name.startswith("_") and not name.startswith("__")
+            and not any(name in r for j, r in enumerate(reads) if j != i)]
+
+
+def test_unread_private_names_found():
+    assert unread_private_names(
+        "_A = 1\n_B: int = 2\n__all__ = []\n"
+        "def _walk(x):\n    return _walk(x[1:]) if x else _A\n"
+        "class _Used:\n    pass\n"
+        "def f():\n    return _Used()\n") == ["_B", "_walk"]
+
+
+def test_no_unread_private_names():
+    # every private helper of a module of the package is read in it
+    unread = {path.name: names for path in sorted(SRC.glob("*.py"))
+              if (names := unread_private_names(path.read_text()))}
+    assert unread == {}
+
+
 def imported_modules(source: str) -> set[str]:
     """The top-level names of the absolute imports of source."""
     tree = ast.parse(source)

@@ -185,7 +185,7 @@ def test_shell_is_the_dropped_pieces(case, request):
         split += 1
         phi = word_maps(engine, node.word)[-1][0]
         triggers = [qfnra.primitive(wordtree._pullback(f, phi))
-                    for f in engine._trigger[disc.k_lo - 1:]]
+                    for f in engine._stepper.forms[disc.k_lo - 1:]]
         cut = qfnra.cut_arcs(node.arcs, qfnra.enclosed_roots(triggers))
         ref = refine_arcs(cut, unit_terminal_atoms(engine, node.word))
         assert [_arc_key(a) for a in node.shell] == \
@@ -251,6 +251,32 @@ def test_pipeline_builds_one_word_tree(monkeypatch):
     res = cli.run_pipeline(cfg)
     assert len(made) == 1 and made[0] is res.disc
     assert res.bisim.tree is not None and res.sim.tree is None
+
+
+def test_engine_scales_the_loop_once(ci_disc, monkeypatch):
+    # the engine takes its integer maps and forms from its stepper: one
+    # integer_form per trigger form and one for P, k_bar in all, through
+    # either import path
+    calls = []
+    integer_form = ratlin.integer_form
+
+    def counting(m):
+        calls.append(m)
+        return integer_form(m)
+
+    monkeypatch.setattr(ratlin, "integer_form", counting)
+    monkeypatch.setattr(wordtree, "integer_form", counting, raising=False)
+    engine = wordtree.WordEngine(ci_disc)
+    assert len(calls) == ci_disc.k_bar
+    assert engine._stepper.forms == [
+        integer_form(ratlin.padded(ci_disc.N[k]))
+        for k in range(1, ci_disc.k_bar)]
+
+
+def test_engine_rejects_three_variables(ci_disc):
+    with pytest.raises(ValueError, match="3 variables not supported"):
+        wordtree.WordEngine(dataclasses.replace(
+            ci_disc, P_rat=ratlin.identity(3)))
 
 
 def _perturbed(x):
