@@ -5,12 +5,13 @@ trace simulation — all evaluated in exact rational arithmetic over the
 frozen discretization, so these routines double as the brute-force
 oracle for the abstract models.  ``IntegerStepper`` runs the pure
 event-triggered law exactly too, on integer pairs up to a positive scale
-(n_x <= 2, one variable padded to two) with binary forms: each sign and
-comparison is straight-line integer arithmetic on the top bits of the
-state, or on the whole integers where those cannot decide.  Both checks
-of ``verify`` run on its orbits, and ``IntegerStepper.entry_run`` gives
-the word that ``concrete_sequence`` gives; ``wordtree`` takes its
-integer loop from it.
+(n_x <= 2, one variable padded to two) with binary forms.  It decides in
+floats from the top bits of the state: kappa from a table of the root
+slopes of the trigger forms, and each Lyapunov comparison on log-levels,
+with the whole integers deciding only within a proven margin.  Both
+checks of ``verify`` run on its orbits, ``entry_run`` gives the word
+that ``concrete_sequence`` gives, and ``wordtree`` takes its integer
+loop from it.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from . import ratlin
+from . import qfnra, ratlin
 from .ratlin import RatVector
 from .sysmodel import DiscretizedPetc
 
@@ -95,11 +97,18 @@ def concrete_sequence(disc: DiscretizedPetc, x0: ConcreteState,
     return tuple(word)
 
 
-# Width in bits of the top part of an orbit state on which the signs and
-# comparisons of ``IntegerStepper`` are decided.  Any width of a few
-# dozen bits leaves the exact fallback rare; 62 keeps each product of
-# top parts and form coefficients small.
+# Width in bits of the top part of an orbit state, from which
+# ``IntegerStepper`` takes the float slope and level of each point: any
+# few dozen bits keep their errors far inside the margins below, and 62
+# keeps each product of top parts and form coefficients small.
 WIDTH = 62
+
+# Within these margins of a cut, or of the log2 of a bound, a float slope
+# or difference of levels is decided on the whole integers instead.
+SLOPE_MARGIN = 2.0 ** -30
+LEVEL_MARGIN = 2.0 ** -26
+# Beyond this |level|, float rounding could exceed LEVEL_MARGIN / 4.
+_LEVEL_CAP = 2.0 ** 16
 
 
 def _tolerance(f: tuple[int, int, int]) -> int:
@@ -114,37 +123,26 @@ def _value(f: tuple[int, int, int], y0: int, y1: int = 0) -> int:
     return (a * y0 + b * y1) * y0 + e * y1 * y1
 
 
-def span_greater(x: tuple[int, int, int],
-                 y: tuple[int, int, int]) -> bool | None:
-    """Whether X > Y, for lo 2^e <= X <= hi 2^e with (lo, hi, e) = x, and
-    Y within y alike; None when the two ranges overlap, where only the
-    exact values decide."""
-    (xl, xh, xe), (yl, yh, ye) = x, y
-    if xe > ye:
-        xl, xh = xl << xe - ye, xh << xe - ye
-    else:
-        yl, yh = yl << ye - xe, yh << ye - xe
-    if xl > yh:
-        return True
-    if xh <= yl:
-        return False
-    return None
+def log_bound(q: Fraction) -> tuple[Fraction, float]:
+    """(q, log2 q) for a rational q > 0, as ``above`` takes it; log2 q is
+    within 2^-29 while q has fewer than 2^20 bits."""
+    return q, math.log2(q.numerator) - math.log2(q.denominator)
 
 
 class OrbitPoint(NamedTuple):
     """Step j of an integer orbit: the state x_j = y / c, with y padded to
     two coordinates, its inter-event index k = kappa(x_j), the common
-    denominator d of M(k), so that the next scale is c d, and the range
-    (lo, hi, e) of v = y'P_int y, which is V(x_j) times d_P c^2:
-    lo 2^e <= v <= hi 2^e, with lo = hi = v and e = 0 when y has at most
-    WIDTH bits (see ``IntegerStepper``).  ``lyapunov`` holds P_int as a
-    binary form, by which v itself is computed on demand."""
+    denominator d of M(k), so that the next scale is c d, and its level,
+    a float within LEVEL_MARGIN / 4 of log2(v / c^2) = log2(d_P V(x_j))
+    for v = y'P_int y, or NaN where ``IntegerStepper`` keeps none.
+    ``lyapunov`` holds P_int as a binary form, by which v itself is
+    computed on demand."""
 
     k: int
     d: int
     y: tuple[int, int]
     c: int
-    span: tuple[int, int, int]
+    level: float
     lyapunov: tuple[int, int, int]
 
     @property
@@ -159,6 +157,19 @@ class OrbitPoint(NamedTuple):
         return x if self.lyapunov[2] else x[:1]
 
 
+def above(a: OrbitPoint, bound: tuple[Fraction, float],
+          b: OrbitPoint | None = None) -> bool:
+    """Whether V(x_a) > q V(x_b), or without b d_P V(x_a) > q, exactly,
+    for bound = (q, log2 q): on the levels, and on the whole integers v
+    and c where their difference is NaN or within LEVEL_MARGIN of log2 q."""
+    q, log_q = bound
+    d = a.level - log_q - (0.0 if b is None else b.level)
+    if abs(d) > LEVEL_MARGIN:
+        return d > 0
+    vb, cb = (1, 1) if b is None else (b.v, b.c)
+    return q.denominator * a.v * cb * cb > q.numerator * vb * a.c * a.c
+
+
 class IntegerStepper:
     """The pure event-triggered law on integer pairs (``ratlin.padded``).
 
@@ -168,26 +179,35 @@ class IntegerStepper:
     binary forms (a, b, e), with f(y) = (a y0 + b y1) y0 + e y1^2: the
     sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no scale at
     all.  P_int = d_P P over the common denominator d_P of P, so the
-    integer value v = y'P_int y is d_P c^2 V(x), and a bound V(x) <= t
-    reads v <= d_P t c^2, in integers.
+    integer value v = y'P_int y is d_P c^2 V(x).
 
     No gcd is taken, so y and c grow by the bits of d_k at every step,
-    and every sign and comparison is decided on their top bits.  Let
+    and each decision is taken in floats from their top bits.  Let
     s = max(bitlen(y0), bitlen(y1)) - WIDTH where that is positive, and
-    m = y >> s, so that y_i = 2^s (m_i + e_i) with 0 <= e_i < 1 and
-    |m_i| <= 2^WIDTH.  For an integer form f with coefficients f_ij,
+    m = y >> s, so that y_i = 2^s (m_i + e_i) with 0 <= e_i < 1 and the
+    larger |m_i| at least 2^(WIDTH-1); else s = 0 and m = y.
+
+    kappa depends only on the direction of y, and each trigger form keeps
+    its sign between its root slopes.  So the slope y1/y0, or y0/y1 where
+    |m1| > |m0|, is looked up in a table of those roots, cut at the
+    64-bit enclosures of ``qfnra.roots_of_quadratic``, with kappa fixed
+    exactly on each arc at a rational direction inside it.  The float
+    slope m1/m0 and each cut are within 2^-50 of the exact ones, so a
+    slope farther than SLOPE_MARGIN from both ends of its arc lies in it;
+    nearer, or at y = 0, the forms' signs on the whole integers decide.
+
+    For an integer form f with coefficients f_ij,
 
         |f(y) - 4^s f(m)| <= 4^s sum |f_ij| (|m_i| + |m_j| + 1)
                           <= 4^s sum |f_ij| (2^(WIDTH+1) + 1),
 
-    the tolerance of f.  So f(m) beyond the tolerance of f gives the
-    sign of f(y), and v lies in [v(m) - tol, v(m) + tol] 4^s; c is
-    bounded alike by its top bits.  Each test compares such integer
-    ranges and takes the exact value, y'Fy or c^2, only when they
-    overlap, so every decision is the exact one.  The state itself is
-    never rounded.  A state of at most WIDTH bits is its own top part,
-    with zero tolerance.  More than two variables raise ValueError.
-    Callers only read ``maps`` (k to (M_int(k), d_k)), ``forms`` (N_int(k),
+    the tolerance of f.  With c = 2^t (n + e) split alike, the level
+    log2 v(m) - 2 log2 n + 2 (s - t) is within 2^-31 of log2(v / c^2)
+    where v(m) exceeds 2^32 times the tolerance of P, and float rounding
+    adds less than 2^-33 while |level| < 2^16; elsewhere it is NaN.  So
+    ``above`` decides every Lyapunov test exactly.  The state itself is
+    never rounded.  More than two variables raise ValueError.  Callers
+    only read ``maps`` (k to (M_int(k), d_k)), ``forms`` (N_int(k),
     k < k_bar), ``lyapunov`` (P_int) and ``d_p``.
     """
 
@@ -197,54 +217,79 @@ class IntegerStepper:
         self._k_bar = disc.k_bar
         self.forms = [ratlin.integer_form(ratlin.padded(disc.N[k]))
                       for k in range(1, disc.k_bar)]
-        self._exact = [(*f, 0) for f in self.forms]
-        self._trigger = [(*f, _tolerance(f)) for f in self.forms]
         self.lyapunov = ratlin.integer_form(ratlin.padded(disc.P_rat))
-        self._tol_p = _tolerance(self.lyapunov)
+        self._guard = _tolerance(self.lyapunov) << 32
         self.maps = {k: ratlin.integer_matrix(ratlin.padded(m))
                      for k, m in disc.M.items()}
         self.d_p = ratlin.integer_matrix(disc.P_rat)[1]
-        self._v0 = self.d_p * disc.V0
-        self._rv0 = self.d_p * disc.r * disc.V0
+        self._v0 = log_bound(self.d_p * disc.V0)
+        self._rv0 = log_bound(self.d_p * disc.r * disc.V0)
+        self._by_y0 = self._table(False)
+        self._by_y1 = self._table(True)
 
-    def level(self, y: tuple[int, ...], c: int) -> Fraction:
+    def _table(self, swap: bool) -> tuple[list[float], list[int]]:
+        """The direction table of the slope y1/y0, or of y0/y1 if swap:
+        the slopes in (-2, 2) at which a trigger form vanishes, ascending
+        between the ends -2 and 2, and kappa at index i on the arc between
+        cuts i - 1 and i, fixed at the rational direction halfway."""
+        cuts = sorted({
+            r.enc[0] / 2 ** 64 for a, b, e in self.forms
+            for r in qfnra.roots_of_quadratic(*((a, b, e) if swap
+                                                else (e, b, a)))
+            if abs(r.enc[0]) < 1 << 65})
+        cuts = [-2.0, *cuts, 2.0]
+        kappas = [self._k_bar]
+        for lo, hi in zip(cuts, cuts[1:]):
+            t = (Fraction(lo) + Fraction(hi)) / 2
+            p, q = t.numerator, t.denominator
+            kappas.append(self._kappa(p, q) if swap else self._kappa(q, p))
+        return cuts, kappas
+
+    def _kappa(self, y0: int, y1: int) -> int:
+        """kappa at the direction y, from the signs of the trigger forms
+        on the whole integers."""
+        for k, (a, b, e) in enumerate(self.forms, 1):
+            if (a * y0 + b * y1) * y0 + e * y1 * y1 > 0:
+                return k
+        return self._k_bar
+
+    def V(self, y: tuple[int, ...], c: int) -> Fraction:
         """V(x), exactly, for the state x = y / c of n_x coordinates."""
         return Fraction(_value(self.lyapunov, *y), self.d_p * c * c)
 
     def _point(self, y: tuple[int, int], c: int) -> OrbitPoint:
         """The orbit point of the state y / c."""
         y0, y1 = y
-        s = max(y0.bit_length(), y1.bit_length()) - WIDTH
+        s, t = y0.bit_length(), y1.bit_length()
+        s = (s if s > t else t) - WIDTH
         if s > 0:
-            m0, m1 = y0 >> s, y1 >> s
-            trigger, tol = self._trigger, self._tol_p
+            m0, m1, guard = y0 >> s, y1 >> s, self._guard
         else:
-            s, m0, m1, trigger, tol = 0, y0, y1, self._exact, 0
-        k = self._k_bar
-        for i, (a, b, e, t) in enumerate(trigger, 1):
-            f = (a * m0 + b * m1) * m0 + e * m1 * m1
-            if f > t or f >= -t and (a * y0 + b * y1) * y0 + e * y1 * y1 > 0:
-                k = i
-                break
+            s, m0, m1, guard = 0, y0, y1, 0
+        if abs(m1) <= abs(m0):
+            (cuts, kappas), slope = (self._by_y0,
+                                     float(m1) / m0 if m0 else math.nan)
+        else:
+            (cuts, kappas), slope = self._by_y1, float(m0) / m1
+        i = bisect(cuts, slope, 1, len(cuts) - 1)
+        if (slope - cuts[i - 1] > SLOPE_MARGIN
+                and cuts[i] - slope > SLOPE_MARGIN):
+            k = kappas[i]
+        else:
+            k = self._kappa(y0, y1)
         a, b, e = self.lyapunov
         v = (a * m0 + b * m1) * m0 + e * m1 * m1
-        return OrbitPoint(k, self.maps[k][1], y, c,
-                          (v - tol, v + tol, 2 * s), self.lyapunov)
-
-    def _above(self, pt: OrbitPoint, bound: Fraction) -> bool:
-        """Whether v > bound c^2 at pt, that is V(x) > bound / d_P."""
-        num, den = bound.numerator, bound.denominator
-        lo, hi, e = pt.span
-        t = max(pt.c.bit_length() - WIDTH, 0)
-        n = pt.c >> t  # n 2^t <= c < (n + 1) 2^t, and c = n 2^t if t = 0
-        n1 = n + 1 if t else n
-        above = span_greater((den * lo, den * hi, e),
-                             (num * n * n, num * n1 * n1, 2 * t))
-        return den * pt.v > num * pt.c * pt.c if above is None else above
+        t = c.bit_length() - WIDTH
+        n, t = (c >> t, t) if t > 0 else (c, 0)
+        level = (math.log2(v) - 2 * math.log2(n) + 2 * (s - t)
+                 if v > guard else math.nan)
+        if not -_LEVEL_CAP < level < _LEVEL_CAP:
+            level = math.nan
+        return OrbitPoint(k, self.maps[k][1], y, c, level, self.lyapunov)
 
     def outside(self, pt: OrbitPoint) -> bool:
         """Whether V(x) > V0 at pt: x lies outside the initial set."""
-        return self._above(pt, self._v0)
+        return above(pt, self._v0)
 
     def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
         """The points x_0, x_1, ... of the run from x0, without end."""
@@ -273,7 +318,7 @@ class IntegerStepper:
         if self.outside(pt):
             raise ValueError("initial state outside the initial sublevel set")
         run: list[OrbitPoint] = []
-        while self._above(pt, self._rv0):
+        while above(pt, self._rv0):
             if len(run) >= max_len:
                 raise HorizonExceededError(pt.state(),
                                            tuple(p.k for p in run))

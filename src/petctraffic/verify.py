@@ -9,13 +9,14 @@ sampling is seeded and exact: random dyadic points, integer membership
 tests.
 Both checks run on integer orbits of ``semantics.IntegerStepper``: each
 sampled run or witness replay is stepped once, and its words, states
-and Lyapunov tests are read off that orbit in integers.  The state is
-a pair (a one-variable plant padded to two, n_x <= 2), each form a
-binary form, and it is never reduced, so it grows by the bits of the
+and Lyapunov tests are read off that orbit.  The state is an integer
+pair (n_x <= 2), never reduced, so it grows by the bits of the
 denominator of M(k) at each step (52-57 on the bundled loop).  Each
-inter-event sign and each Lyapunov comparison is decided on its top
-``semantics.WIDTH`` bits, and in full only when those cannot decide, so
-a step takes time about linear in the bits of the state.
+inter-event time is looked up by the direction of the state, and each
+Lyapunov comparison made on the float levels of two points, from their
+top ``semantics.WIDTH`` bits; the whole integers decide only within a
+proven margin, so a step takes time about linear in the bits of the
+state.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -86,7 +86,7 @@ def _sublevel_points(disc: DiscretizedPetc, seed: int,
     common = scale * den
     while True:
         y = tuple([rng.randint(-scale, scale) * w for w in weights])
-        v = stepper.level(y, common)
+        v = stepper.V(y, common)
         if v <= disc.V0:
             yield tuple([Fraction(e, common) for e in y]), v
 
@@ -132,6 +132,7 @@ def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
     rep = CheckReport(name="bisimulation sample check")
     cap = 10 * len(model.states)
     stepper = semantics.IntegerStepper(disc)
+    outputs = {k: disc.h * k for k in range(1, disc.k_bar + 1)}
 
     # forward: sampled concrete word is a state and replays the tree
     for i, x0 in enumerate(sample_states(disc, n_samples, seed)):
@@ -147,7 +148,7 @@ def check_bisim_sample(disc: DiscretizedPetc, model: TrafficModel,
         for j, pt in enumerate(run):
             w = word[j:]
             if (stepper.outside(pt)
-                    or disc.h * pt.k != model.output[w]
+                    or outputs[pt.k] != model.output[w]
                     or (w, w[1:]) not in model.edges):
                 rep.add_failure(direction="forward-trace", sample=i, x0=x0,
                                 word=word, at=w)
@@ -175,16 +176,6 @@ def _check_witnesses(rep: CheckReport, model: TrafficModel,
             rep.add_failure(**tag, word=w, replay=replay, witness=x0)
 
 
-def _greater(a: semantics.OrbitPoint, p: int, b: semantics.OrbitPoint,
-             q: int) -> bool:
-    """Whether p v_a > q v_b, exactly, for integers p, q >= 0: on the
-    spans of a and b, and on v_a and v_b only where those overlap."""
-    (al, ah, ae), (bl, bh, be) = a.span, b.span
-    above = semantics.span_greater((p * al, p * ah, ae),
-                                   (q * bl, q * bh, be))
-    return p * a.v > q * b.v if above is None else above
-
-
 def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
              r: Fraction, max_len: int
              ) -> Iterator[tuple[tuple[int, ...], semantics.OrbitPoint]]:
@@ -192,31 +183,33 @@ def _windows(stepper: semantics.IntegerStepper, x0: RatVector,
     the point, all read off one integer orbit.
 
     The word of x_s is k_s ... k_{e-1}, where e is the first index > s
-    with V(x_e) <= r V(x_s).  Since c_e = c_s d_s ... d_{e-1}, that is
-    q v_e <= p v_s (d_s ... d_{e-1})^2 for r = p/q, in integers, which
-    ``_greater`` decides on the top bits of y_e and y_s.  Only the
-    points from s to e are kept.  The windows end at the origin, y = 0,
-    the one point with V = 0 as P is positive definite, where the run
-    has nothing left to check.
+    with V(x_e) <= r V(x_s), which ``semantics.above`` decides on the
+    levels of x_e and x_s.  Only the points from s to e are kept, with
+    their letters, from which each word is sliced.  The windows end at
+    the origin, y = 0, the one point with V = 0 as P is positive
+    definite, where the run has nothing left to check.
     """
-    p, q = r.numerator, r.denominator
+    bound = semantics.log_bound(r)
     orbit = stepper.orbit(x0)
-    window = deque([next(orbit)])
+    window = [next(orbit)]
+    letters = (window[0].k,)
     while True:
         start = window[0]
         if not any(start.y):
             return
-        bound, e = p, 0
-        while e == 0 or _greater(window[e], q, start, bound):
+        e = 0
+        while e == 0 or semantics.above(window[e], bound, start):
             if e >= max_len:
-                raise semantics.HorizonExceededError(
-                    window[e].state(), tuple(pt.k for pt in islice(window, e)))
-            bound *= window[e].d ** 2
+                raise semantics.HorizonExceededError(window[e].state(),
+                                                     letters[:e])
             e += 1
             if e == len(window):
-                window.append(next(orbit))
-        yield tuple(pt.k for pt in islice(window, e)), start
-        window.popleft()
+                pt = next(orbit)
+                window.append(pt)
+                letters += (pt.k,)
+        yield letters[:e], start
+        del window[0]
+        letters = letters[1:]
 
 
 def check_sim_petc(disc: DiscretizedPetc, model: TrafficModel,

@@ -209,9 +209,9 @@ class ExactStepper(semantics.IntegerStepper):
     """semantics.IntegerStepper with every orbit point evaluated in full,
     by generic forms on the padded state: the monomials of y, each
     trigger sign, v = y'P_int y and each V test are taken on the whole
-    integers, with no top-bits filter.  Each point carries the exact
-    range (v, v, 0), on which ``verify._greater`` decides
-    q v_e > p v_s g exactly."""
+    integers, with no top-bits filter.  Each point carries a NaN level,
+    so that ``semantics.above`` decides V(x_e) > r V(x_s) on the whole
+    integers as well."""
 
     def __init__(self, disc):
         super().__init__(disc)
@@ -233,13 +233,12 @@ class ExactStepper(semantics.IntegerStepper):
             k = next((i for i, f in enumerate(self.forms, 1)
                       if dot(f, mono) > 0), self.k_bar)
             m, d = self.maps[k]
-            v = dot(self.p_form, mono)
-            yield semantics.OrbitPoint(k, d, y, c, (v, v, 0), self.p_form)
+            yield semantics.OrbitPoint(k, d, y, c, math.nan, self.p_form)
             y = tuple([dot(row, y) for row in m])
             c *= d
 
     def outside(self, pt):
-        v = pt.span[0]
+        v = dot(self.p_form, monomials(pt.y))
         return self.v0.denominator * v > self.v0.numerator * pt.c * pt.c
 
     def entry_run(self, x0, max_len):
@@ -249,7 +248,7 @@ class ExactStepper(semantics.IntegerStepper):
         if self.outside(pt):
             raise ValueError("initial state outside the initial sublevel set")
         run = []
-        while den * pt.span[0] > num * pt.c * pt.c:
+        while den * dot(self.p_form, monomials(pt.y)) > num * pt.c * pt.c:
             if len(run) >= max_len:
                 raise semantics.HorizonExceededError(
                     pt.state(), tuple(p.k for p in run))
@@ -261,8 +260,10 @@ class ExactStepper(semantics.IntegerStepper):
 def recorded_checks(monkeypatch, stepper, checks):
     """Run checks() with every semantics.IntegerStepper made as stepper,
     recording each orbit point as (k, d, v, y, c): (result of checks(),
-    the points of each orbit made, in order).  v = y'P_int y in full
-    must lie in the range the point carries."""
+    the points of each orbit made, in order).  Unless stepper is the
+    ExactStepper, whose levels are NaN, the level of each point off the
+    origin must lie within LEVEL_MARGIN / 4 of log2(v / c^2), for
+    v = y'P_int y in full."""
     orbits = []
 
     class Recording(stepper):
@@ -270,9 +271,11 @@ def recorded_checks(monkeypatch, stepper, checks):
             points = []
             orbits.append(points)
             for pt in super().orbit(x0):
-                lo, hi, e = pt.span
                 v = pt.v
-                assert lo << e <= v <= hi << e
+                if v and stepper is not ExactStepper:
+                    exact = math.log2(v) - 2 * math.log2(pt.c)
+                    assert (abs(pt.level - exact)
+                            <= semantics.LEVEL_MARGIN / 4), (pt, exact)
                 points.append((pt.k, pt.d, v, pt.y, pt.c))
                 yield pt
 

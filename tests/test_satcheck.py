@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import io
+import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -226,25 +228,41 @@ def test_direct_decision_matches_smtlib_path(monkeypatch):
 def test_benchmark_trace_hooks_bind(tmp_path):
     # perfbench/tracer.py patches names of the program in place; in a
     # child process, with its end-to-end and layer hooks installed, the
-    # pipeline at r = 4/5 must run, decide its 41 contraction queries
-    # through satcheck.check, and agree with the tracer's own re-decision
-    # of each from its SMT-LIB text
+    # casestudy pass of the benchmark at r = 4/5 must run, decide its 41
+    # contraction queries through satcheck.check, and agree with the
+    # tracer's own re-decision of each from its SMT-LIB text.  Its
+    # validation must run inside the two verify spans that validate_s
+    # is read from, each with the check count the pass prints
     root = Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "src" / "petctraffic" / "data"
+                      / "casestudy.json").read_text())
+    cfg["r"] = 0.8
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
     script = (f"import sys; sys.path[:0] = [{str(root / 'src')!r}, "
               f"{str(root / 'perfbench')!r}]\n"
-              "from fractions import Fraction\n"
+              "import json\n"
               "import tracer\n"
               "from petctraffic import cli\n"
               "t = tracer.Tracer()\n"
               "tracer.install_e2e(t)\n"
               "layers = tracer.LayerTrace(t)\n"
               "layers.install()\n"
-              "cfg = cli.load_config(None)\n"
-              "cfg['r'] = Fraction(4, 5)\n"
-              "cli.run_pipeline(cfg)\n"
-              "print(len(layers.mismatches), "
-              "layers.metrics()['satcheck.queries'])\n")
+              "rc = cli.main(['casestudy', '--config', 'config.json', "
+              "'--out', 'out', '--samples', '20', '--steps', '5'])\n"
+              "print(json.dumps([rc, len(layers.mismatches), "
+              "layers.metrics()['satcheck.queries'], "
+              "[(s.name, s.attrs['checks'], s.dur) for s in t.spans "
+              "if s.name.startswith('verify.')]]))\n")
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "41"]
+    *printed, last = proc.stdout.splitlines()
+    rc, mismatches, queries, spans = json.loads(last)
+    assert (rc, mismatches, queries) == (0, 0, 41)
+    counts = [int(re.search(r"PASS \((\d+) checks\)", line)[1])
+              for line in printed if "sample check" in line]
+    assert [(name, checks) for name, checks, _ in spans] == [
+        ("verify.check_bisim_sample", counts[0]),
+        ("verify.check_sim_petc", counts[1])]
+    assert counts[0] > 20 and counts[1] > 20 * 5
+    assert all(dur > 0 for *_, dur in spans)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -159,28 +160,32 @@ def test_one_variable_orbit_is_padded():
         IntegerStepper(replace(disc, P_rat=ratlin.identity(3)))
 
 
-def _top(y):
-    """The top part of y by the rule of IntegerStepper: (s, y >> s)."""
-    s = max(0, max(e.bit_length() for e in y) - semantics.WIDTH)
-    return s, tuple(e >> s for e in y)
+def exact_kappa_calls(stepper):
+    """The list that gets one entry for each call of the exact kappa of
+    stepper from here on: the fallback of its direction table."""
+    calls = []
+    exact = stepper._kappa
+    stepper._kappa = lambda y0, y1: calls.append((y0, y1)) or exact(y0, y1)
+    return calls
 
 
 def test_filtered_sign_near_trigger_roots(ci_disc):
     # y of 100-10,000 bits at and near a root direction of each N(k),
-    # where the top part alone cannot decide: the filtered sign of each
-    # binary form, and kappa, are the exact ones, and the fallback is
-    # taken.  `single` holds the one form drawn, so its point has k = 1
-    # exactly where it finds that form positive
-    forms = [ratlin.integer_form(ci_disc.N[k])
-             for k in range(1, ci_disc.k_bar)]
+    # where the float slope cannot decide: kappa, and the sign of each
+    # binary form, are the exact ones, and the fallback is taken.
+    # single[k] holds N(k) alone, so its point has k = 1 exactly where
+    # it finds that form positive
+    ks = range(1, ci_disc.k_bar)
+    single = {k: IntegerStepper(replace(ci_disc, k_bar=2, N={1: ci_disc.N[k]}))
+              for k in ks}
+    fallbacks = {k: exact_kappa_calls(single[k]) for k in ks}
     stepper = IntegerStepper(ci_disc)
-    single = IntegerStepper(ci_disc)
-    fallbacks = []
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def check(data):
-        f0, f1, f2 = f = data.draw(st.sampled_from(forms))
+        k = data.draw(st.sampled_from(ks))
+        f0, f1, f2 = f = ratlin.integer_form(ci_disc.N[k])
         bits = data.draw(st.integers(100, 10_000))
         q = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
         # the roots of f(q, p) = 0 in p, to within one, from isqrt
@@ -190,17 +195,103 @@ def test_filtered_sign_near_trigger_roots(ci_disc):
         off = data.draw(st.integers(0, bits))
         p += data.draw(st.integers(-(1 << off), 1 << off))
         y = tuple(data.draw(st.sampled_from((-1, 1))) * e for e in (q, p))
-        s, (m0, m1) = _top(y)
-        assert s > 0
-        tol = semantics._tolerance(f)
-        fallbacks.append(abs((f0 * m0 + f1 * m1) * m0 + f2 * m1 * m1) <= tol)
         exact = dot(f, monomials(y)) > 0
-        single._trigger, single._k_bar = [(*f, tol)], 2
-        assert (single._point(y, 1).k == 1) == exact
+        assert (single[k]._point(y, 1).k == 1) == exact
         assert next(stepper.orbit(y)).k == kappa(ci_disc, y)
 
     check()
-    assert any(fallbacks)
+    assert any(fallbacks.values())
+
+
+def _plant_forms(disc, forms):
+    """disc with the trigger forms (a, b, e), f = a y0^2 + b y0 y1 + e y1^2,
+    as N(1), N(2), ..."""
+    n = {k: ((F(a), F(b, 2)), (F(b, 2), F(e)))
+         for k, (a, b, e) in enumerate(forms, 1)}
+    return replace(disc, k_bar=len(forms) + 1, N=n)
+
+
+def _root_lines(form, bits=50):
+    """Integer directions on each line where the form vanishes, if
+    rational, and within 2^-40 + 2^-50 of it in slope: (q, p) near the
+    root p/q of f(1, t), and (j, 2^bits) where f(0, 1) = 0, for the
+    offsets j."""
+    a, b, e = form
+    big = 1 << bits
+    offsets = [*range(-3, 4), -(1 << (bits - 40)), 1 << (bits - 40)]
+    if not any(form):  # vanishes everywhere, so cuts nothing
+        return []
+    if e == 0:
+        near = [(j, big) for j in offsets]
+        exact = [(0, 1)]
+        if b:
+            exact.append((b, -a))
+            near += [(big, -a * big // b + j) for j in offsets]
+        return exact + near
+    d = b * b - 4 * e * a
+    if d < 0:
+        return []
+    exact, near = [], []
+    s = math.isqrt(d)
+    for side in (-1, 1):
+        if s * s == d:
+            exact.append((2 * e, -b + side * s))
+        p = (-b * big + side * math.isqrt(d * big * big)) // (2 * e)
+        near += [(big, p + j) for j in offsets]
+    return exact + near
+
+
+@pytest.mark.parametrize("forms", [
+    # N(1) vanishes identically; N(2) is linear in y1/y0, with root
+    # slopes 1/3 and y0 = 0; N(3) has the rational root slopes +-1, where
+    # |y0| = |y1|; N(4) the irrational +-sqrt(2); N(5) a double root, 1/2
+    [(0, 0, 0), (-1, 3, 0), (-1, 0, 1), (-2, 0, 1), (1, -4, 4)],
+    # the same, N(k) and N(6 - k) swapped, so other forms decide first
+    [(1, -4, 4), (-2, 0, 1), (-1, 0, 1), (-1, 3, 0), (0, 0, 0)],
+    # the bundled trigger forms, with y0 and y1 swapped
+    None,
+], ids=["constructed", "reversed", "bundled_swapped"])
+def test_kappa_table_matches_exact_loop(forms, ci_disc):
+    # at each rational root direction and within 2^-40 of every root
+    # line of every form, scaled by up to 2^3000: kappa equals the
+    # Fraction loop, and the table falls back to the exact signs each
+    # time.  So do y = 0, and y0 = 0 and |y0| = |y1| off the cuts
+    if forms is None:
+        forms = [(e, b, a) for a, b, e in
+                 (ratlin.integer_form(ci_disc.N[k])
+                  for k in range(1, ci_disc.k_bar))]
+    disc = _plant_forms(ci_disc, forms)
+    stepper = IntegerStepper(disc)
+    calls = exact_kappa_calls(stepper)
+    rng = random.Random(7)
+    lines = [u for f in forms for u in _root_lines(f)]
+    assert lines
+    for u in lines:
+        for scale in (1, rng.getrandbits(3000) | 1, -(1 << 200)):
+            y = (u[0] * scale, u[1] * scale)
+            before = len(calls)
+            assert stepper._point(y, 1).k == kappa(disc, y), y
+            assert len(calls) == before + 1, y
+    assert stepper._point((0, 0), 1).k == disc.k_bar
+    assert calls[-1] == (0, 0)
+    for y in [(0, 5), (7, 7), (-7, 7), (1 << 90, -(1 << 90))]:
+        assert stepper._point(y, 1).k == kappa(disc, y), y
+
+
+def test_kappa_table_one_variable():
+    # a one-variable plant: its padded states (y0, 0) lie on one arc, so
+    # kappa is looked up without a fallback, and equals the Fraction loop
+    disc = bundled("one_dim")[1]
+    stepper = IntegerStepper(disc)
+    calls = exact_kappa_calls(stepper)
+    rng = random.Random(3)
+    for bits in (1, 40, 100, 5000):
+        y0 = rng.getrandbits(bits) | 1
+        for sign in (1, -1):
+            assert (stepper._point((sign * y0, 0), 1).k
+                    == kappa(disc, (F(sign * y0),)))
+    assert not calls
+    assert stepper._point((0, 0), 1).k == disc.k_bar and calls == [(0, 0)]
 
 
 @pytest.mark.parametrize("r", [F(4, 5), F(1, 2), F(1, 10)])
@@ -225,8 +316,8 @@ def test_level_comparisons_at_equality(r, ci_disc, ci_sim):
         b = stepper._point(y, 1)
         a = stepper._point(tuple(p * mu * e for e in y), 1)
         g = q * p * mu * mu  # q v_a = q p^2 mu^2 v_b = p g v_b
-        assert not verify._greater(a, q, b, p * g)
-        assert verify._greater(a, q, b, p * g - 1)
+        assert not semantics.above(a, semantics.log_bound(F(p * g, q)), b)
+        assert semantics.above(a, semantics.log_bound(F(p * g - 1, q)), b)
         x = data.draw(st.sampled_from(shell))
         assert ci_disc.V(x) == ci_disc.V0
         shift = data.draw(st.integers(0, bits))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -120,9 +121,9 @@ def test_bisim_check_matches_fraction_replay(built):
 def test_checks_match_unfiltered_orbits(built, monkeypatch):
     # the validation of casestudy (100 samples, 20 steps, its seed): the
     # same reports, and the same orbit points, of every sampled run and
-    # every witness replay, as with orbits evaluated in full, each with
-    # v inside its span; also on a one-variable plant, padded to two,
-    # and on the bundled loop with P and V0 scaled by 3
+    # every witness replay, as with orbits evaluated in full, each level
+    # within its bound of log2(v / c^2); also on a one-variable plant,
+    # padded to two, and on the bundled loop with P and V0 scaled by 3
     disc, bisim, sim = built
 
     def checks():
@@ -156,6 +157,41 @@ def test_long_runs_match_unfiltered_orbits(monkeypatch):
     assert n_checked == 20 * 300
     assert max(max(e.bit_length() for e in pt[3])
                for run in orbits for pt in run) > 10_000
+
+
+@pytest.mark.parametrize("built", ["r4_5"], indirect=True)
+def test_exact_fallback_is_rare(built, monkeypatch):
+    # the validation of the benchmark's r = 4/5 (150 samples, 20 steps):
+    # kappa falls back to the exact signs, and a level comparison to the
+    # whole integers (reading pt.v), on at most 1% of the orbit points.
+    # A margin that sent every point to the fallback would still give
+    # the right answers; this is what shows that it does not
+    disc, bisim, sim = built
+    counts = Counter()
+
+    class Counting(semantics.IntegerStepper):
+        def _point(self, y, c):
+            counts["points"] += 1
+            return super()._point(y, c)
+
+        def _kappa(self, y0, y1):
+            if "_by_y1" in vars(self):  # the tables are built
+                counts["kappa"] += 1
+            return super()._kappa(y0, y1)
+
+    exact_v = semantics.OrbitPoint.v.fget
+
+    def counted_v(pt):
+        counts["v"] += 1
+        return exact_v(pt)
+
+    monkeypatch.setattr(semantics, "IntegerStepper", Counting)
+    monkeypatch.setattr(semantics.OrbitPoint, "v", property(counted_v))
+    assert verify.check_bisim_sample(disc, bisim, 150, seed=2024).passed
+    assert verify.check_sim_petc(disc, sim, 150, 20, seed=2025).passed
+    assert counts["points"] > 3000
+    assert counts["kappa"] <= counts["points"] / 100
+    assert counts["v"] <= counts["points"] / 100
 
 
 def test_normalized_word_homogeneous(ci_disc):
