@@ -79,7 +79,9 @@ def tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
         elif ch == "|":
-            j = text.index("|", i + 1)
+            j = text.find("|", i + 1)
+            if j < 0:
+                raise Unsupported("unterminated |symbol|")
             out.append(text[i:j + 1])
             i = j + 1
         elif ch == '"':
@@ -171,6 +173,8 @@ def eval_term(expr, var_index):
             out = poly_add(out, eval_term(a, var_index))
         return out
     if op == "-":
+        if not args:
+            raise Unsupported("(-) without arguments")
         if len(args) == 1:
             return poly_neg(eval_term(args[0], var_index))
         out = eval_term(args[0], var_index)
@@ -637,6 +641,14 @@ def run_script(text, out):
         if head in ("set-logic", "set-option", "set-info", "exit", "push",
                     "pop", "reset"):
             continue
+        name = cmd[1] if len(cmd) > 1 else None
+        if head in ("declare-const", "declare-fun") and (
+                atoms != [] or not isinstance(name, str)
+                or name in var_index):
+            # each atom's matrix is sized by the variables before it
+            out.write("(error \"a declaration must name a new symbol "
+                      "before any assertion\")\n")
+            return 1
         if head == "declare-const" and len(cmd) == 3:
             if cmd[2] != "Real":
                 out.write("(error \"only Real constants are supported\")\n")
@@ -646,6 +658,9 @@ def run_script(text, out):
         elif head == "declare-fun" and len(cmd) == 4 and cmd[2] == []:
             var_index[cmd[1]] = len(var_names)
             var_names.append(cmd[1])
+        elif head == "assert" and len(cmd) != 2:
+            out.write("(error \"assert takes one term\")\n")
+            return 1
         elif head == "assert":
             if atoms is not None:
                 try:

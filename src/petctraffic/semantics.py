@@ -5,13 +5,15 @@ trace simulation — all evaluated in exact rational arithmetic over the
 frozen discretization, so these routines double as the brute-force
 oracle for the abstract models.  ``IntegerStepper`` runs the pure
 event-triggered law exactly too, on integer pairs up to a positive scale
-(n_x <= 2, one variable padded to two) with binary forms.  It decides in
-floats from the top bits of the state: kappa from a table of the root
-slopes of the trigger forms, and each Lyapunov comparison on log-levels,
-with the whole integers deciding only within a proven margin.  Both
-checks of ``verify`` run on its orbits, ``entry_run`` gives the word
-that ``concrete_sequence`` gives, and ``wordtree`` takes its integer
-loop from it.
+(n_x <= 2, one variable padded to two) with binary forms, from an
+integer pair and its scale (``run``) or from a rational state
+(``orbit``).  It decides in floats from the top bits of the state:
+kappa from a table of the root slopes of the trigger forms, and each
+Lyapunov comparison on log-levels, with the whole integers deciding
+only within a proven margin.  Both checks of ``verify`` run on its
+orbits from integer starts, ``entry_run`` gives the word that
+``concrete_sequence`` gives, and ``wordtree`` takes its integer loop
+from it.
 """
 
 from __future__ import annotations
@@ -107,8 +109,10 @@ WIDTH = 62
 # or difference of levels is decided on the whole integers instead.
 SLOPE_MARGIN = 2.0 ** -30
 LEVEL_MARGIN = 2.0 ** -26
-# Beyond this |level|, float rounding could exceed LEVEL_MARGIN / 4.
+# Beyond this |level|, or this log2 of the scale, float rounding could
+# exceed LEVEL_MARGIN / 4.
 _LEVEL_CAP = 2.0 ** 16
+_SCALE_CAP = 2.0 ** 19
 
 
 def _tolerance(f: tuple[int, int, int]) -> int:
@@ -117,10 +121,19 @@ def _tolerance(f: tuple[int, int, int]) -> int:
     return sum(map(abs, f)) * ((2 << WIDTH) + 1)
 
 
-def _value(f: tuple[int, int, int], y0: int, y1: int = 0) -> int:
+def form_value(f: tuple[int, int, int], y0: int, y1: int = 0) -> int:
     """(a y0 + b y1) y0 + e y1^2 for f = (a, b, e); y1 = 0 in one variable."""
     a, b, e = f
     return (a * y0 + b * y1) * y0 + e * y1 * y1
+
+
+def integer_state(x: ConcreteState) -> tuple[int, int, int]:
+    """(y0, y1, c) with x = (y0, y1) / c over the least common denominator
+    c of the coordinates of x, padded with y1 = 0 from one variable."""
+    c = math.lcm(*(e.denominator for e in x))
+    y0, y1 = (e.numerator * (c // e.denominator)
+              for e in (x if len(x) == 2 else (x[0], 0)))
+    return y0, y1, c
 
 
 def log_bound(q: Fraction) -> tuple[Fraction, float]:
@@ -148,13 +161,18 @@ class OrbitPoint(NamedTuple):
     @property
     def v(self) -> int:
         """y'P_int y, exactly."""
-        return _value(self.lyapunov, *self.y)
+        return form_value(self.lyapunov, *self.y)
 
     def state(self) -> ConcreteState:
         """The exact rational state x_j, of n_x coordinates: P_int, positive
         definite, lacks a y1^2 term only if padded from one variable."""
         x = tuple([Fraction(e, self.c) for e in self.y])
         return x if self.lyapunov[2] else x[:1]
+
+
+# Makes an OrbitPoint from the tuple of its fields, in C, without the
+# keyword handling of the NamedTuple's own __new__.
+_new_point = tuple.__new__
 
 
 def above(a: OrbitPoint, bound: tuple[Fraction, float],
@@ -179,7 +197,9 @@ class IntegerStepper:
     binary forms (a, b, e), with f(y) = (a y0 + b y1) y0 + e y1^2: the
     sign of y'N_int(k)y is that of x'N(k)x, so kappa needs no scale at
     all.  P_int = d_P P over the common denominator d_P of P, so the
-    integer value v = y'P_int y is d_P c^2 V(x).
+    integer value v = y'P_int y is d_P c^2 V(x).  A run starts from any
+    such (y, c), reduced or not (``run``), or from a rational state
+    (``orbit``, by ``integer_state``).
 
     No gcd is taken, so y and c grow by the bits of d_k at every step,
     and each decision is taken in floats from their top bits.  Let
@@ -201,13 +221,20 @@ class IntegerStepper:
         |f(y) - 4^s f(m)| <= 4^s sum |f_ij| (|m_i| + |m_j| + 1)
                           <= 4^s sum |f_ij| (2^(WIDTH+1) + 1),
 
-    the tolerance of f.  With c = 2^t (n + e) split alike, the level
-    log2 v(m) - 2 log2 n + 2 (s - t) is within 2^-31 of log2(v / c^2)
-    where v(m) exceeds 2^32 times the tolerance of P, and float rounding
-    adds less than 2^-33 while |level| < 2^16; elsewhere it is NaN.  So
-    ``above`` decides every Lyapunov test exactly.  The state itself is
-    never rounded.  More than two variables raise ValueError.  Callers
-    only read ``maps`` (k to (M_int(k), d_k)), ``forms`` (N_int(k),
+    the tolerance of f.  Where v(m) exceeds 2^32 times the tolerance of
+    P, log2 v(m) + 2s is so within 2^-31 of log2 v, and the level
+    log2 v(m) + 2 (s - log2 c) within 2^-31 of log2(v / c^2); c is taken
+    whole.  The level is kept only where |level| < 2^16 and
+    log2 c < 2^19, and elsewhere is NaN.  Then 0 <= log2 v(m) < 2^21
+    (s >= 0) and |s - log2 c| < 2^21.  ``math.log2`` rounds an integer
+    to a double within a factor 1 +- 2^-53, which moves its log2 by less
+    than 2^-52, and is then within one ulp; so float rounding adds less
+    than 2^-32 for log2 v(m), 2^-32 for twice log2 c, 2^-32 for twice
+    s - log2 c and 2^-37 for the sum, in all less than 2^-30.  The level
+    is within 2^-29.4 < LEVEL_MARGIN / 4 of log2(v / c^2), and ``above``
+    decides every Lyapunov test exactly.  The state itself is never
+    rounded.  More than two variables raise ValueError.  Callers only
+    read ``maps`` (k to (M_int(k), d_k)), ``forms`` (N_int(k),
     k < k_bar), ``lyapunov`` (P_int) and ``d_p``.
     """
 
@@ -221,6 +248,9 @@ class IntegerStepper:
         self._guard = _tolerance(self.lyapunov) << 32
         self.maps = {k: ratlin.integer_matrix(ratlin.padded(m))
                      for k, m in disc.M.items()}
+        # per k, M_int(k) flat as (a, b, e, f), and d_k
+        self._steps = {k: (*m[0], *m[1]) for k, (m, _) in self.maps.items()}
+        self._d = {k: d for k, (_, d) in self.maps.items()}
         self.d_p = ratlin.integer_matrix(disc.P_rat)[1]
         self._v0 = log_bound(self.d_p * disc.V0)
         self._rv0 = log_bound(self.d_p * disc.r * disc.V0)
@@ -253,10 +283,6 @@ class IntegerStepper:
                 return k
         return self._k_bar
 
-    def V(self, y: tuple[int, ...], c: int) -> Fraction:
-        """V(x), exactly, for the state x = y / c of n_x coordinates."""
-        return Fraction(_value(self.lyapunov, *y), self.d_p * c * c)
-
     def _point(self, y: tuple[int, int], c: int) -> OrbitPoint:
         """The orbit point of the state y / c."""
         y0, y1 = y
@@ -277,43 +303,44 @@ class IntegerStepper:
             k = kappas[i]
         else:
             k = self._kappa(y0, y1)
-        a, b, e = self.lyapunov
+        a, b, e = lyapunov = self.lyapunov
         v = (a * m0 + b * m1) * m0 + e * m1 * m1
-        t = c.bit_length() - WIDTH
-        n, t = (c >> t, t) if t > 0 else (c, 0)
-        level = (math.log2(v) - 2 * math.log2(n) + 2 * (s - t)
-                 if v > guard else math.nan)
+        log_c = math.log2(c)
+        level = (math.log2(v) + 2 * (s - log_c)
+                 if v > guard and log_c < _SCALE_CAP else math.nan)
         if not -_LEVEL_CAP < level < _LEVEL_CAP:
             level = math.nan
-        return OrbitPoint(k, self.maps[k][1], y, c, level, self.lyapunov)
+        return _new_point(OrbitPoint, (k, self._d[k], y, c, level, lyapunov))
 
     def outside(self, pt: OrbitPoint) -> bool:
         """Whether V(x) > V0 at pt: x lies outside the initial set."""
         return above(pt, self._v0)
 
-    def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
-        """The points x_0, x_1, ... of the run from x0, without end."""
-        c = math.lcm(*(e.denominator for e in x0))
-        y0, y1 = (e.numerator * (c // e.denominator)
-                  for e in (x0 if len(x0) == 2 else (x0[0], 0)))
-        maps = self.maps
+    def run(self, y0: int, y1: int, c: int) -> Iterator[OrbitPoint]:
+        """The points x_0, x_1, ... of the run from the state (y0, y1) / c,
+        c > 0, without end."""
+        point, steps = self._point, self._steps
         while True:
-            pt = self._point((y0, y1), c)
+            pt = point((y0, y1), c)
             yield pt
-            ((a, b), (e, f)), d = maps[pt.k]
+            a, b, e, f = steps[pt.k]
             y0, y1 = a * y0 + b * y1, e * y0 + f * y1
-            c *= d
+            c *= pt.d
 
-    def entry_run(self, x0: ConcreteState,
+    def orbit(self, x0: ConcreteState) -> Iterator[OrbitPoint]:
+        """The points x_0, x_1, ... of the run from the rational x0,
+        without end."""
+        return self.run(*integer_state(x0))
+
+    def entry_run(self, orbit: Iterator[OrbitPoint],
                   max_len: int) -> list[OrbitPoint]:
-        """The points of the run from x0 before its first entry into the
-        periodic set {V <= r V0}: their letters are the word of x0, and
-        they are the states that the mixed strategy steps with the
-        event-triggered law.  Raises as ``concrete_sequence`` does: a
-        ValueError when x0 lies outside the initial set, and past
-        max_len letters a HorizonExceededError with the state reached
-        and the prefix."""
-        orbit = self.orbit(x0)
+        """The points of orbit, the run from some x0 (``run`` or
+        ``orbit``), before its first entry into the periodic set
+        {V <= r V0}: their letters are the word of x0, and they are the
+        states that the mixed strategy steps with the event-triggered
+        law.  Raises as ``concrete_sequence`` does: a ValueError when x0
+        lies outside the initial set, and past max_len letters a
+        HorizonExceededError with the state reached and the prefix."""
         pt = next(orbit)
         if self.outside(pt):
             raise ValueError("initial state outside the initial sublevel set")

@@ -217,7 +217,7 @@ class WordEngine:
         if shell == UNIT_LEVEL and self.disc.V(x) != self.disc.V0:
             return False
         try:
-            run = self._stepper.entry_run(x, len(word))
+            run = self._stepper.entry_run(self._stepper.orbit(x), len(word))
         except (ValueError, HorizonExceededError):
             return False
         return tuple(pt.k for pt in run) == tuple(word)

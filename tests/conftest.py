@@ -224,10 +224,8 @@ class ExactStepper(semantics.IntegerStepper):
         self.v0, self.rv0 = d_p * disc.V0, d_p * disc.r * disc.V0
         self.k_bar = disc.k_bar
 
-    def orbit(self, x0):
-        x0 = tuple(x0) + (0,) * (2 - len(x0))
-        c = math.lcm(*(Fraction(e).denominator for e in x0))
-        y = tuple(int(Fraction(e) * c) for e in x0)
+    def run(self, y0, y1, c):
+        y = (y0, y1)
         while True:
             mono = monomials(y)
             k = next((i for i, f in enumerate(self.forms, 1)
@@ -241,9 +239,8 @@ class ExactStepper(semantics.IntegerStepper):
         v = dot(self.p_form, monomials(pt.y))
         return self.v0.denominator * v > self.v0.numerator * pt.c * pt.c
 
-    def entry_run(self, x0, max_len):
+    def entry_run(self, orbit, max_len):
         num, den = self.rv0.numerator, self.rv0.denominator
-        orbit = self.orbit(x0)
         pt = next(orbit)
         if self.outside(pt):
             raise ValueError("initial state outside the initial sublevel set")
@@ -267,10 +264,10 @@ def recorded_checks(monkeypatch, stepper, checks):
     orbits = []
 
     class Recording(stepper):
-        def orbit(self, x0):
+        def run(self, y0, y1, c):
             points = []
             orbits.append(points)
-            for pt in super().orbit(x0):
+            for pt in super().run(y0, y1, c):
                 v = pt.v
                 if v and stepper is not ExactStepper:
                     exact = math.log2(v) - 2 * math.log2(pt.c)

@@ -685,11 +685,33 @@ def test_run_script_rational_constants_and_minus():
 
 
 def test_run_script_unsupported_is_unknown():
-    out = run("""(set-logic QF_NRA)
-    (declare-const x Real)
-    (assert (> (* x x x) 1))
-    (check-sat)""")
-    assert out.strip() == "unknown"
+    for term in ("(* x x x)", "(-)"):
+        out = run(f"""(set-logic QF_NRA)
+        (declare-const x Real)
+        (assert (> {term} 1))
+        (check-sat)""")
+        assert out.strip() == "unknown", term
+
+
+@pytest.mark.parametrize("text", [
+    # an unterminated |symbol|
+    "(declare-const |x0 Real)(check-sat)",
+    # a declaration after an assertion, whose matrix it would outgrow
+    "(declare-const x0 Real)(assert (> (* x0 x0) 0))"
+    "(declare-const x1 Real)(check-sat)",
+    # an assertion without its term
+    "(declare-const x0 Real)(assert)(check-sat)",
+    # a variable declared twice, and a declaration naming a list
+    "(declare-const x0 Real)(declare-const x0 Real)"
+    "(assert (> (* x0 x0) 0))(check-sat)",
+    "(declare-const (x0) Real)(check-sat)",
+], ids=["unterminated_symbol", "declare_after_assert", "empty_assert",
+        "declared_twice", "list_name"])
+def test_run_script_rejects_with_one_error_line(text):
+    out = io.StringIO()
+    assert run_script(text, out) == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("(error "), lines
 
 
 def test_format_rational():

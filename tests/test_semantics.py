@@ -294,6 +294,40 @@ def test_kappa_table_one_variable():
     assert stepper._point((0, 0), 1).k == disc.k_bar and calls == [(0, 0)]
 
 
+@pytest.mark.parametrize("case", ["ci", "cs", "one_dim"])
+def test_point_on_random_scales(case, ci_disc):
+    # random states and scales of up to 20,000 bits, each scale not a
+    # power of two (on the bundled loop every d_k is 2^51, 2^53 or 2^54,
+    # so an orbit's scale is its first one times a power of two): the
+    # level is within LEVEL_MARGIN / 4 of log2(v / c^2), or NaN, and
+    # kappa and d are those of the exact signs
+    disc = ci_disc if case == "ci" else bundled(case)[1]
+    stepper = IntegerStepper(disc)
+    one_dim = disc.n_x == 1
+    kept = []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 20_000), st.integers(2, 20_000), st.data())
+    def check(ybits, cbits, data):
+        y = tuple(data.draw(st.integers(-(1 << ybits), 1 << ybits))
+                  for _ in range(1 if one_dim else 2))
+        y = (y + (0,))[:2]
+        c = data.draw(st.integers((1 << (cbits - 1)) + 1, (1 << cbits) - 1))
+        pt = stepper._point(y, c)
+        assert pt.k == stepper._kappa(*y)
+        assert pt.d == stepper.maps[pt.k][1]
+        assert (pt.y, pt.c) == (y, c)
+        v = dot(stepper.lyapunov, monomials(y))
+        if math.isnan(pt.level):
+            return
+        exact = math.log2(v) - 2 * math.log2(c)
+        assert abs(pt.level - exact) <= semantics.LEVEL_MARGIN / 4, (y, c)
+        kept.append(pt)
+
+    check()
+    assert len(kept) > 200
+
+
 @pytest.mark.parametrize("r", [F(4, 5), F(1, 2), F(1, 10)])
 def test_level_comparisons_at_equality(r, ci_disc, ci_sim):
     # q v_a == p g v_b exactly, on states of 100-10,000 bits: the

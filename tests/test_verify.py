@@ -23,8 +23,8 @@ F = Fraction
 def first_window(disc, x, max_len):
     """The word of x until V first drops to r V(x), the word of
     x / sqrt(V(x)) by homogeneity: the first window of its orbit."""
-    word, _ = next(verify._windows(semantics.IntegerStepper(disc), x, disc.r,
-                                   max_len))
+    orbit = semantics.IntegerStepper(disc).orbit(x)
+    word, _ = next(verify._windows(orbit, disc.r, max_len))
     return word
 
 
@@ -61,14 +61,51 @@ def test_sample_shell_states_in_band(ci_disc):
     assert verify.sample_shell_states(ci_disc, 0, seed=3) == []
 
 
-def test_samplers_match_fraction_samplers(built):
-    # the integer acceptance tests keep every point of the Fraction ones
-    disc = built[0]
+@pytest.mark.parametrize("built", ["ci", "r4_5", "cs", "one_dim", "scaled"],
+                         indirect=True)
+def test_samplers_match_fraction_samplers(built, monkeypatch):
+    # the integer acceptance tests keep every point of the Fraction ones,
+    # both in the public samplers and in the integer starts (y, c) that
+    # the checks step from, read as rationals: the first point of each
+    # sampled run, before the witness replays of each check
+    disc, bisim, sim = built
+    n = 40
+
+    def checks(seed):
+        verify.check_bisim_sample(disc, bisim, n, seed)
+        verify.check_sim_petc(disc, sim, n, 1, seed + 1)
+
     for seed in (0, 1, 2024):
         assert (verify.sample_states(disc, 60, seed)
                 == fraction_sample_states(disc, 60, seed))
         assert (verify.sample_shell_states(disc, 60, seed)
                 == fraction_sample_shell_states(disc, 60, seed))
+        _, orbits = recorded_checks(monkeypatch, semantics.IntegerStepper,
+                                    lambda: checks(seed))
+        starts = [tuple(F(e, c) for e in y[:disc.n_x])
+                  for (_, _, _, y, c), *_ in orbits]
+        m = n + len(bisim.witnesses)
+        assert starts[:n] == fraction_sample_states(disc, n, seed)
+        assert (starts[m:m + n]
+                == fraction_sample_shell_states(disc, n, seed + 1))
+
+
+@pytest.mark.parametrize("built", ["r4_5"], indirect=True)
+def test_validation_builds_two_steppers(built, monkeypatch, capsys):
+    # the validation of casestudy builds one stepper per check, which
+    # its sampler and its witness replays share
+    disc, bisim, sim = built
+    made = []
+    init = semantics.IntegerStepper.__init__
+
+    def counting_init(self, disc):
+        made.append(disc)
+        init(self, disc)
+
+    monkeypatch.setattr(semantics.IntegerStepper, "__init__", counting_init)
+    assert cli._validate(disc, bisim, sim, 150, 20, seed=2024)
+    assert len(made) == 2 and all(d is disc for d in made)
+    assert "178 checks" in capsys.readouterr().out
 
 
 def test_entry_run_matches_concrete_sequence(built):
@@ -83,7 +120,7 @@ def test_entry_run_matches_concrete_sequence(built):
           + [sim.witnesses[w] for w in sim.sorted_states()])
     n_long = 0
     for x in xs:
-        run = stepper.entry_run(x, 1000)
+        run = stepper.entry_run(stepper.orbit(x), 1000)
         word = semantics.concrete_sequence(disc, x, max_len=1000)
         assert tuple(pt.k for pt in run) == word
         states = [x]
@@ -95,14 +132,14 @@ def test_entry_run_matches_concrete_sequence(built):
             # past the cap: the same state and prefix
             n_long += 1
             with pytest.raises(semantics.HorizonExceededError) as new:
-                stepper.entry_run(x, 2)
+                stepper.entry_run(stepper.orbit(x), 2)
             with pytest.raises(semantics.HorizonExceededError) as old:
                 semantics.concrete_sequence(disc, x, max_len=2)
             assert ((new.value.state, new.value.word)
                     == (old.value.state, old.value.word))
     assert n_long > 0
     outside = (F(100), F(0))
-    for replay in (lambda x: stepper.entry_run(x, 1000),
+    for replay in (lambda x: stepper.entry_run(stepper.orbit(x), 1000),
                    lambda x: semantics.concrete_sequence(disc, x)):
         with pytest.raises(ValueError, match="outside"):
             replay(outside)
@@ -201,8 +238,8 @@ def test_normalized_word_homogeneous(ci_disc):
             scaled = tuple(lam * c for c in x)
             assert first_window(ci_disc, scaled, max_len=100) == w
     # the origin has V = 0: its run has no window to check
-    origin = verify._windows(semantics.IntegerStepper(ci_disc), (F(0), F(0)),
-                             ci_disc.r, 10)
+    origin = verify._windows(
+        semantics.IntegerStepper(ci_disc).orbit((F(0), F(0))), ci_disc.r, 10)
     assert list(origin) == []
 
 
@@ -397,19 +434,22 @@ def test_sim_check_detects_missing_state(ci_disc, ci_sim):
 
 
 def test_sim_check_detects_bad_witnesses(ci_disc, ci_sim):
-    # a witness of the wrong word, on the unit shell, and a witness off
-    # the shell are backward failures, with the exact witness
+    # a witness of the wrong word, on the unit shell, and witnesses off
+    # the shell, outside it and inside it, are backward failures, with
+    # the exact witness
     some = next(w for w in ci_sim.sorted_states() if len(w) >= 2)
-    other = next(w for w in ci_sim.sorted_states() if w != some)
+    other, inner = [w for w in ci_sim.sorted_states() if w != some][:2]
     bad = dict(ci_sim.witnesses)
     bad[some] = ci_sim.witnesses[other]
     bad[other] = tuple(2 * v for v in ci_sim.witnesses[other])
+    bad[inner] = tuple(v / 2 for v in ci_sim.witnesses[inner])
     doctored = replace(ci_sim, witnesses=bad)
     rep = verify.check_sim_petc(ci_disc, doctored, 5, steps=3, seed=2)
     backward = [f for f in rep.failures if f["kind"] == "backward"]
-    assert {f["word"] for f in backward} == {some, other}
+    assert {f["word"] for f in backward} == {some, other, inner}
     assert all(f["witness"] == bad[f["word"]] for f in backward)
-    assert dict((f["word"], f["replay"]) for f in backward)[other] is None
+    replays = dict((f["word"], f["replay"]) for f in backward)
+    assert replays[other] is None and replays[inner] is None
     assert rep.n_checked == 5 * 3 + len(ci_sim.witnesses)
     assert (rep.n_checked, rep.failures) == fraction_sim_check(
         ci_disc, doctored, 5, 3, seed=2, max_len=10 * len(doctored.states))

@@ -435,7 +435,7 @@ def test_sweep_shell_witnesses(monkeypatch):
         stepper = semantics.IntegerStepper(disc)
         for word, x in sim.witnesses.items():
             assert disc.V(x) == disc.V0, word
-            assert tuple(pt.k for pt in stepper.entry_run(x, len(word))) \
-                == word
+            run = stepper.entry_run(stepper.orbit(x), len(word))
+            assert tuple(pt.k for pt in run) == word
         kept += len(sim.witnesses)
     assert kept and reflected and failed == 6
